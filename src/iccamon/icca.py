@@ -104,11 +104,6 @@ class BreakpointTable:
 DEFAULT_TABLE = BreakpointTable()
 
 
-def build_category_table(colors: Sequence[str]) -> BreakpointTable:
-    """Breakpoint table with custom display colors (names are fixed)."""
-    return BreakpointTable(colors)
-
-
 @dataclass(frozen=True)
 class IccaResult:
     value: int

@@ -2,12 +2,13 @@
 
 POST /v1/telemetry validates a frame against the station registry, appends
 it durably, refreshes the station's rolling 24-hour index, and runs the
-alert rules — all under a per-station lock, so sequence checking and
-window updates are race-free while distinct stations proceed in parallel.
-Reads are public and unauthenticated.
+alert rules — all under the store's per-station lock, with the store as the
+authority on sequence numbers, so acceptance and window updates are
+race-free while distinct stations proceed in parallel. Reads are public.
 
 Status mapping: BadToken→401, UnknownStation→404, DuplicateSeq/StaleSeq→409,
 OutOfRange/Malformed→422; acceptance → 202 after the record is durable.
+A bad Content-Length gets 400, one above MAX_BODY_BYTES 413; both close.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .telemetry import DEFAULT_RANGES, AcceptRanges, RejectReason, parse_and_val
 
 logger = logging.getLogger(__name__)
 request_logger = logging.getLogger("iccamon.http")
+
+MAX_BODY_BYTES = 4096  # a telemetry frame is under 200 bytes
+POLL_INTERVAL_S = 0.05  # how long shutdown() waits for serve_forever at most
 
 _STATUS_FOR_REASON = {
     RejectReason.BAD_TOKEN: 401,
@@ -126,47 +130,28 @@ class MonitorService:
         self.alert_source = alert_source
         self.ranges = ranges
         self.table = table
-        self._locks_guard = threading.Lock()
-        self._station_locks: dict[str, threading.Lock] = {}
-        # rebuilt from the store: the log is the single source of truth
-        self._last_seq: dict[str, int] = {
-            sid: store.last_seq(sid) for sid in store.station_ids() if store.last_seq(sid)
-        }
-
-    def _lock_for(self, station_id: str) -> threading.Lock:
-        with self._locks_guard:
-            lock = self._station_locks.get(station_id)
-            if lock is None:
-                lock = self._station_locks[station_id] = threading.Lock()
-            return lock
 
     # -- ingestion ---------------------------------------------------------
 
     def ingest(self, text: str) -> tuple[int, dict]:
         """Process one telemetry submission; returns (status_code, body)."""
-        try:
-            obj = json.loads(text)
-        except ValueError:
-            return 422, {"error": RejectReason.MALFORMED.value}
-        station_id = obj.get("station_id") if isinstance(obj, dict) else None
-        if not isinstance(station_id, str):
-            return 422, {"error": RejectReason.MALFORMED.value}
-
-        with self._lock_for(station_id):
-            outcome = parse_and_validate(text, self.store.token_registry(), self._last_seq, self.ranges)
-            if not outcome.accepted:
-                return _STATUS_FOR_REASON[outcome.reason], {"error": outcome.reason.value}
-            m = outcome.measurement
+        outcome = parse_and_validate(text, self.store.lookup, self.ranges)
+        if not outcome.accepted:
+            return _STATUS_FOR_REASON[outcome.reason], {"error": outcome.reason.value}
+        m = outcome.measurement
+        with self.store.station_lock(m.station_id):
             try:
                 offset = self.store.append(m)
             except StorageError as exc:
                 logger.error("append failed for %s seq %d: %s", m.station_id, m.seq, exc)
                 return 500, {"error": "storage_failure"}
             if offset is None:
-                return 409, {"error": RejectReason.DUPLICATE_SEQ.value}
-            self._last_seq[m.station_id] = m.seq
+                # another request for this station was accepted after validation
+                last = self.store.last_seq(m.station_id)
+                reason = RejectReason.DUPLICATE_SEQ if m.seq == last else RejectReason.STALE_SEQ
+                return 409, {"error": reason.value}
             self._post_accept(m)
-            return 202, {"station_id": m.station_id, "seq": m.seq}
+        return 202, {"station_id": m.station_id, "seq": m.seq}
 
     def _post_accept(self, m: Measurement) -> None:
         if self.rule_engine is None:
@@ -300,12 +285,21 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         started = time.monotonic()
-        path = urlsplit(self.path).path
-        if path != "/v1/telemetry":
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._respond(400, {"error": "bad_content_length"}, started, close=True)
+            return
+        if length > MAX_BODY_BYTES:
+            # the body is left unread, so the connection cannot be reused
+            self._respond(413, {"error": "body_too_large"}, started, close=True)
+            return
+        text = self.rfile.read(length).decode("utf-8", errors="replace")
+        if urlsplit(self.path).path != "/v1/telemetry":
             status, body = 404, {"error": "not_found"}
         else:
-            length = int(self.headers.get("Content-Length", 0))
-            text = self.rfile.read(length).decode("utf-8", errors="replace")
             status, body = self.service.ingest(text)
         self._respond(status, body, started)
 
@@ -342,11 +336,13 @@ class _Handler(BaseHTTPRequestHandler):
                 return 200, service.icca_payload(station_id, window)
         return 404, {"error": "not_found"}
 
-    def _respond(self, status: int, body, started: float) -> None:
+    def _respond(self, status: int, body, started: float, close: bool = False) -> None:
         payload = json.dumps(body, ensure_ascii=False).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(payload)))
+        if close:
+            self.send_header("Connection", "close")  # also sets close_connection
         self.end_headers()
         self.wfile.write(payload)
         request_logger.info(
@@ -388,13 +384,14 @@ class HttpServer:
         return f"http://{host}:{self.port}"
 
     def start(self) -> None:
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, args=(POLL_INTERVAL_S,), daemon=True)
         self._thread.start()
         logger.info("listening on %s", self.url)
 
     def serve_forever(self) -> None:
         logger.info("listening on %s", self.url)
-        self._httpd.serve_forever()
+        self._httpd.serve_forever(POLL_INTERVAL_S)
 
     def shutdown(self) -> None:
         self._httpd.shutdown()

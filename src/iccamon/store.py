@@ -8,8 +8,8 @@ Layout under the data directory:
 A record line mirrors the wire frame minus the token, plus quality flags.
 Recovery discards a final line without its trailing newline, so a crash
 mid-write never surfaces a torn record. An in-memory index (records sorted
-by timestamp, seen sequence numbers) is rebuilt on open; logs are small at
-desk scale.
+by timestamp, last accepted sequence number) is rebuilt on open; logs are
+small at desk scale.
 """
 
 from __future__ import annotations
@@ -110,16 +110,16 @@ class StationRecord:
         return cls(**obj)
 
 
-class _StationLog:
-    """One station's series file plus its in-memory index."""
+class _Station:
+    """One station's registry record, series file and in-memory index."""
 
-    def __init__(self, path: Path):
-        self.path = path
-        self.lock = threading.Lock()
+    def __init__(self, record: StationRecord, series_dir: Path):
+        self.record = record
+        self.path = series_dir / f"{record.station_id}.ndjson"
+        self.lock = threading.RLock()  # re-entrant: ingest holds it across append and reads
         self.records: list[Measurement] = []  # kept sorted by ts
         self.ts_index: list[int] = []
-        self.seqs: set[int] = set()
-        self.last_seq = 0
+        self.last_seq: int | None = None  # None until a record is accepted; 0 is a valid seq
         self._fh = None
 
     def recover(self) -> None:
@@ -140,16 +140,18 @@ class _StationLog:
                 m = Measurement.from_json_obj(json.loads(line))
             except (ValueError, KeyError, TypeError) as exc:
                 raise StorageError(f"{self.path}:{lineno}: corrupt record: {exc}") from exc
-            if m.seq in self.seqs:
-                continue
-            self._index(m)
+            # appends write increasing seqs; a repeat is left by a retried append
+            if self.accepts(m.seq):
+                self._index(m)
+
+    def accepts(self, seq: int) -> bool:
+        return self.last_seq is None or seq > self.last_seq
 
     def _index(self, m: Measurement) -> None:
         pos = bisect_right(self.ts_index, m.ts)
         self.records.insert(pos, m)
         self.ts_index.insert(pos, m.ts)
-        self.seqs.add(m.seq)
-        self.last_seq = max(self.last_seq, m.seq)
+        self.last_seq = m.seq
 
     def handle(self):
         if self._fh is None:
@@ -165,8 +167,9 @@ class _StationLog:
 class TimeSeriesStore:
     """Durable per-station measurement logs with duplicate suppression.
 
-    One writer per station log (enforced with a per-station lock); readers
-    see a consistent snapshot taken under the same lock.
+    The store owns all per-station state. One writer per station log
+    (enforced with a per-station lock); readers see a consistent snapshot
+    taken under the same lock.
     """
 
     REGISTRY_FILE = "stations.json"
@@ -179,11 +182,10 @@ class TimeSeriesStore:
         self.series_dir.mkdir(parents=True, exist_ok=True)
         self._fsync = fsync
         self._registry_lock = threading.Lock()
-        self._stations: dict[str, StationRecord] = {}
-        self._logs: dict[str, _StationLog] = {}
+        self._stations: dict[str, _Station] = {}
         self._load_registry()
-        for station_id in self._stations:
-            self._open_log(station_id).recover()
+        for station in self._stations.values():
+            station.recover()
 
     # -- registry ----------------------------------------------------------
 
@@ -197,97 +199,98 @@ class TimeSeriesStore:
             raise StorageError(f"corrupt registry {path}: {exc}") from exc
         for obj in entries:
             record = StationRecord.from_json_obj(obj)
-            self._stations[record.station_id] = record
+            self._stations[record.station_id] = _Station(record, self.series_dir)
 
     def _save_registry(self) -> None:
         path = self.data_dir / self.REGISTRY_FILE
         tmp = path.with_suffix(".json.tmp")
         payload = json.dumps(
-            [r.to_json_obj() for r in self._stations.values()], indent=2, ensure_ascii=False
+            [st.record.to_json_obj() for st in self._stations.values()], indent=2, ensure_ascii=False
         )
         tmp.write_text(payload + "\n")
         os.replace(tmp, path)
 
     def upsert_station(self, record: StationRecord) -> None:
         with self._registry_lock:
-            self._stations[record.station_id] = record
+            station = self._stations.setdefault(record.station_id, _Station(record, self.series_dir))
+            station.record = record
             self._save_registry()
-            self._open_log(record.station_id)
 
-    def get_station(self, station_id: str) -> StationRecord:
+    def _station(self, station_id: str) -> _Station:
         try:
             return self._stations[station_id]
         except KeyError:
             raise UnknownStationError(station_id) from None
 
+    def get_station(self, station_id: str) -> StationRecord:
+        return self._station(station_id).record
+
     def station_ids(self) -> list[str]:
         return sorted(self._stations)
 
     def stations(self) -> list[StationRecord]:
-        return [self._stations[sid] for sid in self.station_ids()]
+        return [self._stations[sid].record for sid in self.station_ids()]
 
     def token_registry(self) -> dict[str, str]:
-        return {sid: rec.token for sid, rec in self._stations.items()}
+        return {sid: st.record.token for sid, st in self._stations.items()}
+
+    def lookup(self, station_id: str) -> tuple[str, int | None] | None:
+        """(token, last accepted seq or None) for a registered station, else None."""
+        station = self._stations.get(station_id)
+        return None if station is None else (station.record.token, station.last_seq)
+
+    def station_lock(self, station_id: str) -> threading.RLock:
+        return self._station(station_id).lock
 
     # -- series ------------------------------------------------------------
-
-    def _open_log(self, station_id: str) -> _StationLog:
-        if station_id not in self._logs:
-            self._logs[station_id] = _StationLog(self.series_dir / f"{station_id}.ndjson")
-        return self._logs[station_id]
-
-    def _log_for(self, station_id: str) -> _StationLog:
-        if station_id not in self._stations:
-            raise UnknownStationError(station_id)
-        return self._open_log(station_id)
 
     def append(self, m: Measurement) -> int | None:
         """Durably append one measurement.
 
-        Returns the record offset in the station log, or None when the
-        (station, seq) pair was already stored (the log is unchanged).
+        Returns the record offset in the station log, or None when m.seq is
+        not above the station's last accepted seq (the log is unchanged).
         """
-        log = self._log_for(m.station_id)
-        with log.lock:
-            if m.seq in log.seqs:
+        station = self._station(m.station_id)
+        with station.lock:
+            if not station.accepts(m.seq):
                 return None
             line = json.dumps(m.to_json_obj(), separators=_JSON_SEP, ensure_ascii=False) + "\n"
-            fh = log.handle()
+            fh = station.handle()
             try:
                 fh.write(line.encode("utf-8"))
                 fh.flush()
                 if self._fsync:
                     os.fsync(fh.fileno())
             except OSError as exc:
-                raise StorageError(f"append to {log.path} failed: {exc}") from exc
-            offset = len(log.records)
-            log._index(m)
+                raise StorageError(f"append to {station.path} failed: {exc}") from exc
+            offset = len(station.records)
+            station._index(m)
             return offset
 
     def query_range(self, station_id: str, t0: float, t1: float) -> list[Measurement]:
         """All records with ts in [t0, t1], ascending by ts."""
         if t0 > t1:
             raise ValueError(f"empty range: t0={t0} > t1={t1}")
-        log = self._log_for(station_id)
-        with log.lock:
-            lo = bisect_left(log.ts_index, t0)
-            hi = bisect_right(log.ts_index, t1)
-            return log.records[lo:hi]
+        station = self._station(station_id)
+        with station.lock:
+            lo = bisect_left(station.ts_index, t0)
+            hi = bisect_right(station.ts_index, t1)
+            return station.records[lo:hi]
 
     def latest(self, station_id: str) -> Measurement | None:
-        log = self._log_for(station_id)
-        with log.lock:
-            return log.records[-1] if log.records else None
+        station = self._station(station_id)
+        with station.lock:
+            return station.records[-1] if station.records else None
 
     def count(self, station_id: str) -> int:
-        return len(self._log_for(station_id).records)
+        return len(self._station(station_id).records)
 
-    def last_seq(self, station_id: str) -> int:
-        return self._log_for(station_id).last_seq
+    def last_seq(self, station_id: str) -> int | None:
+        return self._station(station_id).last_seq
 
     def close(self) -> None:
-        for log in self._logs.values():
-            log.close()
+        for station in self._stations.values():
+            station.close()
 
     def __enter__(self):
         return self
@@ -302,9 +305,9 @@ class TimeSeriesStore:
         of per-station record counts and per-file CRC32 checksums."""
         dest = Path(dest_dir)
         (dest / self.SERIES_DIR).mkdir(parents=True, exist_ok=True)
-        locks = [self._open_log(sid).lock for sid in self.station_ids()]
-        for lock in locks:
-            lock.acquire()
+        stations = [self._stations[sid] for sid in self.station_ids()]
+        for station in stations:
+            station.lock.acquire()
         try:
             manifest: dict = {
                 "created_at": int(time.time()),
@@ -315,16 +318,15 @@ class TimeSeriesStore:
             if registry_src.exists():
                 shutil.copyfile(registry_src, dest / self.REGISTRY_FILE)
                 manifest["files"][self.REGISTRY_FILE] = _crc32(dest / self.REGISTRY_FILE)
-            for sid in self.station_ids():
-                log = self._logs[sid]
-                rel = f"{self.SERIES_DIR}/{sid}.ndjson"
-                if log.path.exists():
-                    shutil.copyfile(log.path, dest / rel)
+            for station in stations:
+                rel = f"{self.SERIES_DIR}/{station.path.name}"
+                if station.path.exists():
+                    shutil.copyfile(station.path, dest / rel)
                     manifest["files"][rel] = _crc32(dest / rel)
-                manifest["station_counts"][sid] = len(log.records)
+                manifest["station_counts"][station.record.station_id] = len(station.records)
         finally:
-            for lock in reversed(locks):
-                lock.release()
+            for station in reversed(stations):
+                station.lock.release()
         (dest / self.MANIFEST_FILE).write_text(json.dumps(manifest, indent=2) + "\n")
         return manifest
 
@@ -357,10 +359,14 @@ def verify_backup(backup_dir: str | Path) -> dict:
 
 
 def restore_backup(backup_dir: str | Path, data_dir: str | Path) -> None:
-    """Verify a backup and copy its files into a data directory."""
+    """Verify a backup and copy its files into a data directory; refuses,
+    before copying anything, a manifest entry that lands outside it."""
     manifest = verify_backup(backup_dir)
     backup = Path(backup_dir)
     target = Path(data_dir)
+    for rel in manifest.get("files", {}):
+        if Path(rel).is_absolute() or not (target / rel).resolve().is_relative_to(target.resolve()):
+            raise BackupIntegrityError(f"manifest entry outside the data directory: {rel}")
     (target / TimeSeriesStore.SERIES_DIR).mkdir(parents=True, exist_ok=True)
     for rel in manifest.get("files", {}):
         shutil.copyfile(backup / rel, target / rel)

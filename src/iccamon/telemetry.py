@@ -9,8 +9,8 @@ this order:
 Unknown keys are rejected outright (they signal firmware/schema drift),
 the token must match the station's registered credential, and the sequence
 number must exceed the last accepted one so retried sends are cheap to
-deduplicate. Validation is a pure function of its inputs; callers own the
-registry and last-seq tables.
+deduplicate. Validation is a pure function of its inputs; the caller
+supplies a lookup of each station's token and last accepted seq.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Callable
 
 from .store import BEYOND_SENSOR_RANGE, Measurement
 
@@ -135,27 +135,27 @@ def parse_frame(text: str) -> TelemetryFrame:
 
 def parse_and_validate(
     text: str,
-    registry: Mapping[str, str],
-    last_seq: Mapping[str, int],
+    lookup: Callable[[str], tuple[str, int | None] | None],
     ranges: AcceptRanges = DEFAULT_RANGES,
 ) -> ValidationOutcome:
-    """Full validation of a submitted frame against the given tables.
+    """Full validation of a submitted frame against one station's state.
 
-    registry maps station_id to its token; last_seq holds the last accepted
-    sequence number per station (absent = nothing accepted yet). Pure: the
-    caller applies any state change after an accepted outcome.
+    lookup maps a station_id to (token, last accepted seq, None = nothing
+    accepted yet), or to None when unregistered. Pure: the caller applies
+    any state change after an accepted outcome.
     """
     try:
         frame = parse_frame(text)
     except ValueError:
         return _reject(RejectReason.MALFORMED)
 
-    if frame.station_id not in registry:
+    station = lookup(frame.station_id)
+    if station is None:
         return _reject(RejectReason.UNKNOWN_STATION)
-    if frame.token != registry[frame.station_id]:
+    token, last = station
+    if frame.token != token:
         return _reject(RejectReason.BAD_TOKEN)
 
-    last = last_seq.get(frame.station_id)
     if last is not None:
         if frame.seq == last:
             return _reject(RejectReason.DUPLICATE_SEQ)

@@ -178,11 +178,15 @@ def test_criterion_4_protocol_round_trip():
         RejectReason.OUT_OF_RANGE: ok.replace('"temp_c":25.0', '"temp_c":151.0'),
     }
     last_seq = {"utec-01": 5}
+
+    def lookup(seqs):
+        return lambda sid: (registry[sid], seqs.get(sid)) if sid in registry else None
+
     for reason, text in fixtures.items():
         seqs = last_seq if reason in (RejectReason.DUPLICATE_SEQ, RejectReason.STALE_SEQ) else {}
-        outcome = parse_and_validate(text, registry, seqs)
+        outcome = parse_and_validate(text, lookup(seqs))
         assert outcome.reason is reason, (reason, outcome)
-    assert parse_and_validate(ok, registry, {}).accepted
+    assert parse_and_validate(ok, lookup({})).accepted
     _ok(4, "parse/serialize identity on 10,000 frames; all six rejection reasons hit", budget)
 
 

@@ -4,11 +4,11 @@ import pytest
 
 from iccamon.icca import (
     DEFAULT_TABLE,
+    BreakpointTable,
     Category,
     InsufficientDataError,
     Pollutant,
     WindowAverage,
-    build_category_table,
     overall_icca,
     rolling_average,
     sub_index,
@@ -44,7 +44,7 @@ class TestCategoryTable:
             assert [r.category.ordinal for r in rows] == [0, 1, 2, 3, 4, 5]
 
     def test_custom_colors(self):
-        table = build_category_table(["verde", "amarillo", "naranja", "rojo", "morado", "granate"])
+        table = BreakpointTable(["verde", "amarillo", "naranja", "rojo", "morado", "granate"])
         assert table.categories[0].color == "verde"
         assert table.categories[0].name == "Buena"
 

@@ -126,7 +126,7 @@ def receiver():
         fail = False
 
     server = HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield Handler, f"http://127.0.0.1:{server.server_address[1]}/hook"
     server.shutdown()

@@ -1,4 +1,7 @@
+import http.client
 import json
+import socket
+import sys
 import threading
 
 import pytest
@@ -6,6 +9,7 @@ import requests
 
 from iccamon.rules import Rule, RuleEngine
 from iccamon.service import (
+    MAX_BODY_BYTES,
     ConfigError,
     HttpServer,
     MonitorService,
@@ -142,6 +146,95 @@ class TestIngest:
         for sid in ("utec-01", "santa-ana"):
             seqs = [m.seq for m in store.query_range(sid, 0, 2**62)]
             assert seqs == list(range(1, 51))
+
+
+def _container_sizes(*roots):
+    """Size of every dict and set reachable from the roots' attributes,
+    following containers and the package's own objects, keyed by id."""
+    sizes, seen = {}, set()
+    todo = [(type(r).__name__, vars(r)) for r in roots]
+    while todo:
+        path, obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            sizes[id(obj)] = (path, len(obj))
+            todo += [(f"{path}[{k!r}]", v) for k, v in obj.items()]
+        elif isinstance(obj, (set, frozenset)):
+            sizes[id(obj)] = (path, len(obj))
+        elif isinstance(obj, (list, tuple)):
+            todo += [(f"{path}[{i}]", v) for i, v in enumerate(obj)]
+        elif type(obj).__module__.startswith("iccamon") and hasattr(obj, "__dict__"):
+            todo += [(f"{path}.{k}", v) for k, v in vars(obj).items()]
+    return sizes
+
+
+class TestStationStateOwnership:
+    def test_racing_threads_accept_each_seq_once(self, store):
+        # a one-sample window makes every accepted frame a sufficient window,
+        # so the rule sees each accepted frame in seq order
+        engine = RuleEngine([Rule("r3", trigger_category_min=3)])
+        emitted = []
+        original = engine.observe
+        engine.observe = lambda sid, icca, ts: emitted.extend(original(sid, icca, ts))  # type: ignore
+        service = MonitorService(store, window_s=1200, rule_engine=engine)
+        barrier = threading.Barrier(8)
+        results = [[] for _ in range(8)]
+
+        def pump(k):
+            barrier.wait()
+            for seq in range(1, 121):
+                if (seq + k) % 3 == 0:
+                    continue
+                for _ in range(2):  # every send is retried once
+                    text = frame_text(seq=seq, ts=START + seq * 1200, pm25=100.0)
+                    results[k].append((seq, service.ingest(text)[0]))
+
+        threads = [threading.Thread(target=pump, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        statuses = [status for r in results for _, status in r]
+        assert set(statuses) <= {202, 409}
+        accepted = sorted(seq for r in results for seq, status in r if status == 202)
+        stored = [m.seq for m in store.query_range("utec-01", 0, 2**62)]
+        log = store.data_dir / "series" / "utec-01.ndjson"
+        on_disk = [json.loads(line)["seq"] for line in log.read_text().splitlines()]
+        assert on_disk == stored
+        assert all(a < b for a, b in zip(stored, stored[1:]))
+        assert accepted == stored
+        assert stored[-1] == 120
+        assert [e.kind.value for e in emitted] == ["raised"]
+
+    def test_seq_zero_first_frame_survives_restart(self, tmp_path):
+        data = tmp_path / "d"
+        with TimeSeriesStore(data) as s:
+            s.upsert_station(StationRecord("utec-01", "x", 0.0, 0.0, "tok-a"))
+            svc = MonitorService(s)
+            assert svc.ingest(frame_text(seq=0))[0] == 202
+            assert svc.ingest(frame_text(seq=0)) == (409, {"error": "duplicate_seq"})
+        with TimeSeriesStore(data) as s:
+            svc = MonitorService(s)
+            assert svc.ingest(frame_text(seq=0)) == (409, {"error": "duplicate_seq"})
+            assert svc.ingest(frame_text(seq=1))[0] == 202
+            assert [m.seq for m in s.query_range("utec-01", 0, 2**62)] == [0, 1]
+
+    def test_unknown_station_ids_create_no_state(self, service, store):
+        assert service.ingest(frame_text(seq=1))[0] == 202
+        before = _container_sizes(service, store)
+        for i in range(10_000):
+            assert service.ingest(frame_text(station=f"ghost-{i}"))[0] == 404
+        after = _container_sizes(service, store)
+        grown = {path: size - before.get(key, (path, 0))[1] for key, (path, size) in after.items()}
+        assert max(grown.values()) < 10_000, max(grown.items(), key=lambda kv: kv[1])
 
 
 class TestRollingIcca:
@@ -308,6 +401,49 @@ class TestHttpEndpoints:
         assert filled["location"] == {"lat": 13.7, "lon": -89.19}
         empty = entries["santa-ana"]
         assert empty["latest"] is None and empty["icca"] is None
+
+
+class TestHttpContentLength:
+    @staticmethod
+    def raw_post(server, content_length: str) -> bytes:
+        """Send a bare POST head and read until the server closes."""
+        head = (f"POST /v1/telemetry HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {content_length}\r\n\r\n").encode()
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(head)
+            chunks = []
+            while chunk := sock.recv(4096):
+                chunks.append(chunk)
+        return b"".join(chunks)
+
+    @pytest.mark.parametrize("value, status", [
+        ("abc", 400), ("-1", 400), ("", 400), (str(MAX_BODY_BYTES + 1), 413), ("1048576", 413),
+    ])
+    def test_bad_length_answered_and_closed(self, server, value, status):
+        reply = self.raw_post(server, value)
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode()), reply
+        assert b"\r\nConnection: close\r\n" in reply
+        # the server still answers the next connection
+        resp = requests.post(f"{server.url}/v1/telemetry", data=frame_text().encode())
+        assert resp.status_code == 202
+
+    def test_unrouted_post_body_is_consumed(self, server):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            conn.request("POST", "/v1/nope", body=frame_text().encode())
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 404
+            # the same keep-alive connection carries the next request intact
+            conn.request("POST", "/v1/telemetry", body=frame_text().encode())
+            assert conn.getresponse().status == 202
+        finally:
+            conn.close()
+
+    def test_limit_itself_is_accepted(self, server):
+        body = frame_text().encode().ljust(MAX_BODY_BYTES)
+        resp = requests.post(f"{server.url}/v1/telemetry", data=body)
+        assert resp.status_code == 202
 
 
 class TestServerConfig:

@@ -1,5 +1,6 @@
 import json
 import random
+import zlib
 
 import pytest
 
@@ -148,6 +149,39 @@ class TestRecovery:
                 assert [r.seq for r in records] == list(range(1, expect + 1))
             log.write_bytes(raw)
 
+    def test_retried_append_line_kept_once(self, tmp_path, monkeypatch):
+        # an fsync failure after the write leaves the line on disk; the
+        # retry writes it again, and recovery keeps the first copy only
+        data = tmp_path / "data"
+        with TimeSeriesStore(data) as s:
+            s.upsert_station(STATION)
+            s.append(m(1))
+            with monkeypatch.context() as patch:
+                patch.setattr("os.fsync", lambda fd: (_ for _ in ()).throw(OSError("EIO")))
+                with pytest.raises(StorageError):
+                    s.append(m(2))
+            assert s.append(m(2)) == 1
+            assert s.append(m(3)) == 2
+        log = data / "series" / "utec-01.ndjson"
+        assert log.read_bytes().count(b'"seq":2,') == 2
+        with TimeSeriesStore(data) as s:
+            assert [r.seq for r in s.query_range("utec-01", 0, 10**9)] == [1, 2, 3]
+            assert s.last_seq("utec-01") == 3
+
+    def test_seq_zero_is_a_real_first_seq(self, tmp_path):
+        data = tmp_path / "data"
+        with TimeSeriesStore(data) as s:
+            s.upsert_station(STATION)
+            assert s.lookup("utec-01") == ("tok-a", None)
+            assert s.append(m(0)) == 0
+            assert s.append(m(0)) is None
+            assert s.lookup("utec-01") == ("tok-a", 0)
+        with TimeSeriesStore(data) as s:
+            assert s.lookup("utec-01") == ("tok-a", 0)
+            assert s.lookup("ghost") is None
+            assert s.append(m(0)) is None
+            assert s.append(m(1)) == 1
+
     def test_mid_file_corruption_raises(self, tmp_path):
         data = tmp_path / "data"
         with TimeSeriesStore(data) as s:
@@ -210,3 +244,23 @@ class TestBackup:
             verify_backup(tmp_path / "bak")
         with pytest.raises(BackupIntegrityError):
             restore_backup(tmp_path / "bak", tmp_path / "restored")
+
+    @pytest.mark.parametrize("rel", ["../escaped.ndjson", "series/../../escaped.ndjson", "/abs"])
+    def test_restore_refuses_paths_outside_target(self, tmp_path, store, rel):
+        store.append(m(1))
+        bak = tmp_path / "bak"
+        store.backup(bak)
+        if rel == "/abs":
+            rel = str(tmp_path / "abs.ndjson")
+        # plant a source whose checksum matches, so verification alone passes
+        source = bak / rel
+        source.parent.mkdir(parents=True, exist_ok=True)
+        source.write_bytes(b"planted\n")
+        manifest = json.loads((bak / "manifest.json").read_text())
+        manifest["files"][rel] = zlib.crc32(b"planted\n")
+        (bak / "manifest.json").write_text(json.dumps(manifest))
+        verify_backup(bak)
+        with pytest.raises(BackupIntegrityError):
+            restore_backup(bak, tmp_path / "restore" / "data")
+        # nothing was copied, inside the target or next to it
+        assert not (tmp_path / "restore").exists()

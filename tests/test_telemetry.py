@@ -26,7 +26,9 @@ def frame(**overrides):
 
 
 def validate(text, last_seq=None, ranges=DEFAULT_RANGES):
-    return parse_and_validate(text, REGISTRY, last_seq or {}, ranges)
+    seqs = last_seq or {}
+    return parse_and_validate(
+        text, lambda sid: (REGISTRY[sid], seqs.get(sid)) if sid in REGISTRY else None, ranges)
 
 
 class TestSerialize:
