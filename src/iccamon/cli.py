@@ -2,11 +2,13 @@
 
     iccamon serve    --config server.json
     iccamon simulate --scenario fleet.json --duration 24 --seed 7 --offline out.ndjson
+    iccamon replay   --config server.json [--data-dir D] out.ndjson
     iccamon icca     --pm25 27.85 --pm10 80
     iccamon report   --server http://127.0.0.1:8321 --window 24h
 
-Exit codes: 0 success (a simulation with delivery failures still counts),
-1 runtime failure, 2 usage or config error.
+Exit codes: 0 success (a simulation with delivery failures still counts;
+a replay where every frame got 202 or 409), 1 runtime failure (a replayed
+frame rejected otherwise), 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -61,20 +63,25 @@ def _colored(text: str, color: str) -> str:
 # -- serve ---------------------------------------------------------------------
 
 
-def cmd_serve(args) -> int:
+def _open_service(args):
+    """(config, service, store) from --config, with --data-dir overriding
+    the config's data_dir; None, after printing why, when either is unusable."""
     try:
         config = service_mod.load_server_config(args.config)
-    except service_mod.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.data_dir:
-        config.data_dir = args.data_dir
-
-    try:
+        if args.data_dir:
+            config.data_dir = args.data_dir
         svc, store = service_mod.build_service(config)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
+        return None
+    return config, svc, store
+
+
+def cmd_serve(args) -> int:
+    opened = _open_service(args)
+    if opened is None:
         return EXIT_USAGE
+    config, svc, store = opened
 
     server = service_mod.HttpServer(svc, config.host, config.port)
     print(f"serving on {server.url} (data_dir={config.data_dir})", flush=True)
@@ -94,6 +101,29 @@ def cmd_serve(args) -> int:
         logging.shutdown()
     print("shut down cleanly")
     return EXIT_OK
+
+
+# -- replay --------------------------------------------------------------------
+
+
+def cmd_replay(args) -> int:
+    opened = _open_service(args)
+    if opened is None:
+        return EXIT_USAGE
+    _, svc, store = opened
+    by_status: dict[str, int] = {}
+    try:
+        for line in sim.iter_offline_frames(args.frames):
+            status = str(svc.ingest(line)[0])
+            by_status[status] = by_status.get(status, 0) + 1
+    except OSError as exc:
+        print(f"frames error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    finally:
+        store.close()
+    print(json.dumps(dict(sorted(by_status.items()))))
+    # 409 means the store already holds the frame, as for a station's resend
+    return EXIT_OK if set(by_status) <= {"202", "409"} else EXIT_RUNTIME
 
 
 # -- simulate ------------------------------------------------------------------
@@ -262,6 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="server config JSON")
     p.add_argument("--data-dir", help="override the config's data_dir")
     p.set_defaults(func=cmd_serve)
+
+    p = sub.add_parser("replay", help="ingest an offline frame file, no HTTP")
+    p.add_argument("--config", required=True, help="server config JSON")
+    p.add_argument("--data-dir", help="override the config's data_dir")
+    p.add_argument("frames", help="NDJSON frames written by simulate --offline")
+    p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("simulate", help="run a virtual station fleet")
     p.add_argument("--scenario", required=True, help="fleet scenario JSON")

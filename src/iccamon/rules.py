@@ -168,7 +168,7 @@ class RuleEngine:
         self.alert_log_path = Path(alert_log_path) if alert_log_path else None
         self._states: dict[tuple[str, str], RuleState] = {}
         self._lock = threading.Lock()
-        self.deliveries: list[DeliveryRecord] = []
+        self.failed_deliveries = 0  # sink deliveries still failing after their retry
 
     def observe(self, station_id: str, icca: IccaResult, ts: int) -> list[AlertEvent]:
         """Run every rule against one station index evaluation.
@@ -197,11 +197,7 @@ class RuleEngine:
                 logger.warning("rule %s references unknown sink %s", rule.rule_id, sid)
             else:
                 sinks.append(sink)
-        self.deliveries.extend(dispatch(event, sinks))
-
-    def reset(self) -> None:
-        with self._lock:
-            self._states.clear()
+        self.failed_deliveries += sum(not r.ok for r in dispatch(event, sinks))
 
 
 def load_rules_config(path: str | Path) -> RuleEngine:

@@ -11,7 +11,7 @@ simulator and any future hardware bridge.
 from __future__ import annotations
 
 import struct
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 FRAME_HEADER = b"\x42\x4d"
 FRAME_LEN = 32
@@ -55,10 +55,12 @@ class PmFrame:
 
 def encode_pm_frame(frame: PmFrame) -> bytes:
     """Serialize a frame to its exact 32-byte wire form."""
-    words = astuple(frame)
-    for name, word in zip((f.name for f in fields(frame)), words):
+    words = []
+    for f in fields(frame):
+        word = getattr(frame, f.name)
         if not isinstance(word, int) or isinstance(word, bool) or not 0 <= word <= 0xFFFF:
-            raise ValueError(f"{name} must be an unsigned 16-bit integer, got {word!r}")
+            raise ValueError(f"{f.name} must be an unsigned 16-bit integer, got {word!r}")
+        words.append(word)
     body = FRAME_HEADER + struct.pack(">H13H", _PAYLOAD_LEN, *words)
     checksum = sum(body) & 0xFFFF
     return body + struct.pack(">H", checksum)

@@ -9,6 +9,7 @@ race-free while distinct stations proceed in parallel. Reads are public.
 Status mapping: BadToken→401, UnknownStation→404, DuplicateSeq/StaleSeq→409,
 OutOfRange/Malformed→422; acceptance → 202 after the record is durable.
 A bad Content-Length gets 400, one above MAX_BODY_BYTES 413; both close.
+A connection that stalls for SOCKET_TIMEOUT_S is closed.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ request_logger = logging.getLogger("iccamon.http")
 
 MAX_BODY_BYTES = 4096  # a telemetry frame is under 200 bytes
 POLL_INTERVAL_S = 0.05  # how long shutdown() waits for serve_forever at most
+SOCKET_TIMEOUT_S = 10.0  # a connection that sends nothing for this long is closed
 
 _STATUS_FOR_REASON = {
     RejectReason.BAD_TOKEN: 401,
@@ -280,6 +282,12 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     @property
+    def timeout(self) -> float:
+        # read when each connection is set up; a stalled read then raises
+        # TimeoutError, on which the base handler closes the connection
+        return SOCKET_TIMEOUT_S
+
+    @property
     def service(self) -> MonitorService:
         return self.server.service  # type: ignore[attr-defined]
 
@@ -338,16 +346,21 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _respond(self, status: int, body, started: float, close: bool = False) -> None:
         payload = json.dumps(body, ensure_ascii=False).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(payload)))
-        if close:
-            self.send_header("Connection", "close")  # also sets close_connection
-        self.end_headers()
-        self.wfile.write(payload)
+        outcome = ""
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json; charset=utf-8")
+            self.send_header("Content-Length", str(len(payload)))
+            if close:
+                self.send_header("Connection", "close")  # also sets close_connection
+            self.end_headers()
+            self.wfile.write(payload)
+        except (BrokenPipeError, ConnectionResetError):
+            self.close_connection = True
+            outcome = ", client hung up"
         request_logger.info(
-            "%s %s -> %d (%.1f ms)",
-            self.command, self.path, status, (time.monotonic() - started) * 1e3,
+            "%s %s -> %d (%.1f ms%s)",
+            self.command, self.path, status, (time.monotonic() - started) * 1e3, outcome,
         )
 
     def log_message(self, fmt, *args):

@@ -21,7 +21,6 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -142,46 +141,12 @@ def sample(scenario: Scenario, ts: float, rng: random.Random) -> tuple[float, fl
     return jitter(pm25), jitter(pm10), jitter(temp)
 
 
-class Phase(Enum):
-    CONFIGURE = "configure"
-    READ = "read"
-    STORE_LOCAL = "store_local"
-    DISPLAY = "display"
-    FORMAT = "format"
-    SEND = "send"
-    WAIT = "wait"
-
-
-_CYCLE = (Phase.READ, Phase.STORE_LOCAL, Phase.DISPLAY, Phase.FORMAT, Phase.SEND, Phase.WAIT)
-
-
-def verify_phase_trace(trace: list[Phase]) -> None:
-    """Assert a node's executed phases follow Configure, then whole cycles."""
-    if not trace:
-        return
-    if trace[0] is not Phase.CONFIGURE:
-        raise AssertionError(f"trace must start with CONFIGURE, got {trace[0]}")
-    body = trace[1:]
-    for i, phase in enumerate(body):
-        expected = _CYCLE[i % len(_CYCLE)]
-        if phase is not expected:
-            raise AssertionError(f"phase {i + 1}: expected {expected}, got {phase}")
-
-
 @dataclass(frozen=True)
 class Reading:
     ts: int
     pm25: int
     pm10: int
     temp_c: float
-
-
-@dataclass
-class StepResult:
-    phase: Phase
-    display_line: str | None = None
-    delivered: int = 0
-    failed: bool = False
 
 
 @dataclass
@@ -192,8 +157,17 @@ class NodeCounters:
     dropped: int = 0
 
 
+LOCAL_LOG_LEN = 72  # one day of readings at the default 20-minute period
+
+
 class Node:
-    """One virtual station running the firmware loop on the sim clock."""
+    """One virtual station running the firmware loop on the sim clock.
+
+    Configuration happens once, at construction. Each ``run_cycle`` is one
+    pass of the loop in its fixed order: read, store locally, display,
+    format, send, wait. The local log keeps the newest LOCAL_LOG_LEN
+    readings, like a node's bounded flash.
+    """
 
     def __init__(
         self,
@@ -207,89 +181,51 @@ class Node:
         self.scenario = scenario
         self.rng = random.Random(f"{seed}:{station.station_id}")
         self.clock = start_ts
-        self.phase = Phase.CONFIGURE
         self.buffer: deque[TelemetryFrame] = deque()
         self.buffer_cap = buffer_cap
         self.seq = 0
-        self.local_log: list[Reading] = []
+        self.local_log: deque[Reading] = deque(maxlen=LOCAL_LOG_LEN)
         self.counters = NodeCounters()
-        self.trace: list[Phase] = []
-        self._reading: Reading | None = None
 
-    def step(self, transport) -> StepResult:
-        """Execute the current phase and advance to the next."""
-        phase = self.phase
-        self.trace.append(phase)
-        result = StepResult(phase=phase)
+    def run_cycle(self, transport) -> str:
+        """Run one whole firmware cycle; returns the display line."""
+        reading = self._read_sensors()
+        self.local_log.append(reading)
 
-        if phase is Phase.CONFIGURE:
-            self.phase = Phase.READ
+        line = (
+            f"[{self.station.station_id}] ts={reading.ts} "
+            f"PM2.5={reading.pm25} ug/m3 PM10={reading.pm10} ug/m3 T={reading.temp_c:.4f} C"
+        )
+        logger.debug("%s", line)
 
-        elif phase is Phase.READ:
-            self._reading = self._read_sensors()
-            self.phase = Phase.STORE_LOCAL
-
-        elif phase is Phase.STORE_LOCAL:
-            self.local_log.append(self._reading)
-            self.phase = Phase.DISPLAY
-
-        elif phase is Phase.DISPLAY:
-            r = self._reading
-            result.display_line = (
-                f"[{self.station.station_id}] ts={r.ts} "
-                f"PM2.5={r.pm25} ug/m3 PM10={r.pm10} ug/m3 T={r.temp_c:.4f} C"
+        self.seq += 1
+        self.buffer.append(
+            TelemetryFrame(
+                station_id=self.station.station_id,
+                token=self.station.token,
+                seq=self.seq,
+                ts=reading.ts,
+                pm25=float(reading.pm25),
+                pm10=float(reading.pm10),
+                temp_c=reading.temp_c,
             )
-            logger.debug("%s", result.display_line)
-            self.phase = Phase.FORMAT
+        )
+        self.counters.generated += 1
+        if self.buffer_cap is not None and len(self.buffer) > self.buffer_cap:
+            self.buffer.popleft()
+            self.counters.dropped += 1
 
-        elif phase is Phase.FORMAT:
-            self.seq += 1
-            r = self._reading
-            self.buffer.append(
-                TelemetryFrame(
-                    station_id=self.station.station_id,
-                    token=self.station.token,
-                    seq=self.seq,
-                    ts=r.ts,
-                    pm25=float(r.pm25),
-                    pm10=float(r.pm10),
-                    temp_c=r.temp_c,
-                )
-            )
-            self.counters.generated += 1
-            if self.buffer_cap is not None and len(self.buffer) > self.buffer_cap:
-                self.buffer.popleft()
-                self.counters.dropped += 1
-            self.phase = Phase.SEND
+        # drain the buffer head-first; on failure frames stay queued for
+        # catch-up on a later cycle
+        while self.buffer:
+            if not transport.send(self.buffer[0], now=self.clock):
+                self.counters.failed_attempts += 1
+                break
+            self.buffer.popleft()
+            self.counters.delivered += 1
 
-        elif phase is Phase.SEND:
-            # drain the buffer head-first; on failure frames stay queued for
-            # catch-up on a later cycle
-            while self.buffer:
-                if transport.send(self.buffer[0], now=self.clock):
-                    self.buffer.popleft()
-                    result.delivered += 1
-                    self.counters.delivered += 1
-                else:
-                    self.counters.failed_attempts += 1
-                    result.failed = True
-                    break
-            self.phase = Phase.WAIT
-
-        elif phase is Phase.WAIT:
-            self.clock += self.station.report_period_s
-            self.phase = Phase.READ
-
-        return result
-
-    def run_cycle(self, transport) -> list[StepResult]:
-        """Steps through one whole firmware cycle (ending after WAIT)."""
-        results = []
-        while True:
-            result = self.step(transport)
-            results.append(result)
-            if result.phase is Phase.WAIT:
-                return results
+        self.clock += self.station.report_period_s
+        return line
 
     def _read_sensors(self) -> Reading:
         ts = self.clock
@@ -470,7 +406,6 @@ def run_fleet(
 
     report = FleetReport(seed=seed, start_ts=start_ts, horizon_s=horizon_s)
     for node in nodes:
-        verify_phase_trace(node.trace)
         node.check_conservation()
         report.nodes.append(
             NodeReport(

@@ -176,6 +176,48 @@ class TestParseWindow:
             cli.parse_window("1d")
 
 
+class TestReplayCommand:
+    @staticmethod
+    def server_config(tmp_path):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        (data_dir / "stations.json").write_bytes((CONFIGS / "stations_demo.json").read_bytes())
+        config = tmp_path / "server.json"
+        config.write_text(json.dumps({"data_dir": str(tmp_path / "unused")}))
+        return config, data_dir
+
+    def test_offline_run_replays_then_replays_as_duplicates(self, tmp_path, capsys):
+        frames = tmp_path / "frames.ndjson"
+        assert cli.main(["simulate", "--scenario", str(CONFIGS / "fleet_demo.json"),
+                         "--duration", "6", "--seed", "7", "--offline", str(frames)]) == 0
+        capsys.readouterr()
+        config, data_dir = self.server_config(tmp_path)
+        argv = ["replay", "--config", str(config), "--data-dir", str(data_dir), str(frames)]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == {"202": 5 * 18}
+        # the second pass finds every seq stored already
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == {"409": 5 * 18}
+        with TimeSeriesStore(data_dir, fsync=False) as store:
+            assert sum(store.count(sid) for sid in store.station_ids()) == 5 * 18
+        assert not (tmp_path / "unused").exists()
+
+    def test_rejected_frame_exits_1(self, tmp_path, capsys):
+        frames = tmp_path / "frames.ndjson"
+        frames.write_text(
+            '{"station_id":"santa-ana","token":"wrong","seq":1,"ts":1700006400,'
+            '"pm25":12.3,"pm10":20.0,"temp_c":28.5}\n')
+        config, data_dir = self.server_config(tmp_path)
+        assert cli.main(["replay", "--config", str(config), "--data-dir", str(data_dir),
+                         str(frames)]) == 1
+        assert json.loads(capsys.readouterr().out) == {"401": 1}
+
+    def test_bad_config_exits_2(self, tmp_path):
+        bad = tmp_path / "server.json"
+        bad.write_text("{nope")
+        assert cli.main(["replay", "--config", str(bad), str(tmp_path / "f.ndjson")]) == 2
+
+
 class TestServeCommand:
     def test_bad_config_exits_2(self, tmp_path):
         bad = tmp_path / "server.json"

@@ -171,6 +171,20 @@ class TestSinks:
 
 
 class TestRuleEngine:
+    def test_failed_deliveries_counted_not_kept(self, receiver):
+        handler, url = receiver
+        handler.fail = True
+        engine = RuleEngine([Rule("r1", 3, sink_ids=("w",))], {"w": WebhookSink("w", url)})
+
+        def list_sizes():
+            return {k: len(v) for k, v in vars(engine).items() if isinstance(v, list)}
+
+        before = list_sizes()
+        for i in range(5):
+            assert len(engine.observe(f"st-{i}", icca(153), ts=i)) == 1
+        assert engine.failed_deliveries == 5
+        assert list_sizes() == before
+
     def test_observe_writes_alert_log(self, tmp_path):
         engine = RuleEngine([Rule("r1", 3)], alert_log_path=tmp_path / "alerts.ndjson")
         assert engine.observe("utec-01", icca(153), ts=1) != []
@@ -202,7 +216,7 @@ class TestRuleEngine:
         engine.observe("utec-01", icca(170), ts=9)
         assert (tmp_path / "out.ndjson").exists()
         assert (tmp_path / "alerts.ndjson").exists()
-        assert all(r.ok for r in engine.deliveries)
+        assert engine.failed_deliveries == 0
 
     def test_config_rejects_unknown_sink_type(self, tmp_path):
         path = tmp_path / "rules.json"

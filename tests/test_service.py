@@ -1,12 +1,16 @@
 import http.client
 import json
+import logging
 import socket
+import struct
 import sys
 import threading
+import time
 
 import pytest
 import requests
 
+from iccamon import service as service_mod
 from iccamon.rules import Rule, RuleEngine
 from iccamon.service import (
     MAX_BODY_BYTES,
@@ -444,6 +448,58 @@ class TestHttpContentLength:
         body = frame_text().encode().ljust(MAX_BODY_BYTES)
         resp = requests.post(f"{server.url}/v1/telemetry", data=body)
         assert resp.status_code == 202
+
+
+class TestMisbehavingClients:
+    def test_stalled_body_times_out(self, service, monkeypatch):
+        monkeypatch.setattr(service_mod, "SOCKET_TIMEOUT_S", 0.2)
+        srv = HttpServer(service, port=0)
+        srv.start()
+        try:
+            head = b"POST /v1/telemetry HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n"
+            with socket.create_connection(("127.0.0.1", srv.port), timeout=5) as sock:
+                sock.sendall(head)
+                started = time.monotonic()
+                assert sock.recv(4096) == b""  # closed by the server, no reply
+                assert time.monotonic() - started < 1.0
+            resp = requests.post(f"{srv.url}/v1/telemetry", data=frame_text().encode())
+            assert resp.status_code == 202
+        finally:
+            srv.shutdown()
+
+    def test_client_hang_up_logged_without_traceback(self, capfd, caplog):
+        caplog.set_level(logging.INFO, logger="iccamon.http")
+        entered, release = threading.Event(), threading.Event()
+
+        class SlowService:
+            def ingest(self, text):
+                entered.set()
+                release.wait(5)
+                return 202, {}
+
+        srv = HttpServer(SlowService(), port=0)
+        srv.start()
+        try:
+            sock = socket.create_connection(("127.0.0.1", srv.port), timeout=5)
+            body = frame_text().encode()
+            sock.sendall(b"POST /v1/telemetry HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+            assert entered.wait(5)
+            # reset the connection while the server is still working on the reply
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+            time.sleep(0.05)  # let the reset land before the reply is written
+            release.set()
+            deadline = time.monotonic() + 5
+            while not caplog.records and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.1)
+        finally:
+            srv.shutdown()
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        assert "POST /v1/telemetry -> 202" in message and "client hung up" in message
+        assert "Traceback" not in capfd.readouterr().err
 
 
 class TestServerConfig:

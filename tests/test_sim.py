@@ -1,5 +1,7 @@
 import json
+import logging
 import random
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -8,17 +10,16 @@ from iccamon.sensor import decode_pm_frame, encode_pm_frame
 from iccamon.sim import (
     BlackoutTransport,
     CallableTransport,
+    LOCAL_LOG_LEN,
     FleetMember,
     Node,
     OfflineFileTransport,
-    Phase,
     RainEvent,
     Scenario,
     load_fleet_config,
     run_fleet,
     sample,
     true_signal,
-    verify_phase_trace,
 )
 from iccamon.store import StationRecord
 
@@ -130,21 +131,27 @@ class TestSample:
 
 
 class TestNode:
-    def test_phase_cycle_order(self):
+    def test_phase_cycle_order(self, caplog):
+        # read, store locally, display, format, send, wait, seen from outside:
+        # at send time the reading is stored and displayed and the clock has
+        # not moved; after the cycle it has moved by one period
         node = Node(station(), scenario(), seed=1, start_ts=START)
-        transport = ListTransport()
+        seen = []
+
+        class OrderCheckingTransport(ListTransport):
+            def send(self, frame, now):
+                assert node.local_log[-1].ts == frame.ts == node.clock == now
+                shown = [r.getMessage() for r in caplog.records]
+                assert any(f"ts={frame.ts} " in line for line in shown)
+                seen.append(frame)
+                return super().send(frame, now)
+
+        caplog.set_level(logging.DEBUG, logger="iccamon.sim")
+        transport = OrderCheckingTransport()
         for _ in range(3):
             node.run_cycle(transport)
-        assert node.trace[0] is Phase.CONFIGURE
-        assert node.trace[1:7] == [Phase.READ, Phase.STORE_LOCAL, Phase.DISPLAY,
-                                   Phase.FORMAT, Phase.SEND, Phase.WAIT]
-        verify_phase_trace(node.trace)
-
-    def test_phase_trace_monitor_rejects_bad_order(self):
-        with pytest.raises(AssertionError):
-            verify_phase_trace([Phase.READ])
-        with pytest.raises(AssertionError):
-            verify_phase_trace([Phase.CONFIGURE, Phase.READ, Phase.DISPLAY])
+            assert node.clock == seen[-1].ts + node.station.report_period_s
+        assert [f.seq for f in seen] == [1, 2, 3]
 
     def test_72_cycles_deliver_seq_1_to_72(self):
         node = Node(station(), scenario(), seed=3, start_ts=START)
@@ -171,10 +178,20 @@ class TestNode:
 
     def test_display_line_emitted(self):
         node = Node(station(), scenario(), seed=5, start_ts=START)
-        results = node.run_cycle(ListTransport())
-        lines = [r.display_line for r in results if r.display_line]
-        assert len(lines) == 1
-        assert "PM2.5=" in lines[0] and "utec-01" in lines[0]
+        line = node.run_cycle(ListTransport())
+        assert "PM2.5=" in line and "utec-01" in line
+        assert f"ts={START} " in line
+
+    def test_state_stays_bounded_over_many_cycles(self):
+        node = Node(station(), scenario(), seed=8, start_ts=START)
+        transport = ListTransport()
+        for _ in range(1000):
+            node.run_cycle(transport)
+        sizes = {k: len(v) for k, v in vars(node).items() if isinstance(v, (list, deque))}
+        assert sizes and max(sizes.values()) <= LOCAL_LOG_LEN, sizes
+        newest = transport.frames[-LOCAL_LOG_LEN:]
+        assert [r.ts for r in node.local_log] == [f.ts for f in newest]
+        assert [r.pm25 for r in node.local_log] == [f.pm25 for f in newest]
 
     def test_buffer_cap_drops_oldest(self):
         node = Node(station(), scenario(), seed=6, start_ts=START, buffer_cap=5)
