@@ -2,8 +2,10 @@
 
 Pure functions mapping particulate concentrations (µg/m³) to the 0-500
 index scale, its six health categories, rolling 24-hour window averages,
-and simple summary statistics. No I/O, no hidden state; safe to call from
-any thread.
+and simple summary statistics. The scale is the published one, fixed as
+module constants: the categories with their names, index ranges and
+colors, and the two concentration ladders. No I/O, no hidden state; safe
+to call from any thread.
 """
 
 from __future__ import annotations
@@ -30,78 +32,26 @@ class Category:
     color: str
 
 
-# Index ranges and Spanish category names are fixed; only colors vary.
-_CATEGORY_SCALE = (
-    ("Buena", 0, 50),
-    ("Moderada", 51, 100),
-    ("Dañina a la Salud de los Grupos Sensibles", 101, 150),
-    ("Dañina a la Salud", 151, 200),
-    ("Muy dañina a la Salud", 201, 300),
-    ("Peligroso", 301, 500),
+# The published scale: six categories with their index ranges, names and
+# display colors.
+CATEGORIES = (
+    Category(0, "Buena", 0, 50, "green"),
+    Category(1, "Moderada", 51, 100, "yellow"),
+    Category(2, "Dañina a la Salud de los Grupos Sensibles", 101, 150, "orange"),
+    Category(3, "Dañina a la Salud", 151, 200, "red"),
+    Category(4, "Muy dañina a la Salud", 201, 300, "purple"),
+    Category(5, "Peligroso", 301, 500, "maroon"),
 )
 
-DEFAULT_COLORS = ("green", "yellow", "orange", "red", "purple", "maroon")
-
-# Concentration ladders as printed, one row per category, in µg/m³.
-# The table contains gaps between some rows (e.g. PM2.5 15.3 → 15.5) and
-# PM10 rows 4 and 5 share the 424 bound; both quirks are kept verbatim.
-_LADDERS = {
-    Pollutant.PM25: ((0, 15.3), (15.5, 40.2), (40.5, 65.4), (66, 159), (160, 250), (251, 500)),
-    Pollutant.PM10: ((0, 54), (56, 154), (155, 254), (255, 354), (355, 424), (424, 604)),
+# Concentration ladders as printed, one row per category, in integer tenths
+# of µg/m³ (153 is 15.3). Rows ascend; the printed table has gaps between
+# some rows (e.g. PM2.5 15.3 → 15.5) and PM10 rows 4 and 5 share the 424
+# bound, which the first-match scan gives to row 4. Both quirks are kept
+# verbatim.
+LADDERS = {
+    Pollutant.PM25: ((0, 153), (155, 402), (405, 654), (660, 1590), (1600, 2500), (2510, 5000)),
+    Pollutant.PM10: ((0, 540), (560, 1540), (1550, 2540), (2550, 3540), (3550, 4240), (4240, 6040)),
 }
-
-
-@dataclass(frozen=True)
-class BreakpointRow:
-    c_lo: float
-    c_hi: float
-    category: Category
-
-
-class BreakpointTable:
-    """The per-pollutant concentration-to-index ladder.
-
-    Validates its own shape on construction; the only degree of freedom is
-    the display color assigned to each category.
-    """
-
-    def __init__(self, colors: Sequence[str] = DEFAULT_COLORS):
-        if len(colors) != len(_CATEGORY_SCALE):
-            raise ValueError(f"expected {len(_CATEGORY_SCALE)} colors, got {len(colors)}")
-        self.categories: tuple[Category, ...] = tuple(
-            Category(i, name, lo, hi, color)
-            for i, ((name, lo, hi), color) in enumerate(zip(_CATEGORY_SCALE, colors))
-        )
-        self.rows: dict[Pollutant, tuple[BreakpointRow, ...]] = {
-            pollutant: tuple(
-                BreakpointRow(float(lo), float(hi), self.categories[i])
-                for i, (lo, hi) in enumerate(ladder)
-            )
-            for pollutant, ladder in _LADDERS.items()
-        }
-        self._validate()
-
-    def _validate(self) -> None:
-        for pollutant, rows in self.rows.items():
-            prev_hi = None
-            for row in rows:
-                if not row.c_lo < row.c_hi:
-                    raise ValueError(f"{pollutant}: bad row ({row.c_lo}, {row.c_hi})")
-                if prev_hi is not None and row.c_lo < prev_hi:
-                    raise ValueError(f"{pollutant}: overlapping rows at {row.c_lo}")
-                prev_hi = row.c_hi
-
-    def category_for_value(self, value: int) -> Category:
-        """Map an index value in 0..500 to its health category."""
-        if not 0 <= value <= 500:
-            raise ValueError(f"index value out of scale: {value}")
-        for cat in self.categories:
-            if value <= cat.index_hi:
-                return cat
-        raise AssertionError("unreachable")
-
-
-DEFAULT_TABLE = BreakpointTable()
 
 
 @dataclass(frozen=True)
@@ -136,16 +86,15 @@ def _truncate_tenths(concentration: float) -> int:
     return int(Decimal(str(concentration)).scaleb(1).to_integral_value(rounding=ROUND_DOWN))
 
 
-def sub_index(
-    pollutant: Pollutant, concentration: float, table: BreakpointTable = DEFAULT_TABLE
-) -> IccaResult:
+def sub_index(pollutant: Pollutant, concentration: float) -> IccaResult:
     """Index value for a single pollutant concentration in µg/m³.
 
-    The concentration is truncated to one decimal, located in the first
-    ladder row containing it (ascending scan), and linearly interpolated
-    onto that row's index range, rounding half up to an integer. A value
-    falling in a printed gap takes the next range's lower index bound; a
-    value above the top of the ladder reports 500 with beyond_scale set.
+    The concentration is truncated to one decimal and the ladder scanned
+    upwards to the first row whose top is not below it. Inside that row it
+    is linearly interpolated onto the row's index range, rounding half up
+    to an integer; below the row it lies in a printed gap and takes the
+    row's lower index bound. A value above the top of the ladder reports
+    500 with beyond_scale set.
     """
     if isinstance(concentration, bool) or not isinstance(concentration, (int, float)):
         raise ValueError(f"concentration must be a number, got {concentration!r}")
@@ -153,33 +102,20 @@ def sub_index(
         raise ValueError(f"concentration must be finite and >= 0, got {concentration!r}")
 
     tenths = _truncate_tenths(concentration)
-    rows = table.rows[pollutant]
-    for row in rows:
-        lo, hi = round(row.c_lo * 10), round(row.c_hi * 10)
-        if lo <= tenths <= hi:
-            cat = row.category
+    for (lo, hi), cat in zip(LADDERS[pollutant], CATEGORIES):
+        if tenths <= hi:
+            if tenths < lo:
+                # inside a printed gap: the next range up, at its lower
+                # bound (the health-protective choice)
+                return IccaResult(cat.index_lo, cat, pollutant)
             # exact integer arithmetic; (2n + d) // 2d rounds n/d half up
             num = (cat.index_hi - cat.index_lo) * (tenths - lo)
             den = hi - lo
-            value = cat.index_lo + (2 * num + den) // (2 * den)
-            return IccaResult(value, cat, pollutant, beyond_scale=False)
-
-    if tenths > round(rows[-1].c_hi * 10):
-        return IccaResult(500, rows[-1].category, pollutant, beyond_scale=True)
-
-    # inside a printed gap: assign the next range up, at its lower bound
-    # (the health-protective choice)
-    for row in rows:
-        if round(row.c_lo * 10) > tenths:
-            return IccaResult(row.category.index_lo, row.category, pollutant, beyond_scale=False)
-    raise AssertionError("unreachable")
+            return IccaResult(cat.index_lo + (2 * num + den) // (2 * den), cat, pollutant)
+    return IccaResult(500, CATEGORIES[-1], pollutant, beyond_scale=True)
 
 
-def overall_icca(
-    pm25_avg: WindowAverage | None,
-    pm10_avg: WindowAverage | None,
-    table: BreakpointTable = DEFAULT_TABLE,
-) -> IccaResult:
+def overall_icca(pm25_avg: WindowAverage | None, pm10_avg: WindowAverage | None) -> IccaResult:
     """Station index: the maximum of the available sub-indices.
 
     Only sufficient window averages participate; ties go to PM2.5.
@@ -188,7 +124,7 @@ def overall_icca(
     candidates: list[tuple[Pollutant, IccaResult]] = []
     for pollutant, avg in ((Pollutant.PM25, pm25_avg), (Pollutant.PM10, pm10_avg)):
         if avg is not None and avg.sufficient and avg.mean is not None:
-            candidates.append((pollutant, sub_index(pollutant, avg.mean, table)))
+            candidates.append((pollutant, sub_index(pollutant, avg.mean)))
     if not candidates:
         raise InsufficientDataError("no pollutant window met the coverage requirement")
 

@@ -174,18 +174,23 @@ class RuleEngine:
         """Run every rule against one station index evaluation.
 
         The caller must only pass indices computed from sufficient windows.
+        States change under the engine's lock; the alert log and the sinks
+        are written after it is released, so a slow sink delays only this
+        call, not other stations. A station's events keep their order
+        because the caller serialises each station (ingest holds the
+        store's per-station lock).
         """
-        emitted: list[AlertEvent] = []
+        emitted: list[tuple[AlertEvent, Rule]] = []
         with self._lock:
             for rule in self.rules:
                 key = (rule.rule_id, station_id)
                 state = self._states.get(key, RuleState())
                 events, new_state = evaluate(rule, station_id, state, icca, ts)
                 self._states[key] = new_state
-                for event in events:
-                    emitted.append(event)
-                    self._record(event, rule)
-        return emitted
+                emitted.extend((event, rule) for event in events)
+        for event, rule in emitted:
+            self._record(event, rule)
+        return [event for event, _ in emitted]
 
     def _record(self, event: AlertEvent, rule: Rule) -> None:
         if self.alert_log_path is not None:
@@ -197,7 +202,9 @@ class RuleEngine:
                 logger.warning("rule %s references unknown sink %s", rule.rule_id, sid)
             else:
                 sinks.append(sink)
-        self.failed_deliveries += sum(not r.ok for r in dispatch(event, sinks))
+        failed = sum(not r.ok for r in dispatch(event, sinks))
+        with self._lock:
+            self.failed_deliveries += failed
 
 
 def load_rules_config(path: str | Path) -> RuleEngine:
@@ -212,6 +219,15 @@ def load_rules_config(path: str | Path) -> RuleEngine:
     """
     path = Path(path)
     obj = json.loads(path.read_text())
+    try:
+        return _build_engine(obj, path)
+    except KeyError as exc:
+        raise ValueError(f"rules config {path}: missing key {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"rules config {path}: wrong type ({exc})") from exc
+
+
+def _build_engine(obj, path: Path) -> RuleEngine:
     rules = [
         Rule(
             rule_id=r["rule_id"],

@@ -24,10 +24,10 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
 from . import icca
-from .icca import BreakpointTable, IccaResult, InsufficientDataError, WindowAverage
+from .icca import IccaResult, InsufficientDataError, WindowAverage
 from .rules import RuleEngine, load_rules_config
 from .store import Measurement, StorageError, TimeSeriesStore, UnknownStationError
-from .telemetry import DEFAULT_RANGES, AcceptRanges, RejectReason, parse_and_validate
+from .telemetry import RejectReason, parse_and_validate
 
 logger = logging.getLogger(__name__)
 request_logger = logging.getLogger("iccamon.http")
@@ -77,10 +77,10 @@ def load_server_config(path: str | Path) -> ServerConfig:
         raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
     types = {
         "host": str, "port": int, "data_dir": str, "coverage_min": (int, float),
-        "window_s": int, "rules_path": str, "alert_source": str,
+        "window_s": int, "rules_path": (str, type(None)), "alert_source": str,
     }
     for key, value in obj.items():
-        if value is not None and not isinstance(value, types[key]) or isinstance(value, bool):
+        if not isinstance(value, types[key]) or isinstance(value, bool):
             raise ConfigError(f"config {path}: {key} has wrong type ({value!r})")
     cfg = ServerConfig(**obj)
     if cfg.alert_source not in ("rolling", "instant"):
@@ -122,22 +122,18 @@ class MonitorService:
         window_s: int = icca.WINDOW_24H_S,
         rule_engine: RuleEngine | None = None,
         alert_source: str = "rolling",
-        ranges: AcceptRanges = DEFAULT_RANGES,
-        table: BreakpointTable = icca.DEFAULT_TABLE,
     ):
         self.store = store
         self.coverage_min = coverage_min
         self.window_s = window_s
         self.rule_engine = rule_engine
         self.alert_source = alert_source
-        self.ranges = ranges
-        self.table = table
 
     # -- ingestion ---------------------------------------------------------
 
     def ingest(self, text: str) -> tuple[int, dict]:
         """Process one telemetry submission; returns (status_code, body)."""
-        outcome = parse_and_validate(text, self.store.lookup, self.ranges)
+        outcome = parse_and_validate(text, self.store.lookup)
         if not outcome.accepted:
             return _STATUS_FOR_REASON[outcome.reason], {"error": outcome.reason.value}
         m = outcome.measurement
@@ -161,7 +157,7 @@ class MonitorService:
         if self.alert_source == "instant":
             a25 = WindowAverage(m.pm25, 1, 1, 1.0, True)
             a10 = WindowAverage(m.pm10, 1, 1, 1.0, True)
-            result = icca.overall_icca(a25, a10, self.table)
+            result = icca.overall_icca(a25, a10)
             self.rule_engine.observe(m.station_id, result, m.ts)
             return
         snapshot = self.rolling_icca(m.station_id)
@@ -184,7 +180,7 @@ class MonitorService:
         a10 = icca.rolling_average(
             [(r.ts, r.pm10) for r in records], end, window_s, period, self.coverage_min)
         try:
-            result = icca.overall_icca(a25, a10, self.table)
+            result = icca.overall_icca(a25, a10)
         except InsufficientDataError:
             result = None
         return IccaSnapshot(station_id, end, window_s, a25, a10, result)

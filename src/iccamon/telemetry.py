@@ -50,21 +50,13 @@ class RejectReason(Enum):
     MALFORMED = "malformed"
 
 
-@dataclass(frozen=True)
-class AcceptRanges:
-    """Acceptance window for measured values.
-
-    PM is accepted in [0, pm_max) so the index ladder top stays reachable,
-    but anything above the sensor's effective ceiling gets a quality flag.
-    """
-
-    pm_max: float = 1000.0
-    pm_flag_above: float = 500.0
-    temp_min: float = 0.0
-    temp_max: float = 150.0
-
-
-DEFAULT_RANGES = AcceptRanges()
+# Acceptance window for measured values. PM is accepted in [0, PM_MAX) so
+# the index ladder top stays reachable, but anything above the sensor's
+# effective ceiling gets a quality flag.
+PM_MAX = 1000.0
+PM_FLAG_ABOVE = 500.0
+TEMP_MIN_C = 0.0
+TEMP_MAX_C = 150.0
 
 
 @dataclass(frozen=True)
@@ -134,9 +126,7 @@ def parse_frame(text: str) -> TelemetryFrame:
 
 
 def parse_and_validate(
-    text: str,
-    lookup: Callable[[str], tuple[str, int | None] | None],
-    ranges: AcceptRanges = DEFAULT_RANGES,
+    text: str, lookup: Callable[[str], tuple[str, int | None] | None]
 ) -> ValidationOutcome:
     """Full validation of a submitted frame against one station's state.
 
@@ -162,13 +152,13 @@ def parse_and_validate(
         if frame.seq < last:
             return _reject(RejectReason.STALE_SEQ)
 
-    if not (0.0 <= frame.pm25 < ranges.pm_max) or not (0.0 <= frame.pm10 < ranges.pm_max):
+    if not (0.0 <= frame.pm25 < PM_MAX) or not (0.0 <= frame.pm10 < PM_MAX):
         return _reject(RejectReason.OUT_OF_RANGE)
-    if not (ranges.temp_min <= frame.temp_c <= ranges.temp_max):
+    if not (TEMP_MIN_C <= frame.temp_c <= TEMP_MAX_C):
         return _reject(RejectReason.OUT_OF_RANGE)
 
     flags = frozenset()
-    if frame.pm25 > ranges.pm_flag_above or frame.pm10 > ranges.pm_flag_above:
+    if frame.pm25 > PM_FLAG_ABOVE or frame.pm10 > PM_FLAG_ABOVE:
         flags = frozenset({BEYOND_SENSOR_RANGE})
 
     return ValidationOutcome(

@@ -84,17 +84,15 @@ class _FleetRun:
 def test_criterion_1_breakpoint_fidelity():
     budget = _Budget(1.0)
     checked = 0
-    for pollutant in Pollutant:
-        rows = icca.DEFAULT_TABLE.rows[pollutant]
-        for i, row in enumerate(rows):
+    for pollutant, ladder in ((Pollutant.PM25, ORACLE_PM25), (Pollutant.PM10, ORACLE_PM10)):
+        for i, (c_lo, c_hi, i_lo, i_hi) in enumerate(ladder):
             # ascending first-match scan resolves the shared PM10 424 bound
             # to the lower category's top index
-            expect_lo = row.category.index_lo
-            if i > 0 and rows[i - 1].c_hi == row.c_lo:
-                expect_lo = rows[i - 1].category.index_hi
-            assert sub_index(pollutant, row.c_lo).value == expect_lo, (pollutant, row.c_lo)
-            assert sub_index(pollutant, row.c_hi).value == row.category.index_hi, (
-                pollutant, row.c_hi)
+            expect_lo = i_lo
+            if i > 0 and ladder[i - 1][1] == c_lo:
+                expect_lo = ladder[i - 1][3]
+            assert sub_index(pollutant, float(c_lo)).value == expect_lo, (pollutant, c_lo)
+            assert sub_index(pollutant, float(c_hi)).value == i_hi, (pollutant, c_hi)
             checked += 2
     # spot anchors from the published scale
     assert sub_index(Pollutant.PM25, 15.3).value == 50

@@ -217,6 +217,14 @@ class TestReplayCommand:
         bad.write_text("{nope")
         assert cli.main(["replay", "--config", str(bad), str(tmp_path / "f.ndjson")]) == 2
 
+    def test_rule_without_rule_id_exits_2(self, tmp_path, capsys):
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps({"rules": [{"trigger_category_min": 3}]}))
+        config, data_dir = self.server_config(tmp_path)
+        config.write_text(json.dumps({"data_dir": str(data_dir), "rules_path": str(rules)}))
+        assert cli.main(["replay", "--config", str(config), str(tmp_path / "f.ndjson")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
 
 class TestServeCommand:
     def test_bad_config_exits_2(self, tmp_path):

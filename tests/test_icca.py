@@ -1,10 +1,11 @@
 import random
+from decimal import Decimal
 
 import pytest
 
 from iccamon.icca import (
-    DEFAULT_TABLE,
-    BreakpointTable,
+    CATEGORIES,
+    LADDERS,
     Category,
     InsufficientDataError,
     Pollutant,
@@ -27,34 +28,37 @@ def avg(mean, sufficient=True):
 
 class TestCategoryTable:
     def test_six_categories_exact(self):
-        cats = DEFAULT_TABLE.categories
+        cats = CATEGORIES
         assert [c.ordinal for c in cats] == [0, 1, 2, 3, 4, 5]
         assert [c.name for c in cats] == list(CATEGORY_NAMES)
         assert [(c.index_lo, c.index_hi) for c in cats] == [
             (0, 50), (51, 100), (101, 150), (151, 200), (201, 300), (301, 500)]
 
     def test_ladders_preserved_verbatim(self):
-        pm25 = [(r.c_lo, r.c_hi) for r in DEFAULT_TABLE.rows[Pollutant.PM25]]
-        assert pm25 == [(0, 15.3), (15.5, 40.2), (40.5, 65.4), (66, 159), (160, 250), (251, 500)]
-        pm10 = [(r.c_lo, r.c_hi) for r in DEFAULT_TABLE.rows[Pollutant.PM10]]
-        assert pm10 == [(0, 54), (56, 154), (155, 254), (255, 354), (355, 424), (424, 604)]
+        assert LADDERS[Pollutant.PM25] == (
+            (0, 153), (155, 402), (405, 654), (660, 1590), (1600, 2500), (2510, 5000))
+        assert LADDERS[Pollutant.PM10] == (
+            (0, 540), (560, 1540), (1550, 2540), (2550, 3540), (3550, 4240), (4240, 6040))
 
     def test_rows_bound_to_categories_in_order(self):
-        for rows in DEFAULT_TABLE.rows.values():
-            assert [r.category.ordinal for r in rows] == [0, 1, 2, 3, 4, 5]
+        # sub_index pairs row i with CATEGORIES[i]
+        for ladder in LADDERS.values():
+            assert len(ladder) == len(CATEGORIES)
 
-    def test_custom_colors(self):
-        table = BreakpointTable(["verde", "amarillo", "naranja", "rojo", "morado", "granate"])
-        assert table.categories[0].color == "verde"
-        assert table.categories[0].name == "Buena"
+    def test_ladder_rows_ascending_and_disjoint(self):
+        for pollutant, ladder in LADDERS.items():
+            for lo, hi in ladder:
+                assert lo < hi, (pollutant, lo, hi)
+            for (_, prev_hi), (lo, _) in zip(ladder, ladder[1:]):
+                # the one shared bound is PM10 424, printed as both rows' end
+                shared = (pollutant, lo) == (Pollutant.PM10, 4240)
+                assert lo > prev_hi or (shared and lo == prev_hi), (pollutant, lo)
 
-    def test_category_for_value(self):
-        assert DEFAULT_TABLE.category_for_value(0).name == "Buena"
-        assert DEFAULT_TABLE.category_for_value(100).name == "Moderada"
-        assert DEFAULT_TABLE.category_for_value(101).ordinal == 2
-        assert DEFAULT_TABLE.category_for_value(500).name == "Peligroso"
-        with pytest.raises(ValueError):
-            DEFAULT_TABLE.category_for_value(501)
+    def test_ladders_equal_oracle_in_tenths(self):
+        for pollutant, oracle in ORACLE_LADDERS.items():
+            tenths = tuple((int(Decimal(lo) * 10), int(Decimal(hi) * 10))
+                           for lo, hi, _, _ in oracle)
+            assert LADDERS[pollutant] == tenths
 
 
 class TestSubIndex:
@@ -83,8 +87,8 @@ class TestSubIndex:
 
     def test_gap_assigns_next_category_lower_bound(self):
         # 15.4 sits in the printed gap between 15.3 and 15.5
-        assert not any(lo <= 15.4 <= hi for lo, hi, _ in
-                       ((r.c_lo, r.c_hi, r) for r in DEFAULT_TABLE.rows[Pollutant.PM25]))
+        assert not any(Decimal(lo) <= Decimal("15.4") <= Decimal(hi)
+                       for lo, hi, _, _ in ORACLE_PM25)
         r = sub_index(Pollutant.PM25, 15.4)
         assert r.value == 51 and r.category.name == "Moderada"
 
@@ -113,13 +117,26 @@ class TestSubIndex:
     def test_ladder_fidelity_all_printed_bounds(self):
         # every printed bound maps to its category index endpoint; the shared
         # PM10 424 bound resolves to the lower category by ascending scan
-        for pollutant, rows in DEFAULT_TABLE.rows.items():
-            for i, row in enumerate(rows):
-                expect_lo = row.category.index_lo
-                if i > 0 and rows[i - 1].c_hi == row.c_lo:
-                    expect_lo = rows[i - 1].category.index_hi
-                assert sub_index(pollutant, row.c_lo).value == expect_lo
-                assert sub_index(pollutant, row.c_hi).value == row.category.index_hi
+        for pollutant, ladder in ORACLE_LADDERS.items():
+            for i, (c_lo, c_hi, i_lo, i_hi) in enumerate(ladder):
+                expect_lo = i_lo
+                if i > 0 and ladder[i - 1][1] == c_lo:
+                    expect_lo = ladder[i - 1][3]
+                assert sub_index(pollutant, float(c_lo)).value == expect_lo
+                assert sub_index(pollutant, float(c_hi)).value == i_hi
+
+    def test_matches_oracle_on_every_tenth(self):
+        # exhaustive over the one-decimal grid up to 700, past both ladder
+        # tops: every row, gap and shared bound
+        for pollutant, ladder in ORACLE_LADDERS.items():
+            for t in range(7001):
+                c = t / 10
+                got = sub_index(pollutant, c)
+                value, beyond = icca_oracle(ladder, c)
+                name = next(CATEGORY_NAMES[i] for i, (_, _, i_lo, i_hi) in enumerate(ladder)
+                            if i_lo <= value <= i_hi)
+                assert (got.value, got.beyond_scale, got.category.name) == (value, beyond, name), (
+                    pollutant, c)
 
     def test_matches_oracle_on_random_sweep(self):
         rng = random.Random(2024)

@@ -1,11 +1,12 @@
 import json
 import random
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from iccamon.icca import DEFAULT_TABLE, IccaResult, Pollutant
+from iccamon.icca import CATEGORIES, IccaResult, Pollutant
 from iccamon.rules import (
     AlertEvent,
     AlertKind,
@@ -21,7 +22,7 @@ from iccamon.rules import (
 
 
 def icca(value):
-    cat = DEFAULT_TABLE.category_for_value(value)
+    cat = next(c for c in CATEGORIES if value <= c.index_hi)
     return IccaResult(value, cat, Pollutant.PM25)
 
 
@@ -105,9 +106,14 @@ class TestEvaluate:
 class _Receiver(BaseHTTPRequestHandler):
     bodies = []
     fail = False
+    entered = None  # an Event, when set by a test: set on each POST
+    release = None  # an Event, when set by a test: awaited (2 s at most) before replying
 
     def do_POST(self):
         body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        if type(self).entered is not None:
+            type(self).entered.set()
+            type(self).release.wait(2.0)
         if type(self).fail:
             self.send_response(500)
         else:
@@ -185,6 +191,25 @@ class TestRuleEngine:
         assert engine.failed_deliveries == 5
         assert list_sizes() == before
 
+    def test_slow_webhook_does_not_stall_other_stations(self, receiver):
+        handler, url = receiver
+        handler.entered, handler.release = threading.Event(), threading.Event()
+        engine = RuleEngine([Rule("r1", 3, sink_ids=("w",))], {"w": WebhookSink("w", url, 1.0)})
+        result = []
+        blocked = threading.Thread(target=lambda: result.append(engine.observe("a", icca(153), 1)))
+        blocked.start()
+        try:
+            assert handler.entered.wait(2.0)
+            t0 = time.monotonic()
+            assert engine.observe("b", icca(10), 1) == []
+            elapsed = time.monotonic() - t0
+        finally:
+            handler.release.set()
+            blocked.join(5.0)
+        assert elapsed < 0.2
+        assert not blocked.is_alive()
+        assert len(result[0]) == 1 and engine.failed_deliveries == 0
+
     def test_observe_writes_alert_log(self, tmp_path):
         engine = RuleEngine([Rule("r1", 3)], alert_log_path=tmp_path / "alerts.ndjson")
         assert engine.observe("utec-01", icca(153), ts=1) != []
@@ -222,4 +247,17 @@ class TestRuleEngine:
         path = tmp_path / "rules.json"
         path.write_text(json.dumps({"sinks": [{"sink_id": "x", "type": "carrier-pigeon"}]}))
         with pytest.raises(ValueError):
+            load_rules_config(path)
+
+    @pytest.mark.parametrize("cfg", [
+        {"rules": [{"trigger_category_min": 3}]},
+        {"rules": [{"rule_id": "r", "trigger_category_min": "3"}]},
+        {"rules": {"rule_id": "r"}},
+        {"sinks": [{"sink_id": "x", "type": "file"}]},
+        [],
+    ])
+    def test_config_bad_entry_names_the_file(self, tmp_path, cfg):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ValueError, match="rules.json"):
             load_rules_config(path)

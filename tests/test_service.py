@@ -517,6 +517,9 @@ class TestServerConfig:
             {"alert_source": "psychic"},
             {"bogus_key": 1},
             [1, 2],
+            {"window_s": None},
+            {"port": None},
+            {"coverage_min": None},
         ],
     )
     def test_rejects_bad_config(self, tmp_path, obj):

@@ -5,8 +5,6 @@ import pytest
 
 from iccamon.store import BEYOND_SENSOR_RANGE
 from iccamon.telemetry import (
-    DEFAULT_RANGES,
-    AcceptRanges,
     RejectReason,
     TelemetryFrame,
     ValidationOutcome,
@@ -25,10 +23,10 @@ def frame(**overrides):
     return TelemetryFrame(**base)
 
 
-def validate(text, last_seq=None, ranges=DEFAULT_RANGES):
+def validate(text, last_seq=None):
     seqs = last_seq or {}
     return parse_and_validate(
-        text, lambda sid: (REGISTRY[sid], seqs.get(sid)) if sid in REGISTRY else None, ranges)
+        text, lambda sid: (REGISTRY[sid], seqs.get(sid)) if sid in REGISTRY else None)
 
 
 class TestSerialize:
@@ -141,11 +139,6 @@ class TestParseAndValidate:
         assert out.measurement.flags == frozenset({BEYOND_SENSOR_RANGE})
         # at the sensor ceiling exactly: no flag
         assert validate(serialize(frame(pm25=500.0))).measurement.flags == frozenset()
-
-    def test_custom_ranges(self):
-        strict = AcceptRanges(pm_max=100.0)
-        out = validate(serialize(frame(pm25=150.0)), ranges=strict)
-        assert out.reason is RejectReason.OUT_OF_RANGE
 
     def test_validation_is_pure_and_replayable(self):
         text = serialize(frame())
