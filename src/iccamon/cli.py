@@ -132,7 +132,7 @@ def cmd_replay(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         members, start_ts = sim.load_fleet_config(args.scenario)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.duration < 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -101,14 +102,6 @@ def evaluate(
     return [], RuleState(active=True, below_count=below)
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
-    sink_id: str
-    ok: bool
-    attempts: int
-    error: str | None = None
-
-
 class FileSink:
     """Appends one NDJSON line per event."""
 
@@ -135,28 +128,24 @@ class WebhookSink:
         resp.raise_for_status()
 
 
-def dispatch(event: AlertEvent, sinks) -> list[DeliveryRecord]:
+def dispatch(event: AlertEvent, sinks) -> int:
     """Deliver an event to each sink, retrying a failure once.
 
-    Never raises; failures come back in the delivery records and are
-    logged.
+    Never raises; returns how many sinks still failed after their retry,
+    each logged with its last error.
     """
-    records = []
+    failed = 0
     for sink in sinks:
-        error = None
-        attempts = 0
-        ok = False
-        while attempts < 2 and not ok:
-            attempts += 1
+        for _attempt in range(2):
             try:
                 sink.deliver(event)
-                ok = True
+                break
             except Exception as exc:
-                error = str(exc)
-        if not ok:
-            logger.warning("sink %s failed after %d attempts: %s", sink.sink_id, attempts, error)
-        records.append(DeliveryRecord(sink.sink_id, ok, attempts, None if ok else error))
-    return records
+                error = exc
+        else:
+            failed += 1
+            logger.warning("sink %s failed after 2 attempts: %s", sink.sink_id, error)
+    return failed
 
 
 class RuleEngine:
@@ -165,6 +154,10 @@ class RuleEngine:
     def __init__(self, rules, sinks=None, alert_log_path: str | Path | None = None):
         self.rules = list(rules)
         self.sinks = dict(sinks or {})
+        for rule in self.rules:
+            for sid in rule.sink_ids:
+                if sid not in self.sinks:
+                    raise ValueError(f"rule {rule.rule_id!r} names unknown sink {sid!r}")
         self.alert_log_path = Path(alert_log_path) if alert_log_path else None
         self._states: dict[tuple[str, str], RuleState] = {}
         self._lock = threading.Lock()
@@ -195,14 +188,7 @@ class RuleEngine:
     def _record(self, event: AlertEvent, rule: Rule) -> None:
         if self.alert_log_path is not None:
             FileSink("alert_log", self.alert_log_path).deliver(event)
-        sinks = []
-        for sid in rule.sink_ids:
-            sink = self.sinks.get(sid)
-            if sink is None:
-                logger.warning("rule %s references unknown sink %s", rule.rule_id, sid)
-            else:
-                sinks.append(sink)
-        failed = sum(not r.ok for r in dispatch(event, sinks))
+        failed = dispatch(event, [self.sinks[sid] for sid in rule.sink_ids])
         with self._lock:
             self.failed_deliveries += failed
 
@@ -210,41 +196,56 @@ class RuleEngine:
 def load_rules_config(path: str | Path) -> RuleEngine:
     """Build an engine from a JSON config file.
 
-    Schema:
+    Schema; any other key is an error:
         {"rules": [{"rule_id": ..., "trigger_category_min": 1..5,
                     "clear_consecutive": n, "sink_ids": [...]}],
          "sinks": [{"sink_id": ..., "type": "file", "path": ...} |
-                   {"sink_id": ..., "type": "webhook", "url": ...}],
-         "alert_log": "alerts.ndjson"}   # optional, relative to the config
+                   {"sink_id": ..., "type": "webhook", "url": ..., "timeout": s}]}
+    Every error, bad JSON included, is a ValueError naming the file.
     """
     path = Path(path)
-    obj = json.loads(path.read_text())
     try:
-        return _build_engine(obj, path)
+        return _build_engine(json.loads(path.read_text()), path)
     except KeyError as exc:
         raise ValueError(f"rules config {path}: missing key {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"rules config {path}: wrong type ({exc})") from exc
+    except ValueError as exc:
+        raise ValueError(f"rules config {path}: {exc}") from exc
+
+
+def _check_keys(obj, where: str, *known: str) -> None:
+    if not isinstance(obj, dict):
+        raise TypeError(f"{where} must be a JSON object, got {obj!r}")
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
 
 
 def _build_engine(obj, path: Path) -> RuleEngine:
-    rules = [
-        Rule(
+    _check_keys(obj, "top level", "rules", "sinks")
+    rules = []
+    for r in obj.get("rules", ()):
+        _check_keys(r, "rule", "rule_id", "trigger_category_min", "clear_consecutive", "sink_ids")
+        rules.append(Rule(
             rule_id=r["rule_id"],
             trigger_category_min=r["trigger_category_min"],
             clear_consecutive=r.get("clear_consecutive", 3),
             sink_ids=tuple(r.get("sink_ids", ())),
-        )
-        for r in obj.get("rules", ())
-    ]
+        ))
     sinks = {}
     for s in obj.get("sinks", ()):
         if s["type"] == "file":
+            _check_keys(s, "file sink", "sink_id", "type", "path")
             sinks[s["sink_id"]] = FileSink(s["sink_id"], path.parent / s["path"])
         elif s["type"] == "webhook":
-            sinks[s["sink_id"]] = WebhookSink(s["sink_id"], s["url"], s.get("timeout", 5.0))
+            _check_keys(s, "webhook sink", "sink_id", "type", "url", "timeout")
+            url, timeout = s["url"], s.get("timeout", 5.0)
+            if not isinstance(url, str) or type(timeout) not in (int, float) \
+                    or not 0 < timeout < math.inf:
+                raise ValueError(f"webhook needs a string url and a positive timeout, "
+                                 f"got {url!r} and {timeout!r}")
+            sinks[s["sink_id"]] = WebhookSink(s["sink_id"], url, timeout)
         else:
             raise ValueError(f"unknown sink type: {s['type']!r}")
-    alert_log = obj.get("alert_log")
-    alert_log_path = path.parent / alert_log if alert_log else None
-    return RuleEngine(rules, sinks, alert_log_path)
+    return RuleEngine(rules, sinks)

@@ -55,8 +55,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 8321
     data_dir: str = "data"
-    coverage_min: float = icca.DEFAULT_COVERAGE_MIN
-    window_s: int = icca.WINDOW_24H_S
     rules_path: str | None = None
     alert_source: str = "rolling"  # or "instant"
 
@@ -71,24 +69,21 @@ def load_server_config(path: str | Path) -> ServerConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    known = {f for f in ServerConfig.__dataclass_fields__}
-    unknown = set(obj) - known
+    types = {
+        "host": str, "port": int, "data_dir": str, "rules_path": (str, type(None)),
+        "alert_source": str,
+    }
+    unknown = set(obj) - set(types)
     if unknown:
         raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
-    types = {
-        "host": str, "port": int, "data_dir": str, "coverage_min": (int, float),
-        "window_s": int, "rules_path": (str, type(None)), "alert_source": str,
-    }
     for key, value in obj.items():
         if not isinstance(value, types[key]) or isinstance(value, bool):
             raise ConfigError(f"config {path}: {key} has wrong type ({value!r})")
     cfg = ServerConfig(**obj)
     if cfg.alert_source not in ("rolling", "instant"):
         raise ConfigError(f"alert_source must be 'rolling' or 'instant', got {cfg.alert_source!r}")
-    if not 0.0 < cfg.coverage_min <= 1.0:
-        raise ConfigError("coverage_min must be in (0, 1]")
-    if cfg.window_s <= 0:
-        raise ConfigError("window_s must be positive")
+    if not 0 <= cfg.port <= 65535:
+        raise ConfigError(f"config {path}: port must be in 0..65535, got {cfg.port}")
     return cfg
 
 
@@ -115,17 +110,17 @@ class IccaSnapshot:
 class MonitorService:
     """The ingestion pipeline plus the public query surfaces."""
 
+    # the index is defined on the 24-hour mean over 75% of the expected samples
+    window_s = icca.WINDOW_24H_S
+    coverage_min = icca.DEFAULT_COVERAGE_MIN
+
     def __init__(
         self,
         store: TimeSeriesStore,
-        coverage_min: float = icca.DEFAULT_COVERAGE_MIN,
-        window_s: int = icca.WINDOW_24H_S,
         rule_engine: RuleEngine | None = None,
         alert_source: str = "rolling",
     ):
         self.store = store
-        self.coverage_min = coverage_min
-        self.window_s = window_s
         self.rule_engine = rule_engine
         self.alert_source = alert_source
 
@@ -410,20 +405,14 @@ class HttpServer:
 
 
 def build_service(config: ServerConfig) -> tuple[MonitorService, TimeSeriesStore]:
-    """Wire a service from a config: store, rule engine, alert log."""
+    """Wire a service from a config: store, rule engine, and the engine's
+    alert log, always <data_dir>/alerts.ndjson."""
     data_dir = Path(config.data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     store = TimeSeriesStore(data_dir)
     engine = None
     if config.rules_path:
         engine = load_rules_config(config.rules_path)
-        if engine.alert_log_path is None:
-            engine.alert_log_path = data_dir / "alerts.ndjson"
-    service = MonitorService(
-        store,
-        coverage_min=config.coverage_min,
-        window_s=config.window_s,
-        rule_engine=engine,
-        alert_source=config.alert_source,
-    )
+        engine.alert_log_path = data_dir / "alerts.ndjson"
+    service = MonitorService(store, rule_engine=engine, alert_source=config.alert_source)
     return service, store

@@ -437,31 +437,40 @@ def load_fleet_config(path: str | Path) -> tuple[list[FleetMember], int]:
 
     Returns (members, start_ts). Rain events are given as offsets from the
     run start (start_offset_s) and resolved to absolute timestamps here.
+    Every error, bad JSON included, is a ValueError naming the file.
     """
-    obj = json.loads(Path(path).read_text())
-    start_ts = int(obj.get("start_ts", 1700000000))
-    members = []
-    for entry in obj["stations"]:
-        station = StationRecord(
-            station_id=entry["station_id"],
-            display_name=entry.get("display_name", entry["station_id"]),
-            lat=float(entry["lat"]),
-            lon=float(entry["lon"]),
-            token=entry["token"],
-            report_period_s=int(entry.get("report_period_s", 1200)),
-            created_at=start_ts,
-        )
-        sc = dict(entry["scenario"])
-        rain = tuple(
-            RainEvent(
-                start_ts=start_ts + int(r["start_offset_s"]),
-                duration_s=int(r["duration_s"]),
-                attenuation=float(r["attenuation"]),
+    path = Path(path)
+    try:
+        obj = json.loads(path.read_text())
+        start_ts = int(obj.get("start_ts", 1700000000))
+        members = []
+        for entry in obj["stations"]:
+            station = StationRecord(
+                station_id=entry["station_id"],
+                display_name=entry.get("display_name", entry["station_id"]),
+                lat=float(entry["lat"]),
+                lon=float(entry["lon"]),
+                token=entry["token"],
+                report_period_s=int(entry.get("report_period_s", 1200)),
+                created_at=start_ts,
             )
-            for r in sc.pop("rain", ())
-        )
-        scenario = Scenario(rain=rain, **sc)
-        members.append(FleetMember(station=station, scenario=scenario))
+            sc = dict(entry["scenario"])
+            rain = tuple(
+                RainEvent(
+                    start_ts=start_ts + int(r["start_offset_s"]),
+                    duration_s=int(r["duration_s"]),
+                    attenuation=float(r["attenuation"]),
+                )
+                for r in sc.pop("rain", ())
+            )
+            scenario = Scenario(rain=rain, **sc)
+            members.append(FleetMember(station=station, scenario=scenario))
+    except KeyError as exc:
+        raise ValueError(f"fleet scenario {path}: missing key {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"fleet scenario {path}: wrong type ({exc})") from exc
+    except ValueError as exc:
+        raise ValueError(f"fleet scenario {path}: {exc}") from exc
     if not members:
         raise ValueError(f"{path}: no stations defined")
     return members, start_ts

@@ -10,9 +10,10 @@ import pytest
 import requests
 
 from iccamon import cli
-from iccamon.service import HttpServer, MonitorService
+from iccamon.rules import load_rules_config
+from iccamon.service import HttpServer, MonitorService, load_server_config
 from iccamon.sim import CallableTransport, load_fleet_config, run_fleet
-from iccamon.store import TimeSeriesStore
+from iccamon.store import StationRecord, TimeSeriesStore
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -82,6 +83,21 @@ class TestSimulateCommand:
         bad.write_text("{oops")
         assert cli.main(["simulate", "--scenario", str(bad), "--duration", "1",
                          "--offline", str(tmp_path / "o.ndjson")]) == 2
+
+    @pytest.mark.parametrize("mutate", [
+        lambda obj: obj["stations"][0].update(lat=None),
+        lambda obj: obj["stations"][0]["scenario"].update(bogus=1),
+        lambda obj: [obj],
+    ], ids=["null-lat", "unknown-scenario-key", "top-level-list"])
+    def test_bad_scenario_entry_exits_2(self, tmp_path, capsys, mutate):
+        obj = json.loads((CONFIGS / "fleet_demo.json").read_text())
+        obj = mutate(obj) or obj
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert cli.main(["simulate", "--scenario", str(bad), "--duration", "1",
+                         "--offline", str(tmp_path / "o.ndjson")]) == 2
+        err = capsys.readouterr().err
+        assert "scenario error:" in err and "bad.json" in err
 
     def test_unreachable_server_still_exits_0(self, capsys):
         code = cli.main(["simulate", "--scenario", str(CONFIGS / "fleet_demo.json"),
@@ -176,6 +192,18 @@ class TestParseWindow:
             cli.parse_window("1d")
 
 
+class TestShippedConfigs:
+    def test_each_demo_config_loads(self):
+        cfg = load_server_config(CONFIGS / "server_demo.json")
+        assert cfg.rules_path == "configs/rules_demo.json"
+        engine = load_rules_config(CONFIGS / "rules_demo.json")
+        assert [r.rule_id for r in engine.rules] == ["danina-a-la-salud", "grupos-sensibles-watch"]
+        members, _ = load_fleet_config(CONFIGS / "fleet_demo.json")
+        stations = json.loads((CONFIGS / "stations_demo.json").read_text())
+        records = [StationRecord.from_json_obj(obj) for obj in stations]
+        assert [r.station_id for r in records] == [m.station.station_id for m in members]
+
+
 class TestReplayCommand:
     @staticmethod
     def server_config(tmp_path):
@@ -224,6 +252,16 @@ class TestReplayCommand:
         config.write_text(json.dumps({"data_dir": str(data_dir), "rules_path": str(rules)}))
         assert cli.main(["replay", "--config", str(config), str(tmp_path / "f.ndjson")]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_rule_naming_unknown_sink_exits_2(self, tmp_path, capsys):
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps(
+            {"rules": [{"rule_id": "r", "trigger_category_min": 3, "sink_ids": ["nope"]}]}))
+        config, data_dir = self.server_config(tmp_path)
+        config.write_text(json.dumps({"data_dir": str(data_dir), "rules_path": str(rules)}))
+        assert cli.main(["replay", "--config", str(config), str(tmp_path / "f.ndjson")]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "rules.json" in err and "'nope'" in err
 
 
 class TestServeCommand:

@@ -105,12 +105,14 @@ class TestEvaluate:
 
 class _Receiver(BaseHTTPRequestHandler):
     bodies = []
+    posts = 0  # requests received, failed ones included
     fail = False
     entered = None  # an Event, when set by a test: set on each POST
     release = None  # an Event, when set by a test: awaited (2 s at most) before replying
 
     def do_POST(self):
         body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        type(self).posts += 1
         if type(self).entered is not None:
             type(self).entered.set()
             type(self).release.wait(2.0)
@@ -129,6 +131,7 @@ class _Receiver(BaseHTTPRequestHandler):
 def receiver():
     class Handler(_Receiver):
         bodies = []
+        posts = 0
         fail = False
 
     server = HTTPServer(("127.0.0.1", 0), Handler)
@@ -152,28 +155,30 @@ class TestSinks:
 
     def test_webhook_body_equals_event_serialization(self, receiver):
         handler, url = receiver
-        records = dispatch(EVENT, [WebhookSink("w", url)])
-        assert records[0].ok and records[0].attempts == 1
+        assert dispatch(EVENT, [WebhookSink("w", url)]) == 0
+        assert handler.posts == 1
         assert handler.bodies == [EVENT.to_json_obj()]
 
-    def test_unreachable_webhook_recorded_not_raised(self):
-        records = dispatch(EVENT, [WebhookSink("w", "http://127.0.0.1:1/none", timeout=0.2)])
-        assert len(records) == 1
-        assert not records[0].ok and records[0].attempts == 2
-        assert records[0].error
+    def test_unreachable_webhook_recorded_not_raised(self, caplog):
+        failed = dispatch(EVENT, [WebhookSink("w", "http://127.0.0.1:1/none", timeout=0.2)])
+        assert failed == 1
+        [message] = [r.getMessage() for r in caplog.records if r.name == "iccamon.rules"]
+        assert "sink w failed after 2 attempts" in message
+        assert "127.0.0.1" in message  # the error text is kept
 
     def test_failure_is_retried_once(self, receiver):
         handler, url = receiver
         handler.fail = True
-        records = dispatch(EVENT, [WebhookSink("w", url)])
-        assert records[0].attempts == 2 and not records[0].ok
+        assert dispatch(EVENT, [WebhookSink("w", url)]) == 1
+        assert handler.posts == 2
 
     def test_one_failing_sink_does_not_block_others(self, tmp_path, receiver):
         handler, url = receiver
-        sinks = [WebhookSink("w", "http://127.0.0.1:1/none", timeout=0.2),
-                 FileSink("f", tmp_path / "a.ndjson")]
-        records = dispatch(EVENT, sinks)
-        assert [r.ok for r in records] == [False, True]
+        handler.fail = True
+        sinks = [WebhookSink("w", url), FileSink("f", tmp_path / "a.ndjson")]
+        assert dispatch(EVENT, sinks) == 1
+        assert handler.posts == 2
+        assert len((tmp_path / "a.ndjson").read_text().splitlines()) == 1
 
 
 class TestRuleEngine:
@@ -229,7 +234,6 @@ class TestRuleEngine:
             "sinks": [{"sink_id": "log", "type": "file", "path": "out.ndjson"},
                       {"sink_id": "hook", "type": "webhook",
                        "url": "http://127.0.0.1:9/x", "timeout": 0.5}],
-            "alert_log": "alerts.ndjson",
         }
         path = tmp_path / "rules.json"
         path.write_text(json.dumps(cfg))
@@ -238,10 +242,14 @@ class TestRuleEngine:
         assert engine.rules[0].clear_consecutive == 2
         assert engine.sinks["hook"].url == "http://127.0.0.1:9/x"
         assert engine.sinks["hook"].timeout == 0.5
+        assert engine.alert_log_path is None  # build_service places the alert log
         engine.observe("utec-01", icca(170), ts=9)
         assert (tmp_path / "out.ndjson").exists()
-        assert (tmp_path / "alerts.ndjson").exists()
         assert engine.failed_deliveries == 0
+
+    def test_unknown_sink_id_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown sink 'missing'"):
+            RuleEngine([Rule("r1", 3, sink_ids=("missing",))], {})
 
     def test_config_rejects_unknown_sink_type(self, tmp_path):
         path = tmp_path / "rules.json"
@@ -255,9 +263,20 @@ class TestRuleEngine:
         {"rules": {"rule_id": "r"}},
         {"sinks": [{"sink_id": "x", "type": "file"}]},
         [],
+        "{nope",  # written as is: not JSON
+        {"rules": [{"rule_id": "r", "trigger_category_min": 9}]},
+        {"rules": [{"rule_id": "r", "trigger_category_min": 3, "sink_ids": ["nope"]}]},
+        {"rules": [], "alert_log": "alerts.ndjson"},
+        {"rules": [{"rule_id": "r", "trigger_category_min": 3, "clear_after": 2}]},
+        {"sinks": [{"sink_id": "f", "type": "file", "path": "a.ndjson", "mode": "w"}]},
+        {"sinks": [{"sink_id": "w", "type": "webhook", "url": "http://x", "timeout": "x"}]},
+        {"sinks": [{"sink_id": "w", "type": "webhook", "url": "http://x", "timeout": 0}]},
+        {"sinks": [{"sink_id": "w", "type": "webhook", "url": "http://x", "timeout": True}]},
+        {"sinks": [{"sink_id": "w", "type": "webhook", "url": 5}]},
+        {"sinks": [{"sink_id": "f", "type": "file", "path": 5}]},
     ])
     def test_config_bad_entry_names_the_file(self, tmp_path, cfg):
         path = tmp_path / "rules.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
         with pytest.raises(ValueError, match="rules.json"):
             load_rules_config(path)

@@ -176,13 +176,11 @@ def _container_sizes(*roots):
 
 class TestStationStateOwnership:
     def test_racing_threads_accept_each_seq_once(self, store):
-        # a one-sample window makes every accepted frame a sufficient window,
-        # so the rule sees each accepted frame in seq order
         engine = RuleEngine([Rule("r3", trigger_category_min=3)])
         emitted = []
         original = engine.observe
         engine.observe = lambda sid, icca, ts: emitted.extend(original(sid, icca, ts))  # type: ignore
-        service = MonitorService(store, window_s=1200, rule_engine=engine)
+        service = MonitorService(store, rule_engine=engine)
         barrier = threading.Barrier(8)
         results = [[] for _ in range(8)]
 
@@ -216,7 +214,15 @@ class TestStationStateOwnership:
         assert all(a < b for a, b in zip(stored, stored[1:]))
         assert accepted == stored
         assert stored[-1] == 120
-        assert [e.kind.value for e in emitted] == ["raised"]
+        # racing sends can leave gaps; 60 gapless frames after them make a
+        # sufficient window certain
+        for seq in range(121, 181):
+            assert service.ingest(frame_text(seq=seq, ts=START + seq * 1200, pm25=100.0))[0] == 202
+        # the rule sees the accepted frames in seq order and raises once, at the
+        # first one whose 24-h window holds 54 of its 72 expected samples
+        ts = [START + m.seq * 1200 for m in store.query_range("utec-01", 0, 2**62)]
+        first = next(t for i, t in enumerate(ts) if sum(t - 86400 < u for u in ts[:i + 1]) >= 54)
+        assert [(e.kind.value, e.ts) for e in emitted] == [("raised", first)]
 
     def test_seq_zero_first_frame_survives_restart(self, tmp_path):
         data = tmp_path / "d"
@@ -507,19 +513,19 @@ class TestServerConfig:
         path = tmp_path / "server.json"
         path.write_text(json.dumps({"host": "0.0.0.0", "port": 9000, "data_dir": "dd"}))
         cfg = load_server_config(path)
-        assert cfg.port == 9000 and cfg.coverage_min == 0.75
+        assert cfg == ServerConfig(host="0.0.0.0", port=9000, data_dir="dd")
 
     @pytest.mark.parametrize(
         "obj",
         [
-            {"coverage_min": 2.0},
-            {"window_s": 0},
+            {"coverage_min": 0.75},  # the 75% coverage rule is a constant
+            {"window_s": 86400},  # so is the 24-h window
             {"alert_source": "psychic"},
             {"bogus_key": 1},
             [1, 2],
-            {"window_s": None},
+            {"port": 70000},
             {"port": None},
-            {"coverage_min": None},
+            {"port": -1},
         ],
     )
     def test_rejects_bad_config(self, tmp_path, obj):
@@ -539,3 +545,20 @@ class TestServerConfig:
         service, store = build_service(cfg)
         assert (tmp_path / "fresh" / "data").is_dir()
         store.close()
+
+    def test_build_service_writes_alert_log_in_data_dir(self, tmp_path):
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps({"rules": [{"rule_id": "r3", "trigger_category_min": 3}]}))
+        data_dir = tmp_path / "data"
+        service, store = build_service(ServerConfig(data_dir=str(data_dir),
+                                                    rules_path=str(rules)))
+        try:
+            store.upsert_station(StationRecord("utec-01", "x", 0.0, 0.0, "tok-a"))
+            for k in range(60):
+                assert service.ingest(
+                    frame_text(seq=k + 1, ts=START + k * 1200, pm25=100.0))[0] == 202
+        finally:
+            store.close()
+        lines = (data_dir / "alerts.ndjson").read_text().splitlines()
+        assert [json.loads(line)["kind"] for line in lines] == ["raised"]
+        assert not (tmp_path / "alerts.ndjson").exists()
