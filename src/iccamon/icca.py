@@ -1,8 +1,10 @@
 """Central American Air Quality Index (ICCA) computation.
 
 Pure functions mapping particulate concentrations (µg/m³) to the 0-500
-index scale, its six health categories, rolling 24-hour window averages,
-and simple summary statistics. The scale is the published one, fixed as
+index scale, its six health categories, rolling 24-hour window averages
+and simple summary statistics. A window's mean is exact and correctly
+rounded: it is taken from an integer sum of scaled samples, which a caller
+can also keep as a running sum. The scale is the published one, fixed as
 module constants: the categories with their names, index ranges and
 colors, and the two concentration ladders. No I/O, no hidden state; safe
 to call from any thread.
@@ -136,6 +138,46 @@ def overall_icca(pm25_avg: WindowAverage | None, pm10_avg: WindowAverage | None)
     return IccaResult(best.value, best.category, dominant, beyond_scale=beyond)
 
 
+# A float is an integer multiple of 2**-1074 (the smallest subnormal), so a
+# value scaled by 2**1074 is an exact Python int. Sums of scaled values
+# never drift, however many samples are added and taken away again.
+SCALE_BITS = 1074
+
+
+def scaled(value: float) -> int:
+    """value * 2**SCALE_BITS as an exact int; value must be finite."""
+    n, d = value.as_integer_ratio()  # d is a power of two
+    return n << (SCALE_BITS + 1 - d.bit_length())
+
+
+def window_average(
+    count: int,
+    scaled_sum: int,
+    window_s: float,
+    report_period_s: float,
+    coverage_min: float,
+) -> WindowAverage:
+    """The WindowAverage of count samples whose scaled values sum to scaled_sum.
+
+    The mean is the exact mean correctly rounded to a float: int true
+    division rounds once, after the exact quotient.
+    """
+    if window_s <= 0 or report_period_s <= 0:
+        raise ValueError("window_s and report_period_s must be positive")
+    expected = int(window_s // report_period_s)
+    if expected > 0:
+        coverage = count / expected
+    else:
+        coverage = 1.0 if count else 0.0
+    return WindowAverage(
+        mean=scaled_sum / (count << SCALE_BITS) if count else None,
+        sample_count=count,
+        expected_count=expected,
+        coverage=coverage,
+        sufficient=coverage >= coverage_min,
+    )
+
+
 def rolling_average(
     series: Iterable[tuple[float, float]],
     window_end: float,
@@ -146,27 +188,14 @@ def rolling_average(
     """Mean over samples with timestamp in (window_end - window_s, window_end].
 
     Coverage is measured against the station's report cadence; the average
-    is only flagged sufficient when coverage reaches coverage_min.
+    is only flagged sufficient when coverage reaches coverage_min. The mean
+    is exact and correctly rounded (see window_average), so it equals the
+    one a running sum over the same samples gives, bit for bit.
     """
-    if window_s <= 0 or report_period_s <= 0:
-        raise ValueError("window_s and report_period_s must be positive")
-
     lo = window_end - window_s
     values = [v for ts, v in series if lo < ts <= window_end]
-    expected = int(window_s // report_period_s)
-    count = len(values)
-    if expected > 0:
-        coverage = count / expected
-    else:
-        coverage = 1.0 if count else 0.0
-    mean = sum(values) / count if count else None
-    return WindowAverage(
-        mean=mean,
-        sample_count=count,
-        expected_count=expected,
-        coverage=coverage,
-        sufficient=coverage >= coverage_min,
-    )
+    return window_average(
+        len(values), sum(map(scaled, values)), window_s, report_period_s, coverage_min)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,16 @@ alert rules — all under the store's per-station lock, with the store as the
 authority on sequence numbers, so acceptance and window updates are
 race-free while distinct stations proceed in parallel. Reads are public.
 
+The 24-hour index comes from running sums the store keeps beside each
+station's records, so a frame, an /icca read and each /overview entry do
+constant window work; /icca with another window_s recomputes from the
+records. Both give the same exact, correctly rounded means.
+
 Status mapping: BadToken→401, UnknownStation→404, DuplicateSeq/StaleSeq→409,
 OutOfRange/Malformed→422; acceptance → 202 after the record is durable.
 A bad Content-Length gets 400, one above MAX_BODY_BYTES 413; both close.
-A connection that stalls for SOCKET_TIMEOUT_S is closed.
+A connection that stalls for SOCKET_TIMEOUT_S is closed. Relative paths in
+a server config file are relative to that file.
 """
 
 from __future__ import annotations
@@ -84,6 +90,15 @@ def load_server_config(path: str | Path) -> ServerConfig:
         raise ConfigError(f"alert_source must be 'rolling' or 'instant', got {cfg.alert_source!r}")
     if not 0 <= cfg.port <= 65535:
         raise ConfigError(f"config {path}: port must be in 0..65535, got {cfg.port}")
+    # relative paths in a config file are relative to that file
+    cfg.data_dir = str(path.parent / cfg.data_dir)
+    if cfg.rules_path is not None:
+        cfg.rules_path = str(path.parent / cfg.rules_path)
+        try:
+            open(cfg.rules_path, "rb").close()
+        except OSError as exc:
+            raise ConfigError(f"config {path}: rules_path {cfg.rules_path} cannot be opened: "
+                              f"{exc.strerror}") from exc
     return cfg
 
 
@@ -162,18 +177,30 @@ class MonitorService:
     # -- queries -----------------------------------------------------------
 
     def rolling_icca(self, station_id: str, window_s: int | None = None) -> IccaSnapshot:
-        """Rolling index with the window ending at the station's latest record."""
+        """Rolling index with the window ending at the station's latest record.
+
+        The default window comes from the store's running sums; any other
+        window_s is recomputed from the records.
+        """
         window_s = window_s or self.window_s
-        latest = self.store.latest(station_id)
-        if latest is None:
-            return IccaSnapshot(station_id, None, window_s, None, None, None)
-        end = latest.ts
-        records = self.store.query_range(station_id, end - window_s + 1, end)
         period = self.store.get_station(station_id).report_period_s
-        a25 = icca.rolling_average(
-            [(r.ts, r.pm25) for r in records], end, window_s, period, self.coverage_min)
-        a10 = icca.rolling_average(
-            [(r.ts, r.pm10) for r in records], end, window_s, period, self.coverage_min)
+        if window_s == icca.WINDOW_24H_S:
+            window = self.store.window(station_id)
+            if window is None:
+                return IccaSnapshot(station_id, None, window_s, None, None, None)
+            end, count, sum25, sum10 = window
+            a25 = icca.window_average(count, sum25, window_s, period, self.coverage_min)
+            a10 = icca.window_average(count, sum10, window_s, period, self.coverage_min)
+        else:
+            latest = self.store.latest(station_id)
+            if latest is None:
+                return IccaSnapshot(station_id, None, window_s, None, None, None)
+            end = latest.ts
+            records = self.store.query_range(station_id, end - window_s + 1, end)
+            a25 = icca.rolling_average(
+                [(r.ts, r.pm25) for r in records], end, window_s, period, self.coverage_min)
+            a10 = icca.rolling_average(
+                [(r.ts, r.pm10) for r in records], end, window_s, period, self.coverage_min)
         try:
             result = icca.overall_icca(a25, a10)
         except InsufficientDataError:
@@ -214,15 +241,16 @@ class MonitorService:
         entries = []
         for rec in self.store.stations():
             latest = self.store.latest(rec.station_id)
-            snap = self.rolling_icca(rec.station_id)
+            # a station with no records has no window to read
+            snap = self.rolling_icca(rec.station_id) if latest else None
             entry = {
                 "station_id": rec.station_id,
                 "display_name": rec.display_name,
                 "location": {"lat": rec.lat, "lon": rec.lon},
                 "latest": latest.to_json_obj() if latest else None,
                 "last_seen": latest.ts if latest else None,
-                "icca": _icca_fields(snap.result),
-                "coverage": snap.coverage,
+                "icca": _icca_fields(snap.result) if snap else None,
+                "coverage": snap.coverage if snap else 0.0,
             }
             entries.append(entry)
         return {"stations": entries}
@@ -271,6 +299,9 @@ def _snapshot_payload(snap: IccaSnapshot) -> dict:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # headers and body go out in two writes; with Nagle's algorithm on, the
+    # second waits for the client's delayed ACK of the first (about 40 ms)
+    disable_nagle_algorithm = True
 
     @property
     def timeout(self) -> float:

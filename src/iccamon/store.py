@@ -9,7 +9,8 @@ A record line mirrors the wire frame minus the token, plus quality flags.
 Recovery discards a final line without its trailing newline, so a crash
 mid-write never surfaces a torn record. An in-memory index (records sorted
 by timestamp, last accepted sequence number) is rebuilt on open; logs are
-small at desk scale.
+small at desk scale. Beside it each station keeps exact running sums of its
+24-hour window, built on the window's first use and updated per record.
 """
 
 from __future__ import annotations
@@ -23,13 +24,19 @@ import time
 import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import islice
+from operator import attrgetter
 from pathlib import Path
+
+from .icca import WINDOW_24H_S, scaled
 
 logger = logging.getLogger(__name__)
 
 BEYOND_SENSOR_RANGE = "beyond_sensor_range"
 
 _JSON_SEP = (",", ":")
+_NO_FLAGS: frozenset[str] = frozenset()
+_ts = attrgetter("ts")
 
 
 class StorageError(Exception):
@@ -52,7 +59,7 @@ class Measurement:
     pm25: float
     pm10: float
     temp_c: float
-    flags: frozenset[str] = frozenset()
+    flags: frozenset[str] = _NO_FLAGS
 
     def to_json_obj(self) -> dict:
         return {
@@ -62,20 +69,16 @@ class Measurement:
             "pm25": self.pm25,
             "pm10": self.pm10,
             "temp_c": self.temp_c,
-            "flags": sorted(self.flags),
+            "flags": sorted(self.flags) if self.flags else [],  # most records have none
         }
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Measurement":
-        return cls(
-            station_id=obj["station_id"],
-            seq=obj["seq"],
-            ts=obj["ts"],
-            pm25=float(obj["pm25"]),
-            pm10=float(obj["pm10"]),
-            temp_c=float(obj["temp_c"]),
-            flags=frozenset(obj.get("flags", ())),
-        )
+        # positional, and one shared empty flag set: recovery builds every
+        # stored record through here
+        flags = obj.get("flags", ())
+        return cls(obj["station_id"], obj["seq"], obj["ts"], float(obj["pm25"]), float(obj["pm10"]),
+                   float(obj["temp_c"]), _NO_FLAGS if flags == [] else frozenset(flags))
 
 
 @dataclass(frozen=True)
@@ -120,11 +123,15 @@ class _Station:
         self.records: list[Measurement] = []  # kept sorted by ts
         self.ts_index: list[int] = []
         self.last_seq: int | None = None  # None until a record is accepted; 0 is a valid seq
+        # The default window, (latest ts - WINDOW_24H_S, latest ts], is
+        # records[win_start:]; sum25/sum10 are the exact scaled sums of its
+        # values (icca.scaled). win_start stays None until the window is
+        # first used, so recovery does no window work.
+        self.win_start: int | None = None
+        self.sum25 = self.sum10 = 0
         self._fh = None
 
     def recover(self) -> None:
-        if not self.path.exists():
-            return
         raw = self.path.read_bytes()
         complete, _, tail = raw.rpartition(b"\n")
         if tail:
@@ -133,16 +140,34 @@ class _Station:
             logger.warning("discarding torn record tail (%d bytes) in %s", len(tail), self.path)
             with open(self.path, "r+b") as fh:
                 fh.truncate(len(raw) - len(tail))
-        for lineno, line in enumerate(complete.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                m = Measurement.from_json_obj(json.loads(line))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise StorageError(f"{self.path}:{lineno}: corrupt record: {exc}") from exc
+        lines = complete.splitlines()
+        records = None
+        try:
+            # one parse for the whole log, much cheaper than one per line;
+            # a log it cannot read as one record per line is read line by
+            # line below, which names the first bad line
+            objs = json.loads(b"[" + b",".join(lines) + b"]")
+            if len(objs) == len(lines):
+                records = [Measurement.from_json_obj(obj) for obj in objs]
+        except (ValueError, KeyError, TypeError):
+            pass
+        if records is None:
+            records = [self._parse(lineno, line)
+                       for lineno, line in enumerate(lines, 1) if line.strip()]
+        for m in records:
             # appends write increasing seqs; a repeat is left by a retried append
             if self.accepts(m.seq):
-                self._index(m)
+                self.records.append(m)
+                self.last_seq = m.seq
+        # stable, so equal timestamps keep log order, as _index keeps them
+        self.records.sort(key=_ts)
+        self.ts_index = [m.ts for m in self.records]
+
+    def _parse(self, lineno: int, line: bytes) -> Measurement:
+        try:
+            return Measurement.from_json_obj(json.loads(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise StorageError(f"{self.path}:{lineno}: corrupt record: {exc}") from exc
 
     def accepts(self, seq: int) -> bool:
         return self.last_seq is None or seq > self.last_seq
@@ -152,6 +177,46 @@ class _Station:
         self.records.insert(pos, m)
         self.ts_index.insert(pos, m.ts)
         self.last_seq = m.seq
+        if self.win_start is None:
+            return
+        if pos == len(self.records) - 1:
+            # newest ts (or equal to it): the window end moves up to m.ts
+            self.sum25 += scaled(m.pm25)
+            self.sum10 += scaled(m.pm10)
+            lo = m.ts - WINDOW_24H_S
+            start = self.win_start
+            while self.ts_index[start] <= lo:
+                old = self.records[start]
+                self.sum25 -= scaled(old.pm25)
+                self.sum10 -= scaled(old.pm10)
+                start += 1
+            self.win_start = start
+        elif m.ts > self.ts_index[-1] - WINDOW_24H_S:
+            # older, inside the window (and so inserted at or after win_start)
+            self.sum25 += scaled(m.pm25)
+            self.sum10 += scaled(m.pm10)
+        else:
+            # older than the window: inserted before it
+            self.win_start += 1
+
+    def window(self) -> tuple[int, int, int, int] | None:
+        """(window end, sample count, scaled pm2.5 sum, scaled pm10 sum) of
+        the default window, or None without records. Call under the lock.
+
+        The first call after open sums the window in one pass; from then on
+        _index keeps it up to date in O(1) amortised per record.
+        """
+        if self.win_start is None:
+            start = 0
+            if self.records:
+                start = bisect_right(self.ts_index, self.ts_index[-1] - WINDOW_24H_S)
+            for m in islice(self.records, start, None):
+                self.sum25 += scaled(m.pm25)
+                self.sum10 += scaled(m.pm10)
+            self.win_start = start
+        if not self.records:
+            return None
+        return self.ts_index[-1], len(self.records) - self.win_start, self.sum25, self.sum10
 
     def handle(self):
         if self._fh is None:
@@ -184,8 +249,11 @@ class TimeSeriesStore:
         self._registry_lock = threading.Lock()
         self._stations: dict[str, _Station] = {}
         self._load_registry()
+        # one directory listing instead of a stat per registered station
+        logs = {entry.name for entry in os.scandir(self.series_dir)}
         for station in self._stations.values():
-            station.recover()
+            if station.path.name in logs:
+                station.recover()
 
     # -- registry ----------------------------------------------------------
 
@@ -276,6 +344,13 @@ class TimeSeriesStore:
             lo = bisect_left(station.ts_index, t0)
             hi = bisect_right(station.ts_index, t1)
             return station.records[lo:hi]
+
+    def window(self, station_id: str) -> tuple[int, int, int, int] | None:
+        """(window end, sample count, scaled pm2.5 sum, scaled pm10 sum) of the
+        station's default 24-hour window, or None when it has no records."""
+        station = self._station(station_id)
+        with station.lock:
+            return station.window()
 
     def latest(self, station_id: str) -> Measurement | None:
         station = self._station(station_id)

@@ -75,6 +75,11 @@ def stats_oracle(series):
     return {"mean": total / n, "median": median, "max": ordered[-1], "min": ordered[0]}
 
 
+def exact_mean(values) -> float:
+    """The mean of the values computed exactly, then rounded once to a float."""
+    return float(sum(map(Fraction, values)) / len(values))
+
+
 def byte_sum_checksum(data: bytes) -> int:
     total = 0
     for b in data:

@@ -195,7 +195,9 @@ class TestParseWindow:
 class TestShippedConfigs:
     def test_each_demo_config_loads(self):
         cfg = load_server_config(CONFIGS / "server_demo.json")
-        assert cfg.rules_path == "configs/rules_demo.json"
+        # relative paths in the server config are relative to its directory
+        assert Path(cfg.rules_path) == CONFIGS / "rules_demo.json"
+        assert Path(cfg.data_dir).resolve() == CONFIGS.parent / "demo_data"
         engine = load_rules_config(CONFIGS / "rules_demo.json")
         assert [r.rule_id for r in engine.rules] == ["danina-a-la-salud", "grupos-sensibles-watch"]
         members, _ = load_fleet_config(CONFIGS / "fleet_demo.json")
@@ -244,6 +246,32 @@ class TestReplayCommand:
         bad = tmp_path / "server.json"
         bad.write_text("{nope")
         assert cli.main(["replay", "--config", str(bad), str(tmp_path / "f.ndjson")]) == 2
+
+    def test_demo_config_from_another_directory(self, tmp_path, monkeypatch, capsys):
+        frames = tmp_path / "frames.ndjson"
+        assert cli.main(["simulate", "--scenario", str(CONFIGS / "fleet_demo.json"),
+                         "--duration", "6", "--seed", "7", "--offline", str(frames)]) == 0
+        capsys.readouterr()
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "stations.json").write_bytes(
+            (CONFIGS / "stations_demo.json").read_bytes())
+        monkeypatch.chdir(tmp_path)
+        # the rules file is found next to the config; --data-dir stays
+        # relative to the working directory
+        assert cli.main(["replay", "--config", str(CONFIGS / "server_demo.json"),
+                         "--data-dir", "data", "frames.ndjson"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"202": 5 * 18}
+        with TimeSeriesStore(tmp_path / "data", fsync=False) as store:
+            assert sum(store.count(sid) for sid in store.station_ids()) == 5 * 18
+
+    def test_missing_rules_file_names_key_and_config(self, tmp_path, capsys):
+        config = tmp_path / "server.json"
+        config.write_text(json.dumps({"data_dir": "data", "rules_path": "missing.json"}))
+        assert cli.main(["replay", "--config", str(config), str(tmp_path / "f.ndjson")]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and str(config) in err
+        assert "rules_path" in err and str(tmp_path / "missing.json") in err
+        assert not (tmp_path / "data").exists()
 
     def test_rule_without_rule_id_exits_2(self, tmp_path, capsys):
         rules = tmp_path / "rules.json"

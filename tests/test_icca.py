@@ -12,11 +12,20 @@ from iccamon.icca import (
     WindowAverage,
     overall_icca,
     rolling_average,
+    scaled,
     sub_index,
     summary_stats,
+    window_average,
 )
 
-from .oracles import CATEGORY_NAMES, ORACLE_PM10, ORACLE_PM25, icca_oracle, stats_oracle
+from .oracles import (
+    CATEGORY_NAMES,
+    ORACLE_PM10,
+    ORACLE_PM25,
+    exact_mean,
+    icca_oracle,
+    stats_oracle,
+)
 
 ORACLE_LADDERS = {Pollutant.PM25: ORACLE_PM25, Pollutant.PM10: ORACLE_PM10}
 
@@ -238,6 +247,40 @@ class TestRollingAverage:
             rolling_average([], 0, window_s=0)
         with pytest.raises(ValueError):
             rolling_average([], 0, report_period_s=0)
+
+    def test_mean_is_exact_and_correctly_rounded(self):
+        # a day of one-minute samples whose float sum drifts: sum(values)/n
+        # misses the correctly rounded mean
+        values = [10.0 + (k % 37) * 0.3 for k in range(1440)]
+        assert sum(values) / len(values) != exact_mean(values)
+        w = rolling_average([(k * 60, v) for k, v in enumerate(values)], 1439 * 60,
+                            report_period_s=60)
+        assert w.sample_count == 1440 and w.mean == exact_mean(values)
+
+    def test_mean_matches_oracle_on_random_series(self):
+        rng = random.Random(2718)
+        long_expansions = (0.1, 12.3, 499.9, 0.7, 33.3)
+        for _ in range(300):
+            n = rng.randint(1, 300)
+            values = [rng.choice(long_expansions) if rng.random() < 0.3
+                      else rng.choice((round(rng.uniform(0, 999.9), 1), rng.uniform(0, 1000)))
+                      for _ in range(n)]
+            series = [(k * 60, v) for k, v in enumerate(values)]
+            w = rolling_average(series, (n - 1) * 60, report_period_s=60)
+            assert w.mean == exact_mean(values), values
+
+    def test_window_average_is_rolling_average_on_scaled_sums(self):
+        values = [0.1, 12.3, 499.9, 5e-324, 1e300]
+        got = window_average(len(values), sum(map(scaled, values)), 86400, 1200, 0.75)
+        want = rolling_average([(0, v) for v in values], 0)
+        assert got == want and got.mean == exact_mean(values)
+        # a running sum that adds and takes values away lands on the same integer
+        running = 0
+        for v in values + values:
+            running += scaled(v)
+        for v in values:
+            running -= scaled(v)
+        assert running == sum(map(scaled, values))
 
 
 class TestSummaryStats:

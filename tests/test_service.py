@@ -1,7 +1,10 @@
 import http.client
 import json
 import logging
+import random
+import re
 import socket
+import statistics
 import struct
 import sys
 import threading
@@ -10,6 +13,7 @@ import time
 import pytest
 import requests
 
+from iccamon import icca
 from iccamon import service as service_mod
 from iccamon.rules import Rule, RuleEngine
 from iccamon.service import (
@@ -286,6 +290,113 @@ class TestRollingIcca:
         assert snap.pm25.mean == pytest.approx(50.0)
 
 
+class TestIncrementalWindow:
+    """The default-window snapshot, kept from the store's running sums,
+    against a fresh recompute over every stored record."""
+
+    STATIONS = {"utec-01": "tok-a", "santa-ana": "tok-b"}
+    VALUES = (0.1, 12.3, 499.9, 0.7, 33.3)
+
+    @staticmethod
+    def recomputed(service, sid):
+        records = service.store.query_range(sid, 0, 2**62)
+        if not records:
+            return None, None, None
+        end = records[-1].ts
+        period = service.store.get_station(sid).report_period_s
+        a25 = icca.rolling_average([(r.ts, r.pm25) for r in records], end, 86400, period, 0.75)
+        a10 = icca.rolling_average([(r.ts, r.pm10) for r in records], end, 86400, period, 0.75)
+        try:
+            result = icca.overall_icca(a25, a10)
+        except icca.InsufficientDataError:
+            result = None
+        return a25, a10, result
+
+    def check(self, service):
+        overview = {e["station_id"]: e for e in service.overview_payload()["stations"]}
+        for sid in self.STATIONS:
+            snap = service.rolling_icca(sid)
+            assert (snap.pm25, snap.pm10, snap.result) == self.recomputed(service, sid)
+            body = service.icca_payload(sid)
+            assert overview[sid]["icca"] == body["icca"]
+            assert overview[sid]["coverage"] == body["coverage"]
+
+    def value(self, rng):
+        pick = rng.random()
+        if pick < 0.3:
+            return rng.choice(self.VALUES)
+        if pick < 0.6:
+            return round(rng.uniform(0, 600), 1)
+        return rng.uniform(0, 999)
+
+    def next_ts(self, rng, store, sid, period):
+        records = store.query_range(sid, 0, 2**62)
+        if not records:
+            return START
+        latest = records[-1].ts
+        pick = rng.random()
+        if pick < 0.6:
+            return latest + period
+        if pick < 0.7:
+            return latest - rng.randrange(86400)  # older, inside the window
+        if pick < 0.8:
+            return latest - 86400 - rng.randrange(3 * 86400)  # older than the window
+        if pick < 0.9:
+            return rng.choice(records).ts  # a ts already stored
+        return latest + 86400 + rng.randrange(2 * 86400)  # a gap of more than a day
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_recompute_after_every_frame(self, tmp_path, seed):
+        rng = random.Random(seed)
+        data = tmp_path / "data"
+        store = TimeSeriesStore(data, fsync=False)
+        periods = {sid: 1200 for sid in self.STATIONS}
+        for sid, token in self.STATIONS.items():
+            store.upsert_station(StationRecord(sid, sid, 13.7, -89.2, token))
+        engine = RuleEngine([Rule("r2", trigger_category_min=2)])
+        service = MonitorService(store, rule_engine=engine)
+        seqs = dict.fromkeys(self.STATIONS, 0)
+        try:
+            for step in range(400):
+                if step in (150, 300):
+                    store.close()
+                    store = TimeSeriesStore(data, fsync=False)
+                    # recovery leaves the window to its first use
+                    assert all(st.win_start is None for st in store._stations.values())
+                    service = MonitorService(store, rule_engine=engine)
+                if step in (100, 250):
+                    sid = rng.choice(sorted(self.STATIONS))
+                    periods[sid] = rng.choice((60, 300, 1200, 3600))
+                    store.upsert_station(StationRecord(sid, sid, 13.7, -89.2, self.STATIONS[sid],
+                                                       report_period_s=periods[sid]))
+                sid = rng.choice(sorted(self.STATIONS))
+                seqs[sid] += 1
+                ts = self.next_ts(rng, store, sid, periods[sid])
+                text = frame_text(sid, self.STATIONS[sid], seqs[sid], ts, self.value(rng),
+                                  self.value(rng))
+                assert service.ingest(text)[0] == 202
+                self.check(service)
+        finally:
+            store.close()
+
+    def test_ingest_scans_no_window(self, service, monkeypatch):
+        for k in range(72):
+            assert service.ingest(frame_text(seq=k + 1, ts=START + k * 1200))[0] == 202
+        service.rolling_icca("utec-01")  # the first use sums the window once
+        calls = []
+        original = icca.rolling_average
+        monkeypatch.setattr(icca, "rolling_average",
+                            lambda *a, **k: calls.append(a) or original(*a, **k))
+        service.rule_engine = RuleEngine([Rule("r1", trigger_category_min=1)])
+        assert service.ingest(frame_text(seq=73, ts=START + 72 * 1200))[0] == 202
+        service.icca_payload("utec-01")
+        service.overview_payload()
+        assert calls == []
+        # a non-default window still recomputes
+        service.icca_payload("utec-01", 3600)
+        assert len(calls) == 2
+
+
 class TestAlertWiring:
     def test_rolling_alert_raised_once(self, store):
         engine = RuleEngine([Rule("r3", trigger_category_min=3)])
@@ -413,6 +524,50 @@ class TestHttpEndpoints:
         assert empty["latest"] is None and empty["icca"] is None
 
 
+class TestNoDelayedAckStall:
+    @staticmethod
+    def read_response(sock) -> bytes:
+        """The head of one response; its body is read and dropped."""
+        def more() -> bytes:
+            chunk = sock.recv(4096)
+            if not chunk:
+                raise ConnectionError("server closed the connection")
+            return chunk
+
+        data = b""
+        while b"\r\n\r\n" not in data:
+            data += more()
+        head, _, body = data.partition(b"\r\n\r\n")
+        length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+        while len(body) < length:
+            body += more()
+        return head
+
+    def test_keep_alive_posts_answered_well_under_40ms(self, tmp_path):
+        # headers and body are two writes; with Nagle's algorithm the body
+        # waits for the client's delayed ACK of the headers, about 40 ms
+        store = TimeSeriesStore(tmp_path / "data", fsync=False)
+        store.upsert_station(StationRecord("utec-01", "San Salvador", 13.70, -89.19, "tok-a"))
+        srv = HttpServer(MonitorService(store), port=0)
+        srv.start()
+        try:
+            times = []
+            with socket.create_connection(("127.0.0.1", srv.port), timeout=5) as sock:
+                for seq in range(1, 21):
+                    body = frame_text(seq=seq, ts=START + seq * 1200).encode()
+                    head = (f"POST /v1/telemetry HTTP/1.1\r\nHost: x\r\n"
+                            f"Content-Length: {len(body)}\r\n\r\n").encode()
+                    started = time.perf_counter()
+                    sock.sendall(head + body)
+                    status_line = self.read_response(sock).split(b"\r\n", 1)[0]
+                    times.append(time.perf_counter() - started)
+                    assert status_line == b"HTTP/1.1 202 Accepted"
+            assert statistics.median(times) < 0.015, times
+        finally:
+            srv.shutdown()
+            store.close()
+
+
 class TestHttpContentLength:
     @staticmethod
     def raw_post(server, content_length: str) -> bytes:
@@ -513,7 +668,8 @@ class TestServerConfig:
         path = tmp_path / "server.json"
         path.write_text(json.dumps({"host": "0.0.0.0", "port": 9000, "data_dir": "dd"}))
         cfg = load_server_config(path)
-        assert cfg == ServerConfig(host="0.0.0.0", port=9000, data_dir="dd")
+        # a relative data_dir is relative to the config file
+        assert cfg == ServerConfig(host="0.0.0.0", port=9000, data_dir=str(tmp_path / "dd"))
 
     @pytest.mark.parametrize(
         "obj",

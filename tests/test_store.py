@@ -195,6 +195,21 @@ class TestRecovery:
         with pytest.raises(StorageError):
             TimeSeriesStore(data)
 
+    def test_recovery_reads_one_record_per_line(self, tmp_path):
+        data = tmp_path / "data"
+        with TimeSeriesStore(data) as s:
+            s.upsert_station(STATION)
+            for seq in range(1, 4):
+                s.append(m(seq))
+        log = data / "series" / "utec-01.ndjson"
+        lines = log.read_bytes().splitlines(keepends=True)
+        log.write_bytes(lines[0] + b"\n" + lines[1] + lines[2])  # a blank line is skipped
+        with TimeSeriesStore(data) as s:
+            assert [r.seq for r in s.query_range("utec-01", 0, 10**9)] == [1, 2, 3]
+        log.write_bytes(lines[0] + lines[1].rstrip(b"\n") + b"," + lines[2])
+        with pytest.raises(StorageError, match=r"utec-01\.ndjson:2: corrupt record"):
+            TimeSeriesStore(data)
+
 
 class TestRegistry:
     def test_bad_station_records_rejected(self):
