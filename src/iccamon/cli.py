@@ -8,7 +8,8 @@
 
 Exit codes: 0 success (a simulation with delivery failures still counts;
 a replay where every frame got 202 or 409), 1 runtime failure (a replayed
-frame rejected otherwise), 2 usage or config error.
+frame rejected otherwise), 2 usage, config or storage error (a data
+directory the store cannot open).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import re
 import signal
 import sys
@@ -26,6 +28,7 @@ import requests
 from . import icca, service as service_mod, sim
 from .icca import WindowAverage
 from .sensor import dump_pm_frame
+from .store import StorageError
 
 logger = logging.getLogger(__name__)
 
@@ -71,6 +74,9 @@ def _open_service(args):
         if args.data_dir:
             config.data_dir = args.data_dir
         svc, store = service_mod.build_service(config)
+    except StorageError as exc:
+        print(f"storage error: {exc}", file=sys.stderr)
+        return None
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return None
@@ -135,8 +141,8 @@ def cmd_simulate(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.duration < 0:
-        print("duration must be >= 0", file=sys.stderr)
+    if not 0 <= args.duration < math.inf:  # also refuses nan
+        print(f"duration must be finite and >= 0, got {args.duration}", file=sys.stderr)
         return EXIT_USAGE
 
     if args.offline:

@@ -4,7 +4,8 @@ A rule raises when a station's index reaches its trigger category and
 clears only after a configurable number of consecutive evaluations below
 it, so noisy readings near a boundary don't flap. Events go to pluggable
 sinks (NDJSON file, outbound webhook); sink failures are logged and
-retried once but never block ingestion.
+retried once but never block ingestion. The engine's own alert log is
+fsynced per event and read back at start, so rule states survive a restart.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -20,6 +22,7 @@ from pathlib import Path
 import requests
 
 from .icca import IccaResult
+from .store import StorageError, log_lines
 
 logger = logging.getLogger(__name__)
 
@@ -113,6 +116,8 @@ class FileSink:
         line = json.dumps(event.to_json_obj(), separators=_JSON_SEP, ensure_ascii=False) + "\n"
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(line)
+            fh.flush()
+            os.fsync(fh.fileno())  # durable before the frame that raised it is acknowledged
 
 
 class WebhookSink:
@@ -148,8 +153,39 @@ def dispatch(event: AlertEvent, sinks) -> int:
     return failed
 
 
+def _recover_states(path: Path, rule_ids) -> dict[tuple[str, str], RuleState]:
+    """Rule states from an alert log: per (rule, station), active when its
+    last event is raised. Events of rules not in rule_ids are ignored.
+
+    A torn last line is dropped as in the store's logs. A restart loses
+    only a pending clear countdown, which starts again from zero.
+    """
+    try:
+        lines = log_lines(path)
+    except FileNotFoundError:
+        return {}
+    states = {}
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            key = (obj["rule_id"], obj["station_id"])
+            active = AlertKind(obj["kind"]) is AlertKind.RAISED
+        except (ValueError, KeyError, TypeError) as exc:
+            raise StorageError(f"{path}:{lineno}: corrupt alert event: {exc}") from exc
+        if key[0] in rule_ids:
+            states[key] = RuleState(active=active)
+    return states
+
+
 class RuleEngine:
-    """Evaluates the rule chain on every index update for a station."""
+    """Evaluates the rule chain on every index update for a station.
+
+    With an alert log, each event is appended to it, and construction
+    resumes the states that log records, so a restart does not raise an
+    active alert a second time.
+    """
 
     def __init__(self, rules, sinks=None, alert_log_path: str | Path | None = None):
         self.rules = list(rules)
@@ -159,7 +195,9 @@ class RuleEngine:
                 if sid not in self.sinks:
                     raise ValueError(f"rule {rule.rule_id!r} names unknown sink {sid!r}")
         self.alert_log_path = Path(alert_log_path) if alert_log_path else None
-        self._states: dict[tuple[str, str], RuleState] = {}
+        self._states: dict[tuple[str, str], RuleState] = (
+            _recover_states(self.alert_log_path, {r.rule_id for r in self.rules})
+            if self.alert_log_path else {})
         self._lock = threading.Lock()
         self.failed_deliveries = 0  # sink deliveries still failing after their retry
 
@@ -193,8 +231,9 @@ class RuleEngine:
             self.failed_deliveries += failed
 
 
-def load_rules_config(path: str | Path) -> RuleEngine:
-    """Build an engine from a JSON config file.
+def load_rules_config(path: str | Path, alert_log_path: str | Path | None = None) -> RuleEngine:
+    """Build an engine from a JSON config file, with its alert log at
+    alert_log_path if one is given.
 
     Schema; any other key is an error:
         {"rules": [{"rule_id": ..., "trigger_category_min": 1..5,
@@ -205,7 +244,7 @@ def load_rules_config(path: str | Path) -> RuleEngine:
     """
     path = Path(path)
     try:
-        return _build_engine(json.loads(path.read_text()), path)
+        return _build_engine(json.loads(path.read_text()), path, alert_log_path)
     except KeyError as exc:
         raise ValueError(f"rules config {path}: missing key {exc}") from exc
     except (TypeError, AttributeError) as exc:
@@ -214,7 +253,8 @@ def load_rules_config(path: str | Path) -> RuleEngine:
         raise ValueError(f"rules config {path}: {exc}") from exc
 
 
-def _check_keys(obj, where: str, *known: str) -> None:
+def check_keys(obj, where: str, *known: str) -> None:
+    """Refuse a config entry that is not a JSON object or has a key not in known."""
     if not isinstance(obj, dict):
         raise TypeError(f"{where} must be a JSON object, got {obj!r}")
     unknown = set(obj) - set(known)
@@ -222,11 +262,11 @@ def _check_keys(obj, where: str, *known: str) -> None:
         raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _build_engine(obj, path: Path) -> RuleEngine:
-    _check_keys(obj, "top level", "rules", "sinks")
+def _build_engine(obj, path: Path, alert_log_path) -> RuleEngine:
+    check_keys(obj, "top level", "rules", "sinks")
     rules = []
     for r in obj.get("rules", ()):
-        _check_keys(r, "rule", "rule_id", "trigger_category_min", "clear_consecutive", "sink_ids")
+        check_keys(r, "rule", "rule_id", "trigger_category_min", "clear_consecutive", "sink_ids")
         rules.append(Rule(
             rule_id=r["rule_id"],
             trigger_category_min=r["trigger_category_min"],
@@ -236,10 +276,10 @@ def _build_engine(obj, path: Path) -> RuleEngine:
     sinks = {}
     for s in obj.get("sinks", ()):
         if s["type"] == "file":
-            _check_keys(s, "file sink", "sink_id", "type", "path")
+            check_keys(s, "file sink", "sink_id", "type", "path")
             sinks[s["sink_id"]] = FileSink(s["sink_id"], path.parent / s["path"])
         elif s["type"] == "webhook":
-            _check_keys(s, "webhook sink", "sink_id", "type", "url", "timeout")
+            check_keys(s, "webhook sink", "sink_id", "type", "url", "timeout")
             url, timeout = s["url"], s.get("timeout", 5.0)
             if not isinstance(url, str) or type(timeout) not in (int, float) \
                     or not 0 < timeout < math.inf:
@@ -248,4 +288,4 @@ def _build_engine(obj, path: Path) -> RuleEngine:
             sinks[s["sink_id"]] = WebhookSink(s["sink_id"], url, timeout)
         else:
             raise ValueError(f"unknown sink type: {s['type']!r}")
-    return RuleEngine(rules, sinks)
+    return RuleEngine(rules, sinks, alert_log_path)

@@ -443,7 +443,6 @@ def build_service(config: ServerConfig) -> tuple[MonitorService, TimeSeriesStore
     store = TimeSeriesStore(data_dir)
     engine = None
     if config.rules_path:
-        engine = load_rules_config(config.rules_path)
-        engine.alert_log_path = data_dir / "alerts.ndjson"
+        engine = load_rules_config(config.rules_path, data_dir / "alerts.ndjson")
     service = MonitorService(store, rule_engine=engine, alert_source=config.alert_source)
     return service, store

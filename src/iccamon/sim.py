@@ -26,6 +26,7 @@ from typing import Callable, Iterator
 
 import requests
 
+from .rules import check_keys
 from .sensor import PmFrame, decode_pm_frame, decode_temp, encode_pm_frame, encode_temp
 from .store import StationRecord
 from .telemetry import TelemetryFrame, serialize
@@ -333,39 +334,35 @@ class BlackoutTransport:
 
 
 @dataclass
-class NodeReport:
-    station_id: str
-    generated: int
-    delivered: int
-    buffered: int
-    failed_attempts: int
-    dropped: int
-
-
-@dataclass
 class FleetReport:
     seed: int
     start_ts: int
     horizon_s: int
-    nodes: list[NodeReport] = field(default_factory=list)
+    nodes: list[Node] = field(default_factory=list)
 
     @property
     def total_delivered(self) -> int:
-        return sum(n.delivered for n in self.nodes)
+        return sum(n.counters.delivered for n in self.nodes)
 
     def to_json_obj(self) -> dict:
+        rows = [
+            {
+                "station_id": n.station.station_id,
+                "generated": n.counters.generated,
+                "delivered": n.counters.delivered,
+                "buffered": len(n.buffer),
+                "failed_attempts": n.counters.failed_attempts,
+                "dropped": n.counters.dropped,
+            }
+            for n in self.nodes
+        ]
         return {
             "seed": self.seed,
             "start_ts": self.start_ts,
             "horizon_s": self.horizon_s,
-            "totals": {
-                "generated": sum(n.generated for n in self.nodes),
-                "delivered": self.total_delivered,
-                "buffered": sum(n.buffered for n in self.nodes),
-                "failed_attempts": sum(n.failed_attempts for n in self.nodes),
-                "dropped": sum(n.dropped for n in self.nodes),
-            },
-            "nodes": [vars(n) for n in self.nodes],
+            "totals": {key: sum(row[key] for row in rows)
+                       for key in ("generated", "delivered", "buffered", "failed_attempts", "dropped")},
+            "nodes": rows,
         }
 
 
@@ -404,20 +401,8 @@ def run_fleet(
         node.run_cycle(transport)
         node.check_conservation()
 
-    report = FleetReport(seed=seed, start_ts=start_ts, horizon_s=horizon_s)
-    for node in nodes:
-        node.check_conservation()
-        report.nodes.append(
-            NodeReport(
-                station_id=node.station.station_id,
-                generated=node.counters.generated,
-                delivered=node.counters.delivered,
-                buffered=len(node.buffer),
-                failed_attempts=node.counters.failed_attempts,
-                dropped=node.counters.dropped,
-            )
-        )
-    return report
+    # every node was checked after its last cycle; one that never ran holds nothing
+    return FleetReport(seed=seed, start_ts=start_ts, horizon_s=horizon_s, nodes=nodes)
 
 
 def iter_offline_frames(path: str | Path) -> Iterator[str]:
@@ -442,9 +427,12 @@ def load_fleet_config(path: str | Path) -> tuple[list[FleetMember], int]:
     path = Path(path)
     try:
         obj = json.loads(path.read_text())
+        check_keys(obj, "top level", "start_ts", "stations")
         start_ts = int(obj.get("start_ts", 1700000000))
         members = []
         for entry in obj["stations"]:
+            check_keys(entry, "station", "station_id", "display_name", "lat", "lon", "token",
+                       "report_period_s", "scenario")
             station = StationRecord(
                 station_id=entry["station_id"],
                 display_name=entry.get("display_name", entry["station_id"]),
@@ -455,15 +443,15 @@ def load_fleet_config(path: str | Path) -> tuple[list[FleetMember], int]:
                 created_at=start_ts,
             )
             sc = dict(entry["scenario"])
-            rain = tuple(
-                RainEvent(
+            rain = []
+            for r in sc.pop("rain", ()):
+                check_keys(r, "rain event", "start_offset_s", "duration_s", "attenuation")
+                rain.append(RainEvent(
                     start_ts=start_ts + int(r["start_offset_s"]),
                     duration_s=int(r["duration_s"]),
                     attenuation=float(r["attenuation"]),
-                )
-                for r in sc.pop("rain", ())
-            )
-            scenario = Scenario(rain=rain, **sc)
+                ))
+            scenario = Scenario(rain=tuple(rain), **sc)
             members.append(FleetMember(station=station, scenario=scenario))
     except KeyError as exc:
         raise ValueError(f"fleet scenario {path}: missing key {exc}") from exc

@@ -18,10 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-import shutil
 import threading
-import time
-import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
@@ -47,8 +44,19 @@ class UnknownStationError(LookupError):
     pass
 
 
-class BackupIntegrityError(StorageError):
-    pass
+def log_lines(path: Path) -> list[bytes]:
+    """The whole lines of an append-only log.
+
+    A final line without its newline is a torn write. It is dropped on disk
+    too, so the next append starts a fresh line instead of gluing onto it.
+    """
+    raw = path.read_bytes()
+    complete, _, tail = raw.rpartition(b"\n")
+    if tail:
+        logger.warning("discarding torn record tail (%d bytes) in %s", len(tail), path)
+        with open(path, "r+b") as fh:
+            fh.truncate(len(raw) - len(tail))
+    return complete.splitlines()
 
 
 @dataclass(frozen=True)
@@ -132,15 +140,7 @@ class _Station:
         self._fh = None
 
     def recover(self) -> None:
-        raw = self.path.read_bytes()
-        complete, _, tail = raw.rpartition(b"\n")
-        if tail:
-            # drop the torn bytes on disk too, so the next append starts a
-            # fresh line instead of gluing onto the fragment
-            logger.warning("discarding torn record tail (%d bytes) in %s", len(tail), self.path)
-            with open(self.path, "r+b") as fh:
-                fh.truncate(len(raw) - len(tail))
-        lines = complete.splitlines()
+        lines = log_lines(self.path)
         records = None
         try:
             # one parse for the whole log, much cheaper than one per line;
@@ -239,7 +239,6 @@ class TimeSeriesStore:
 
     REGISTRY_FILE = "stations.json"
     SERIES_DIR = "series"
-    MANIFEST_FILE = "manifest.json"
 
     def __init__(self, data_dir: str | Path, fsync: bool = True):
         self.data_dir = Path(data_dir)
@@ -262,12 +261,11 @@ class TimeSeriesStore:
         if not path.exists():
             return
         try:
-            entries = json.loads(path.read_text())
-        except ValueError as exc:
+            for obj in json.loads(path.read_text()):
+                record = StationRecord.from_json_obj(obj)
+                self._stations[record.station_id] = _Station(record, self.series_dir)
+        except (TypeError, KeyError, ValueError) as exc:
             raise StorageError(f"corrupt registry {path}: {exc}") from exc
-        for obj in entries:
-            record = StationRecord.from_json_obj(obj)
-            self._stations[record.station_id] = _Station(record, self.series_dir)
 
     def _save_registry(self) -> None:
         path = self.data_dir / self.REGISTRY_FILE
@@ -372,76 +370,3 @@ class TimeSeriesStore:
 
     def __exit__(self, *exc):
         self.close()
-
-    # -- backups -----------------------------------------------------------
-
-    def backup(self, dest_dir: str | Path) -> dict:
-        """Byte-identical copy of registry and series files, plus a manifest
-        of per-station record counts and per-file CRC32 checksums."""
-        dest = Path(dest_dir)
-        (dest / self.SERIES_DIR).mkdir(parents=True, exist_ok=True)
-        stations = [self._stations[sid] for sid in self.station_ids()]
-        for station in stations:
-            station.lock.acquire()
-        try:
-            manifest: dict = {
-                "created_at": int(time.time()),
-                "files": {},
-                "station_counts": {},
-            }
-            registry_src = self.data_dir / self.REGISTRY_FILE
-            if registry_src.exists():
-                shutil.copyfile(registry_src, dest / self.REGISTRY_FILE)
-                manifest["files"][self.REGISTRY_FILE] = _crc32(dest / self.REGISTRY_FILE)
-            for station in stations:
-                rel = f"{self.SERIES_DIR}/{station.path.name}"
-                if station.path.exists():
-                    shutil.copyfile(station.path, dest / rel)
-                    manifest["files"][rel] = _crc32(dest / rel)
-                manifest["station_counts"][station.record.station_id] = len(station.records)
-        finally:
-            for station in reversed(stations):
-                station.lock.release()
-        (dest / self.MANIFEST_FILE).write_text(json.dumps(manifest, indent=2) + "\n")
-        return manifest
-
-
-def _crc32(path: Path) -> int:
-    return zlib.crc32(path.read_bytes()) & 0xFFFFFFFF
-
-
-def verify_backup(backup_dir: str | Path) -> dict:
-    """Recompute backup checksums against the manifest.
-
-    Returns the manifest; raises BackupIntegrityError on any mismatch or
-    missing file.
-    """
-    backup = Path(backup_dir)
-    manifest_path = backup / TimeSeriesStore.MANIFEST_FILE
-    if not manifest_path.exists():
-        raise BackupIntegrityError(f"no manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    for rel, expected in manifest.get("files", {}).items():
-        path = backup / rel
-        if not path.exists():
-            raise BackupIntegrityError(f"backup file missing: {rel}")
-        actual = _crc32(path)
-        if actual != expected:
-            raise BackupIntegrityError(
-                f"checksum mismatch for {rel}: manifest {expected:#010x}, file {actual:#010x}"
-            )
-    return manifest
-
-
-def restore_backup(backup_dir: str | Path, data_dir: str | Path) -> None:
-    """Verify a backup and copy its files into a data directory; refuses,
-    before copying anything, a manifest entry that lands outside it."""
-    manifest = verify_backup(backup_dir)
-    backup = Path(backup_dir)
-    target = Path(data_dir)
-    for rel in manifest.get("files", {}):
-        if Path(rel).is_absolute() or not (target / rel).resolve().is_relative_to(target.resolve()):
-            raise BackupIntegrityError(f"manifest entry outside the data directory: {rel}")
-    (target / TimeSeriesStore.SERIES_DIR).mkdir(parents=True, exist_ok=True)
-    for rel in manifest.get("files", {}):
-        shutil.copyfile(backup / rel, target / rel)

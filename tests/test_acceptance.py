@@ -254,7 +254,7 @@ def test_criterion_6_outage_recovery(tmp_path):
     blackout = _FleetRun(tmp_path, "blackout", outages=[(start + 8 * 3600, start + 16 * 3600)])
     try:
         assert blackout.report.total_delivered == 360
-        assert sum(n.failed_attempts for n in blackout.report.nodes) > 0
+        assert sum(n.counters.failed_attempts for n in blackout.report.nodes) > 0
         for sid in healthy.station_ids():
             assert blackout.records(sid) == healthy.records(sid), sid
     finally:

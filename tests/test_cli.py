@@ -13,7 +13,7 @@ from iccamon import cli
 from iccamon.rules import load_rules_config
 from iccamon.service import HttpServer, MonitorService, load_server_config
 from iccamon.sim import CallableTransport, load_fleet_config, run_fleet
-from iccamon.store import StationRecord, TimeSeriesStore
+from iccamon.store import Measurement, StationRecord, TimeSeriesStore
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -88,7 +88,11 @@ class TestSimulateCommand:
         lambda obj: obj["stations"][0].update(lat=None),
         lambda obj: obj["stations"][0]["scenario"].update(bogus=1),
         lambda obj: [obj],
-    ], ids=["null-lat", "unknown-scenario-key", "top-level-list"])
+        lambda obj: obj.update(report_perod_s=60),
+        lambda obj: obj["stations"][0].update(report_perod_s=60),
+        lambda obj: obj["stations"][0]["scenario"]["rain"][0].update(start_s=0),
+    ], ids=["null-lat", "unknown-scenario-key", "top-level-list", "unknown-top-level-key",
+            "unknown-station-key", "unknown-rain-key"])
     def test_bad_scenario_entry_exits_2(self, tmp_path, capsys, mutate):
         obj = json.loads((CONFIGS / "fleet_demo.json").read_text())
         obj = mutate(obj) or obj
@@ -98,6 +102,12 @@ class TestSimulateCommand:
                          "--offline", str(tmp_path / "o.ndjson")]) == 2
         err = capsys.readouterr().err
         assert "scenario error:" in err and "bad.json" in err
+
+    @pytest.mark.parametrize("hours", ["nan", "inf", "-1"])
+    def test_duration_not_finite_or_negative_exits_2(self, tmp_path, capsys, hours):
+        assert cli.main(["simulate", "--scenario", str(CONFIGS / "fleet_demo.json"),
+                         "--duration", hours, "--offline", str(tmp_path / "o.ndjson")]) == 2
+        assert "duration must be" in capsys.readouterr().err
 
     def test_unreachable_server_still_exits_0(self, capsys):
         code = cli.main(["simulate", "--scenario", str(CONFIGS / "fleet_demo.json"),
@@ -290,6 +300,47 @@ class TestReplayCommand:
         assert cli.main(["replay", "--config", str(config), str(tmp_path / "f.ndjson")]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and "rules.json" in err and "'nope'" in err
+
+
+class TestStorageErrorAtOpen:
+    """A data directory the store cannot open gives one line and exit 2."""
+
+    @staticmethod
+    def data_dir(tmp_path):
+        config, data_dir = TestReplayCommand.server_config(tmp_path)
+        with TimeSeriesStore(data_dir, fsync=False) as store:
+            for seq in range(1, 4):
+                store.append(Measurement("santa-ana", seq, 1700006400 + seq * 1200, 12.3, 20.0, 28.5))
+        return config, data_dir
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: (d / "stations.json").write_text("[{nope"),
+        lambda d: (d / "stations.json").write_text('{"station_id": "santa-ana"}'),
+        lambda d: (d / "stations.json").write_text(
+            (d / "stations.json").read_text().replace('"lat"', '"latitude"', 1)),
+        lambda d: (d / "series" / "santa-ana.ndjson").write_bytes(
+            b"\n".join(line if i != 1 else b"{torn"
+                       for i, line in enumerate(
+                           (d / "series" / "santa-ana.ndjson").read_bytes().split(b"\n")))),
+    ], ids=["registry-not-json", "registry-object", "registry-unknown-key", "corrupt-mid-record"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, corrupt):
+        # serve opens the data directory through the same _open_service
+        config, data_dir = self.data_dir(tmp_path)
+        corrupt(data_dir)
+        assert cli.main(["replay", "--config", str(config), "--data-dir", str(data_dir),
+                         str(tmp_path / "f.ndjson")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("storage error:") and err.count("\n") == 1
+        assert "Traceback" not in err and str(data_dir) in err
+
+    def test_corrupt_alert_log_line_exits_2(self, tmp_path, capsys):
+        config, data_dir = self.data_dir(tmp_path)
+        config.write_text(json.dumps({"rules_path": str(CONFIGS / "rules_demo.json")}))
+        (data_dir / "alerts.ndjson").write_text("{nope\n")
+        assert cli.main(["replay", "--config", str(config), "--data-dir", str(data_dir),
+                         str(tmp_path / "f.ndjson")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("storage error:") and "alerts.ndjson:1" in err
 
 
 class TestServeCommand:

@@ -19,6 +19,7 @@ from iccamon.rules import (
     evaluate,
     load_rules_config,
 )
+from iccamon.store import StorageError
 
 
 def icca(value):
@@ -153,6 +154,14 @@ class TestSinks:
         assert len(lines) == 2
         assert json.loads(lines[0]) == EVENT.to_json_obj()
 
+    def test_file_sink_fsyncs_each_line(self, tmp_path, monkeypatch):
+        synced = []
+        monkeypatch.setattr("os.fsync", synced.append)
+        sink = FileSink("f", tmp_path / "alerts.ndjson")
+        sink.deliver(EVENT)
+        sink.deliver(EVENT)
+        assert len(synced) == 2
+
     def test_webhook_body_equals_event_serialization(self, receiver):
         handler, url = receiver
         assert dispatch(EVENT, [WebhookSink("w", url)]) == 0
@@ -221,6 +230,44 @@ class TestRuleEngine:
         assert engine.observe("utec-01", icca(153), ts=2) == []
         lines = (tmp_path / "alerts.ndjson").read_text().splitlines()
         assert len(lines) == 1
+
+    def test_states_resume_from_alert_log(self, tmp_path):
+        log = tmp_path / "alerts.ndjson"
+        rules = [Rule("r1", 3, clear_consecutive=2), Rule("r2", 2, clear_consecutive=2)]
+        first = RuleEngine(rules, alert_log_path=log)
+        assert len(first.observe("a", icca(153), 1)) == 2
+        assert len(first.observe("b", icca(153), 1)) == 2
+        assert [e.kind for e in first.observe("b", icca(20), 2)] == []
+        assert [e.kind for e in first.observe("b", icca(20), 3)] == [AlertKind.CLEARED] * 2
+        # restarted: "a" is still active for both rules, "b" for neither
+        second = RuleEngine(rules, alert_log_path=log)
+        assert second.observe("a", icca(153), 4) == []
+        assert [e.kind for e in second.observe("b", icca(153), 4)] == [AlertKind.RAISED] * 2
+        # a rule dropped from the config leaves no state behind
+        third = RuleEngine([Rule("r1", 3, clear_consecutive=2)], alert_log_path=log)
+        assert set(third._states) == {("r1", "a"), ("r1", "b")}
+        assert third.observe("a", icca(153), 5) == []
+        kinds = [json.loads(line)["kind"] for line in log.read_text().splitlines()]
+        assert kinds == ["raised"] * 4 + ["cleared"] * 2 + ["raised"] * 2
+
+    def test_torn_alert_log_tail_is_cut(self, tmp_path, caplog):
+        log = tmp_path / "alerts.ndjson"
+        raised = json.dumps(AlertEvent("r1", "a", AlertKind.RAISED, 153, "x", 1).to_json_obj())
+        cleared = json.dumps(AlertEvent("r1", "a", AlertKind.CLEARED, 20, "x", 2).to_json_obj())
+        log.write_text(raised + "\n" + cleared[:25])  # the cleared write was cut short
+        engine = RuleEngine([Rule("r1", 3, clear_consecutive=1)], alert_log_path=log)
+        assert "torn record tail" in caplog.text
+        assert log.read_text() == raised + "\n"
+        assert engine.observe("a", icca(153), 3) == []  # still active
+        assert [e.kind for e in engine.observe("a", icca(20), 4)] == [AlertKind.CLEARED]
+        kinds = [json.loads(line)["kind"] for line in log.read_text().splitlines()]
+        assert kinds == ["raised", "cleared"]
+
+    def test_corrupt_alert_log_line_raises_storage_error(self, tmp_path):
+        log = tmp_path / "alerts.ndjson"
+        log.write_text('{"rule_id":"r1"}\n')
+        with pytest.raises(StorageError, match=r"alerts\.ndjson:1: corrupt alert event"):
+            RuleEngine([Rule("r1", 3)], alert_log_path=log)
 
     def test_states_independent_per_station(self):
         engine = RuleEngine([Rule("r1", 3)])

@@ -411,6 +411,25 @@ class TestAlertWiring:
         assert [e.kind.value for e in emitted] == ["raised"]
         assert emitted[0].station_id == "utec-01" and emitted[0].icca_value == 169
 
+    def test_restart_with_active_alert_raises_it_once(self, tmp_path):
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps({"rules": [{"rule_id": "r3", "trigger_category_min": 3}]}))
+        config = ServerConfig(data_dir=str(tmp_path / "data"), rules_path=str(rules))
+        seq = 0
+        for run in range(2):
+            service, store = build_service(config)
+            try:
+                if run == 0:
+                    store.upsert_station(StationRecord("utec-01", "x", 0.0, 0.0, "tok-a"))
+                for _ in range(80):
+                    seq += 1
+                    assert service.ingest(
+                        frame_text(seq=seq, ts=START + seq * 1200, pm25=100.0))[0] == 202
+            finally:
+                store.close()
+        lines = (tmp_path / "data" / "alerts.ndjson").read_text().splitlines()
+        assert [json.loads(line)["kind"] for line in lines] == ["raised"]
+
     def test_no_alerts_from_insufficient_windows(self, store):
         engine = RuleEngine([Rule("r1", trigger_category_min=1)])
         fired = []

@@ -226,7 +226,7 @@ class TestRunFleet:
         transport = ListTransport()
         report = run_fleet(self.members(), 24 * 3600, transport, seed=7, start_ts=START)
         assert report.total_delivered == 360
-        assert all(n.generated == 72 and n.buffered == 0 for n in report.nodes)
+        assert all(n.counters.generated == 72 and not n.buffer for n in report.nodes)
         per_station = {}
         for f in transport.frames:
             per_station.setdefault(f.station_id, []).append(f.seq)
@@ -250,7 +250,7 @@ class TestRunFleet:
     def test_zero_duration_empty_report(self):
         report = run_fleet(self.members(), 0, ListTransport(), seed=1, start_ts=START)
         assert report.total_delivered == 0
-        assert all(n.generated == 0 for n in report.nodes)
+        assert all(n.counters.generated == 0 for n in report.nodes)
 
     def test_blackout_counts_failures_and_buffers(self):
         outage = [(START + 4 * 3600, START + 8 * 3600)]
@@ -258,10 +258,10 @@ class TestRunFleet:
         report = run_fleet(self.members(1), 6 * 3600, BlackoutTransport(inner, outage),
                            seed=2, start_ts=START)
         node = report.nodes[0]
-        assert node.generated == 18
-        assert node.buffered == 6  # cycles at 4h..5h40 stay queued
-        assert node.delivered == 12
-        assert node.failed_attempts > 0
+        assert node.counters.generated == 18
+        assert len(node.buffer) == 6  # cycles at 4h..5h40 stay queued
+        assert node.counters.delivered == 12
+        assert node.counters.failed_attempts > 0
 
     def test_callable_transport_statuses(self):
         accepted = []

@@ -1,18 +1,13 @@
-import json
 import random
-import zlib
 
 import pytest
 
 from iccamon.store import (
-    BackupIntegrityError,
     Measurement,
     StationRecord,
     StorageError,
     TimeSeriesStore,
     UnknownStationError,
-    restore_backup,
-    verify_backup,
 )
 
 STATION = StationRecord(
@@ -225,57 +220,3 @@ class TestRegistry:
         with TimeSeriesStore(data) as s:
             assert s.get_station("utec-01") == STATION
             assert s.token_registry() == {"utec-01": "tok-a"}
-
-
-class TestBackup:
-    def test_backup_restore_reproduces_queries(self, tmp_path, store):
-        for seq in range(1, 31):
-            store.append(m(seq))
-        manifest = store.backup(tmp_path / "bak")
-        assert manifest["station_counts"] == {"utec-01": 30}
-
-        restore_backup(tmp_path / "bak", tmp_path / "restored")
-        with TimeSeriesStore(tmp_path / "restored") as copy:
-            assert copy.query_range("utec-01", 0, 10**9) == store.query_range("utec-01", 0, 10**9)
-
-    def test_manifest_counts_and_checksums(self, tmp_path, store):
-        for seq in range(1, 6):
-            store.append(m(seq))
-        manifest = store.backup(tmp_path / "bak")
-        assert manifest["station_counts"]["utec-01"] == store.count("utec-01")
-        assert "series/utec-01.ndjson" in manifest["files"]
-        assert verify_backup(tmp_path / "bak") == json.loads(
-            (tmp_path / "bak" / "manifest.json").read_text())
-
-    def test_tampered_backup_detected(self, tmp_path, store):
-        for seq in range(1, 6):
-            store.append(m(seq))
-        store.backup(tmp_path / "bak")
-        victim = tmp_path / "bak" / "series" / "utec-01.ndjson"
-        raw = bytearray(victim.read_bytes())
-        raw[10] ^= 0xFF
-        victim.write_bytes(bytes(raw))
-        with pytest.raises(BackupIntegrityError):
-            verify_backup(tmp_path / "bak")
-        with pytest.raises(BackupIntegrityError):
-            restore_backup(tmp_path / "bak", tmp_path / "restored")
-
-    @pytest.mark.parametrize("rel", ["../escaped.ndjson", "series/../../escaped.ndjson", "/abs"])
-    def test_restore_refuses_paths_outside_target(self, tmp_path, store, rel):
-        store.append(m(1))
-        bak = tmp_path / "bak"
-        store.backup(bak)
-        if rel == "/abs":
-            rel = str(tmp_path / "abs.ndjson")
-        # plant a source whose checksum matches, so verification alone passes
-        source = bak / rel
-        source.parent.mkdir(parents=True, exist_ok=True)
-        source.write_bytes(b"planted\n")
-        manifest = json.loads((bak / "manifest.json").read_text())
-        manifest["files"][rel] = zlib.crc32(b"planted\n")
-        (bak / "manifest.json").write_text(json.dumps(manifest))
-        verify_backup(bak)
-        with pytest.raises(BackupIntegrityError):
-            restore_backup(bak, tmp_path / "restore" / "data")
-        # nothing was copied, inside the target or next to it
-        assert not (tmp_path / "restore").exists()
