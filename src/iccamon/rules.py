@@ -2,10 +2,9 @@
 
 A rule raises when a station's index reaches its trigger category and
 clears only after a configurable number of consecutive evaluations below
-it, so noisy readings near a boundary don't flap. Events go to pluggable
-sinks (NDJSON file, outbound webhook); sink failures are logged and
-retried once but never block ingestion. The engine's own alert log is
-fsynced per event and read back at start, so rule states survive a restart.
+it, so noisy readings near a boundary don't flap. Events are appended to
+the alert log, read back at start so rule states survive a restart, and
+sent to webhook sinks. A failure of either is logged, never raised.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -22,11 +20,9 @@ from pathlib import Path
 import requests
 
 from .icca import IccaResult
-from .store import StorageError, log_lines
+from .store import NdjsonLog, StorageError
 
 logger = logging.getLogger(__name__)
-
-_JSON_SEP = (",", ":")
 
 
 @dataclass(frozen=True)
@@ -37,6 +33,13 @@ class Rule:
     sink_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
+        # a bool or a float is not a count; a string is not a list of sink ids
+        if not isinstance(self.rule_id, str) or type(self.trigger_category_min) is not int \
+                or type(self.clear_consecutive) is not int \
+                or not isinstance(self.sink_ids, (list, tuple)) \
+                or not all(isinstance(sid, str) for sid in self.sink_ids):
+            raise TypeError(f"need a string id, integer counts and a list of sink ids: {self}")
+        object.__setattr__(self, "sink_ids", tuple(self.sink_ids))
         if not 1 <= self.trigger_category_min <= 5:
             raise ValueError(f"trigger_category_min must be in 1..5, got {self.trigger_category_min}")
         if self.clear_consecutive < 1:
@@ -105,21 +108,6 @@ def evaluate(
     return [], RuleState(active=True, below_count=below)
 
 
-class FileSink:
-    """Appends one NDJSON line per event."""
-
-    def __init__(self, sink_id: str, path: str | Path):
-        self.sink_id = sink_id
-        self.path = Path(path)
-
-    def deliver(self, event: AlertEvent) -> None:
-        line = json.dumps(event.to_json_obj(), separators=_JSON_SEP, ensure_ascii=False) + "\n"
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line)
-            fh.flush()
-            os.fsync(fh.fileno())  # durable before the frame that raised it is acknowledged
-
-
 class WebhookSink:
     """POSTs the event as JSON to a configured URL."""
 
@@ -153,30 +141,17 @@ def dispatch(event: AlertEvent, sinks) -> int:
     return failed
 
 
-def _recover_states(path: Path, rule_ids) -> dict[tuple[str, str], RuleState]:
-    """Rule states from an alert log: per (rule, station), active when its
-    last event is raised. Events of rules not in rule_ids are ignored.
+def _event_state(obj: dict) -> tuple[tuple[str, str], bool]:
+    return (obj["rule_id"], obj["station_id"]), AlertKind(obj["kind"]) is AlertKind.RAISED
 
-    A torn last line is dropped as in the store's logs. A restart loses
-    only a pending clear countdown, which starts again from zero.
+
+def _recover_states(log: NdjsonLog, rule_ids) -> dict[tuple[str, str], RuleState]:
+    """Rule states from an alert log: per (rule, station), active when its
+    last event is raised. Events of rules not in rule_ids are ignored. A
+    restart loses only a pending clear countdown, which starts from zero.
     """
-    try:
-        lines = log_lines(path)
-    except FileNotFoundError:
-        return {}
-    states = {}
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            key = (obj["rule_id"], obj["station_id"])
-            active = AlertKind(obj["kind"]) is AlertKind.RAISED
-        except (ValueError, KeyError, TypeError) as exc:
-            raise StorageError(f"{path}:{lineno}: corrupt alert event: {exc}") from exc
-        if key[0] in rule_ids:
-            states[key] = RuleState(active=active)
-    return states
+    return {key: RuleState(active=active)
+            for key, active in log.read(_event_state, "alert event") if key[0] in rule_ids}
 
 
 class RuleEngine:
@@ -187,29 +162,29 @@ class RuleEngine:
     active alert a second time.
     """
 
-    def __init__(self, rules, sinks=None, alert_log_path: str | Path | None = None):
+    def __init__(self, rules, sinks=None, alert_log: NdjsonLog | None = None):
         self.rules = list(rules)
         self.sinks = dict(sinks or {})
         for rule in self.rules:
             for sid in rule.sink_ids:
                 if sid not in self.sinks:
                     raise ValueError(f"rule {rule.rule_id!r} names unknown sink {sid!r}")
-        self.alert_log_path = Path(alert_log_path) if alert_log_path else None
+        self.alert_log = alert_log
         self._states: dict[tuple[str, str], RuleState] = (
-            _recover_states(self.alert_log_path, {r.rule_id for r in self.rules})
-            if self.alert_log_path else {})
+            _recover_states(alert_log, {r.rule_id for r in self.rules})
+            if alert_log is not None else {})
         self._lock = threading.Lock()
-        self.failed_deliveries = 0  # sink deliveries still failing after their retry
+        self.failed_deliveries = 0  # failed alert-log appends, and sinks after their retry
 
     def observe(self, station_id: str, icca: IccaResult, ts: int) -> list[AlertEvent]:
         """Run every rule against one station index evaluation.
 
         The caller must only pass indices computed from sufficient windows.
-        States change under the engine's lock; the alert log and the sinks
-        are written after it is released, so a slow sink delays only this
-        call, not other stations. A station's events keep their order
-        because the caller serialises each station (ingest holds the
-        store's per-station lock).
+        States change and events are appended to the one alert log under
+        the engine's lock; the sinks are called after it is released, so a
+        slow sink delays only this call, not other stations. A station's
+        events keep their order because the caller serialises each station
+        (ingest holds the store's per-station lock).
         """
         emitted: list[tuple[AlertEvent, Rule]] = []
         with self._lock:
@@ -218,33 +193,38 @@ class RuleEngine:
                 state = self._states.get(key, RuleState())
                 events, new_state = evaluate(rule, station_id, state, icca, ts)
                 self._states[key] = new_state
-                emitted.extend((event, rule) for event in events)
+                for event in events:
+                    self._log(event)
+                    emitted.append((event, rule))
         for event, rule in emitted:
-            self._record(event, rule)
+            failed = dispatch(event, [self.sinks[sid] for sid in rule.sink_ids])
+            with self._lock:
+                self.failed_deliveries += failed
         return [event for event, _ in emitted]
 
-    def _record(self, event: AlertEvent, rule: Rule) -> None:
-        if self.alert_log_path is not None:
-            FileSink("alert_log", self.alert_log_path).deliver(event)
-        failed = dispatch(event, [self.sinks[sid] for sid in rule.sink_ids])
-        with self._lock:
-            self.failed_deliveries += failed
+    def _log(self, event: AlertEvent) -> None:
+        """Append an event to the alert log, if any. Call under the lock."""
+        try:
+            if self.alert_log is not None:
+                self.alert_log.append(event.to_json_obj())
+        except StorageError as exc:
+            # the frame is stored and still gets its 202; a restart may raise the event again
+            logger.error("alert event not logged: %s", exc)
+            self.failed_deliveries += 1
 
 
-def load_rules_config(path: str | Path, alert_log_path: str | Path | None = None) -> RuleEngine:
-    """Build an engine from a JSON config file, with its alert log at
-    alert_log_path if one is given.
+def load_rules_config(path: str | Path, alert_log: NdjsonLog | None = None) -> RuleEngine:
+    """Build an engine from a JSON config file, writing alert_log if given.
 
     Schema; any other key is an error:
         {"rules": [{"rule_id": ..., "trigger_category_min": 1..5,
                     "clear_consecutive": n, "sink_ids": [...]}],
-         "sinks": [{"sink_id": ..., "type": "file", "path": ...} |
-                   {"sink_id": ..., "type": "webhook", "url": ..., "timeout": s}]}
+         "sinks": [{"sink_id": ..., "type": "webhook", "url": ..., "timeout": s}]}
     Every error, bad JSON included, is a ValueError naming the file.
     """
     path = Path(path)
     try:
-        return _build_engine(json.loads(path.read_text()), path, alert_log_path)
+        return _build_engine(json.loads(path.read_text()), alert_log)
     except KeyError as exc:
         raise ValueError(f"rules config {path}: missing key {exc}") from exc
     except (TypeError, AttributeError) as exc:
@@ -262,7 +242,7 @@ def check_keys(obj, where: str, *known: str) -> None:
         raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _build_engine(obj, path: Path, alert_log_path) -> RuleEngine:
+def _build_engine(obj, alert_log) -> RuleEngine:
     check_keys(obj, "top level", "rules", "sinks")
     rules = []
     for r in obj.get("rules", ()):
@@ -271,21 +251,17 @@ def _build_engine(obj, path: Path, alert_log_path) -> RuleEngine:
             rule_id=r["rule_id"],
             trigger_category_min=r["trigger_category_min"],
             clear_consecutive=r.get("clear_consecutive", 3),
-            sink_ids=tuple(r.get("sink_ids", ())),
+            sink_ids=r.get("sink_ids", ()),
         ))
     sinks = {}
     for s in obj.get("sinks", ()):
-        if s["type"] == "file":
-            check_keys(s, "file sink", "sink_id", "type", "path")
-            sinks[s["sink_id"]] = FileSink(s["sink_id"], path.parent / s["path"])
-        elif s["type"] == "webhook":
-            check_keys(s, "webhook sink", "sink_id", "type", "url", "timeout")
-            url, timeout = s["url"], s.get("timeout", 5.0)
-            if not isinstance(url, str) or type(timeout) not in (int, float) \
-                    or not 0 < timeout < math.inf:
-                raise ValueError(f"webhook needs a string url and a positive timeout, "
-                                 f"got {url!r} and {timeout!r}")
-            sinks[s["sink_id"]] = WebhookSink(s["sink_id"], url, timeout)
-        else:
+        if s["type"] != "webhook":
             raise ValueError(f"unknown sink type: {s['type']!r}")
-    return RuleEngine(rules, sinks, alert_log_path)
+        check_keys(s, "webhook sink", "sink_id", "type", "url", "timeout")
+        url, timeout = s["url"], s.get("timeout", 5.0)
+        if not isinstance(url, str) or type(timeout) not in (int, float) \
+                or not 0 < timeout < math.inf:
+            raise ValueError(f"webhook needs a string url and a positive timeout, "
+                             f"got {url!r} and {timeout!r}")
+        sinks[s["sink_id"]] = WebhookSink(s["sink_id"], url, timeout)
+    return RuleEngine(rules, sinks, alert_log)

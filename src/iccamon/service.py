@@ -436,13 +436,13 @@ class HttpServer:
 
 
 def build_service(config: ServerConfig) -> tuple[MonitorService, TimeSeriesStore]:
-    """Wire a service from a config: store, rule engine, and the engine's
-    alert log, always <data_dir>/alerts.ndjson."""
+    """Wire a service from a config: store, and a rule engine that writes
+    the store's alert log, always <data_dir>/alerts.ndjson."""
     data_dir = Path(config.data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     store = TimeSeriesStore(data_dir)
     engine = None
     if config.rules_path:
-        engine = load_rules_config(config.rules_path, data_dir / "alerts.ndjson")
+        engine = load_rules_config(config.rules_path, store.alert_log)
     service = MonitorService(store, rule_engine=engine, alert_source=config.alert_source)
     return service, store

@@ -2,12 +2,12 @@
 
 Layout under the data directory:
 
-    stations.json              station registry
+    stations.json              station registry, only read
     series/<station_id>.ndjson one JSON record per line, append-only
+    alerts.ndjson              the rule engine's alert events, append-only
 
-A record line mirrors the wire frame minus the token, plus quality flags.
-Recovery discards a final line without its trailing newline, so a crash
-mid-write never surfaces a torn record. An in-memory index (records sorted
+Both kinds of log are NdjsonLogs. A record line mirrors the wire frame
+minus the token, plus quality flags. An in-memory index (records sorted
 by timestamp, last accepted sequence number) is rebuilt on open; logs are
 small at desk scale. Beside it each station keeps exact running sums of its
 24-hour window, built on the window's first use and updated per record.
@@ -34,6 +34,8 @@ BEYOND_SENSOR_RANGE = "beyond_sensor_range"
 _JSON_SEP = (",", ":")
 _NO_FLAGS: frozenset[str] = frozenset()
 _ts = attrgetter("ts")
+# what a line that is not the expected JSON object raises in parsing or conversion
+_BAD_LINE = (ValueError, KeyError, TypeError, AttributeError)
 
 
 class StorageError(Exception):
@@ -44,19 +46,73 @@ class UnknownStationError(LookupError):
     pass
 
 
-def log_lines(path: Path) -> list[bytes]:
-    """The whole lines of an append-only log.
+class NdjsonLog:
+    """An append-only file of compact JSON lines, created by the first append.
 
-    A final line without its newline is a torn write. It is dropped on disk
-    too, so the next append starts a fresh line instead of gluing onto it.
+    Each append is flushed and, with fsync, fsynced before it returns.
+    Not thread-safe: callers serialise appends.
     """
-    raw = path.read_bytes()
-    complete, _, tail = raw.rpartition(b"\n")
-    if tail:
-        logger.warning("discarding torn record tail (%d bytes) in %s", len(tail), path)
-        with open(path, "r+b") as fh:
-            fh.truncate(len(raw) - len(tail))
-    return complete.splitlines()
+
+    def __init__(self, path: Path, fsync: bool = True):
+        self.path = path
+        self._fsync = fsync
+        self._fh = None
+
+    def append(self, obj) -> None:
+        line = json.dumps(obj, separators=_JSON_SEP, ensure_ascii=False) + "\n"
+        try:
+            if self._fh is None:
+                self._fh = open(self.path, "ab")
+            self._fh.write(line.encode("utf-8"))
+            self._fh.flush()
+            if self._fsync:
+                os.fsync(self._fh.fileno())
+        except OSError as exc:
+            raise StorageError(f"append to {self.path} failed: {exc}") from exc
+
+    def read(self, convert, what: str) -> list:
+        """convert(obj) for each line, in file order; [] without a file.
+
+        A final line without its newline is a torn write, so a crash
+        mid-write never surfaces a torn record. It is cut on disk too, so the
+        next append starts a fresh line. A blank line is skipped; a line that
+        does not parse or convert is a StorageError naming path:lineno.
+        """
+        try:
+            raw = self.path.read_bytes()
+            complete, _, tail = raw.rpartition(b"\n")
+            if tail:
+                logger.warning("discarding torn record tail (%d bytes) in %s", len(tail), self.path)
+                with open(self.path, "r+b") as fh:
+                    fh.truncate(len(raw) - len(tail))
+        except FileNotFoundError:
+            return []
+        except OSError as exc:
+            raise StorageError(f"read of {self.path} failed: {exc}") from exc
+        lines = complete.splitlines()
+        try:
+            # one parse for the whole log, much cheaper than one per line;
+            # a log it cannot read as one object per line is read line by
+            # line below, which names the first bad line
+            objs = json.loads(b"[" + b",".join(lines) + b"]")
+            if len(objs) == len(lines):
+                return [convert(obj) for obj in objs]
+        except _BAD_LINE:
+            pass
+        items = []
+        for lineno, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
+                items.append(convert(json.loads(line)))
+            except _BAD_LINE as exc:
+                raise StorageError(f"{self.path}:{lineno}: corrupt {what}: {exc}") from exc
+        return items
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
 
 @dataclass(frozen=True)
@@ -124,9 +180,9 @@ class StationRecord:
 class _Station:
     """One station's registry record, series file and in-memory index."""
 
-    def __init__(self, record: StationRecord, series_dir: Path):
+    def __init__(self, record: StationRecord, series_dir: Path, fsync: bool):
         self.record = record
-        self.path = series_dir / f"{record.station_id}.ndjson"
+        self.log = NdjsonLog(series_dir / f"{record.station_id}.ndjson", fsync)
         self.lock = threading.RLock()  # re-entrant: ingest holds it across append and reads
         self.records: list[Measurement] = []  # kept sorted by ts
         self.ts_index: list[int] = []
@@ -137,24 +193,9 @@ class _Station:
         # first used, so recovery does no window work.
         self.win_start: int | None = None
         self.sum25 = self.sum10 = 0
-        self._fh = None
 
     def recover(self) -> None:
-        lines = log_lines(self.path)
-        records = None
-        try:
-            # one parse for the whole log, much cheaper than one per line;
-            # a log it cannot read as one record per line is read line by
-            # line below, which names the first bad line
-            objs = json.loads(b"[" + b",".join(lines) + b"]")
-            if len(objs) == len(lines):
-                records = [Measurement.from_json_obj(obj) for obj in objs]
-        except (ValueError, KeyError, TypeError):
-            pass
-        if records is None:
-            records = [self._parse(lineno, line)
-                       for lineno, line in enumerate(lines, 1) if line.strip()]
-        for m in records:
+        for m in self.log.read(Measurement.from_json_obj, "record"):
             # appends write increasing seqs; a repeat is left by a retried append
             if self.accepts(m.seq):
                 self.records.append(m)
@@ -162,12 +203,6 @@ class _Station:
         # stable, so equal timestamps keep log order, as _index keeps them
         self.records.sort(key=_ts)
         self.ts_index = [m.ts for m in self.records]
-
-    def _parse(self, lineno: int, line: bytes) -> Measurement:
-        try:
-            return Measurement.from_json_obj(json.loads(line))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise StorageError(f"{self.path}:{lineno}: corrupt record: {exc}") from exc
 
     def accepts(self, seq: int) -> bool:
         return self.last_seq is None or seq > self.last_seq
@@ -218,69 +253,44 @@ class _Station:
             return None
         return self.ts_index[-1], len(self.records) - self.win_start, self.sum25, self.sum10
 
-    def handle(self):
-        if self._fh is None:
-            self._fh = open(self.path, "ab")
-        return self._fh
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
 
 class TimeSeriesStore:
     """Durable per-station measurement logs with duplicate suppression.
 
     The store owns all per-station state. One writer per station log
     (enforced with a per-station lock); readers see a consistent snapshot
-    taken under the same lock.
+    taken under the same lock. It also holds the rule engine's alert log.
     """
 
     REGISTRY_FILE = "stations.json"
     SERIES_DIR = "series"
+    ALERT_LOG_FILE = "alerts.ndjson"
 
     def __init__(self, data_dir: str | Path, fsync: bool = True):
         self.data_dir = Path(data_dir)
         self.series_dir = self.data_dir / self.SERIES_DIR
         self.series_dir.mkdir(parents=True, exist_ok=True)
-        self._fsync = fsync
-        self._registry_lock = threading.Lock()
+        self.alert_log = NdjsonLog(self.data_dir / self.ALERT_LOG_FILE, fsync)
         self._stations: dict[str, _Station] = {}
-        self._load_registry()
+        self._load_registry(fsync)
         # one directory listing instead of a stat per registered station
         logs = {entry.name for entry in os.scandir(self.series_dir)}
         for station in self._stations.values():
-            if station.path.name in logs:
+            if station.log.path.name in logs:
                 station.recover()
 
     # -- registry ----------------------------------------------------------
 
-    def _load_registry(self) -> None:
+    def _load_registry(self, fsync: bool) -> None:
         path = self.data_dir / self.REGISTRY_FILE
         if not path.exists():
             return
         try:
             for obj in json.loads(path.read_text()):
                 record = StationRecord.from_json_obj(obj)
-                self._stations[record.station_id] = _Station(record, self.series_dir)
+                self._stations[record.station_id] = _Station(record, self.series_dir, fsync)
         except (TypeError, KeyError, ValueError) as exc:
             raise StorageError(f"corrupt registry {path}: {exc}") from exc
-
-    def _save_registry(self) -> None:
-        path = self.data_dir / self.REGISTRY_FILE
-        tmp = path.with_suffix(".json.tmp")
-        payload = json.dumps(
-            [st.record.to_json_obj() for st in self._stations.values()], indent=2, ensure_ascii=False
-        )
-        tmp.write_text(payload + "\n")
-        os.replace(tmp, path)
-
-    def upsert_station(self, record: StationRecord) -> None:
-        with self._registry_lock:
-            station = self._stations.setdefault(record.station_id, _Station(record, self.series_dir))
-            station.record = record
-            self._save_registry()
 
     def _station(self, station_id: str) -> _Station:
         try:
@@ -320,15 +330,7 @@ class TimeSeriesStore:
         with station.lock:
             if not station.accepts(m.seq):
                 return None
-            line = json.dumps(m.to_json_obj(), separators=_JSON_SEP, ensure_ascii=False) + "\n"
-            fh = station.handle()
-            try:
-                fh.write(line.encode("utf-8"))
-                fh.flush()
-                if self._fsync:
-                    os.fsync(fh.fileno())
-            except OSError as exc:
-                raise StorageError(f"append to {station.path} failed: {exc}") from exc
+            station.log.append(m.to_json_obj())
             offset = len(station.records)
             station._index(m)
             return offset
@@ -363,7 +365,8 @@ class TimeSeriesStore:
 
     def close(self) -> None:
         for station in self._stations.values():
-            station.close()
+            station.log.close()
+        self.alert_log.close()
 
     def __enter__(self):
         return self

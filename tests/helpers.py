@@ -1,0 +1,16 @@
+"""Shared set-up for tests that open a store."""
+
+import json
+from pathlib import Path
+
+from iccamon.store import StationRecord, TimeSeriesStore
+
+
+def register(data_dir, *stations: StationRecord) -> Path:
+    """Write the station registry under data_dir, as an operator does before
+    starting the service, and return data_dir."""
+    data_dir = Path(data_dir)
+    data_dir.mkdir(parents=True, exist_ok=True)
+    registry = [st.to_json_obj() for st in stations]
+    (data_dir / TimeSeriesStore.REGISTRY_FILE).write_text(json.dumps(registry))
+    return data_dir

@@ -30,6 +30,7 @@ from iccamon.sim import (
 from iccamon.store import TimeSeriesStore
 from iccamon.telemetry import RejectReason, TelemetryFrame, parse_and_validate, parse_frame, serialize
 
+from .helpers import register
 from .oracles import ORACLE_PM10, ORACLE_PM25, icca_oracle, stats_oracle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -56,9 +57,7 @@ class _FleetRun:
     """The shipped 5-station demo fleet run for 24 h into a fresh service."""
     def __init__(self, tmp_path, name, outages=None, rules=None, seed=7):
         self.members, self.start_ts = load_fleet_config(CONFIGS / "fleet_demo.json")
-        self.store = TimeSeriesStore(tmp_path / name)
-        for m in self.members:
-            self.store.upsert_station(m.station)
+        self.store = TimeSeriesStore(register(tmp_path / name, *(m.station for m in self.members)))
         self.engine = RuleEngine(rules) if rules else None
         self.events = []
         if self.engine is not None:
@@ -268,9 +267,8 @@ def test_criterion_7_crash_safety(tmp_path):
     budget = _Budget(10.0)
     from iccamon.store import Measurement, StationRecord
 
-    data = tmp_path / "crash"
+    data = register(tmp_path / "crash", StationRecord("st-1", "st-1", 13.7, -89.2, "tok"))
     with TimeSeriesStore(data) as store:
-        store.upsert_station(StationRecord("st-1", "st-1", 13.7, -89.2, "tok"))
         for seq in range(1, 41):
             store.append(Measurement("st-1", seq, seq * 60, 10.0 + seq, 20.0, 25.0))
     log = data / "series" / "st-1.ndjson"

@@ -15,6 +15,8 @@ from iccamon.service import HttpServer, MonitorService, load_server_config
 from iccamon.sim import CallableTransport, load_fleet_config, run_fleet
 from iccamon.store import Measurement, StationRecord, TimeSeriesStore
 
+from .helpers import register
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -122,9 +124,8 @@ class TestSimulateCommand:
 @pytest.fixture
 def live_server(tmp_path):
     members, start_ts = load_fleet_config(CONFIGS / "fleet_demo.json")
-    store = TimeSeriesStore(tmp_path / "data", fsync=False)
-    for m in members:
-        store.upsert_station(m.station)
+    store = TimeSeriesStore(register(tmp_path / "data", *(m.station for m in members)),
+                            fsync=False)
     service = MonitorService(store)
     run_fleet(members, 24 * 3600, CallableTransport(lambda t: service.ingest(t)[0]),
               seed=7, start_ts=start_ts)
@@ -322,7 +323,12 @@ class TestStorageErrorAtOpen:
             b"\n".join(line if i != 1 else b"{torn"
                        for i, line in enumerate(
                            (d / "series" / "santa-ana.ndjson").read_bytes().split(b"\n")))),
-    ], ids=["registry-not-json", "registry-object", "registry-unknown-key", "corrupt-mid-record"])
+        lambda d: (d / "series" / "santa-ana.ndjson").write_bytes(
+            (d / "series" / "santa-ana.ndjson").read_bytes() + b"[1]\n"),
+        lambda d: [(d / "series" / "santa-ana.ndjson").unlink(),
+                   (d / "series" / "santa-ana.ndjson").mkdir()],
+    ], ids=["registry-not-json", "registry-object", "registry-unknown-key", "corrupt-mid-record",
+            "record-not-an-object", "log-unreadable"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, corrupt):
         # serve opens the data directory through the same _open_service
         config, data_dir = self.data_dir(tmp_path)

@@ -10,7 +10,6 @@ from iccamon.icca import CATEGORIES, IccaResult, Pollutant
 from iccamon.rules import (
     AlertEvent,
     AlertKind,
-    FileSink,
     Rule,
     RuleEngine,
     RuleState,
@@ -19,7 +18,7 @@ from iccamon.rules import (
     evaluate,
     load_rules_config,
 )
-from iccamon.store import StorageError
+from iccamon.store import NdjsonLog, StorageError
 
 
 def icca(value):
@@ -129,39 +128,43 @@ class _Receiver(BaseHTTPRequestHandler):
 
 
 @pytest.fixture
-def receiver():
-    class Handler(_Receiver):
-        bodies = []
-        posts = 0
-        fail = False
+def receivers():
+    """Starts webhook receivers: each call gives (handler class, url)."""
+    servers = []
 
-    server = HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    yield Handler, f"http://127.0.0.1:{server.server_address[1]}/hook"
-    server.shutdown()
+    def start():
+        class Handler(_Receiver):
+            bodies = []
+            posts = 0
+            fail = False
+
+        server = HTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+        servers.append(server)
+        return Handler, f"http://127.0.0.1:{server.server_address[1]}/hook"
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def receiver(receivers):
+    return receivers()
+
+
+@pytest.fixture
+def alert_log(tmp_path):
+    log = NdjsonLog(tmp_path / "alerts.ndjson")
+    yield log
+    log.close()
 
 
 EVENT = AlertEvent("r1", "utec-01", AlertKind.RAISED, 153, "Dañina a la Salud", 1700000000)
 
 
 class TestSinks:
-    def test_file_sink_one_line_per_event(self, tmp_path):
-        sink = FileSink("f", tmp_path / "alerts.ndjson")
-        sink.deliver(EVENT)
-        sink.deliver(EVENT)
-        lines = (tmp_path / "alerts.ndjson").read_text().splitlines()
-        assert len(lines) == 2
-        assert json.loads(lines[0]) == EVENT.to_json_obj()
-
-    def test_file_sink_fsyncs_each_line(self, tmp_path, monkeypatch):
-        synced = []
-        monkeypatch.setattr("os.fsync", synced.append)
-        sink = FileSink("f", tmp_path / "alerts.ndjson")
-        sink.deliver(EVENT)
-        sink.deliver(EVENT)
-        assert len(synced) == 2
-
     def test_webhook_body_equals_event_serialization(self, receiver):
         handler, url = receiver
         assert dispatch(EVENT, [WebhookSink("w", url)]) == 0
@@ -181,13 +184,14 @@ class TestSinks:
         assert dispatch(EVENT, [WebhookSink("w", url)]) == 1
         assert handler.posts == 2
 
-    def test_one_failing_sink_does_not_block_others(self, tmp_path, receiver):
-        handler, url = receiver
-        handler.fail = True
-        sinks = [WebhookSink("w", url), FileSink("f", tmp_path / "a.ndjson")]
+    def test_one_failing_sink_does_not_block_others(self, receivers):
+        failing, failing_url = receivers()
+        working, working_url = receivers()
+        failing.fail = True
+        sinks = [WebhookSink("w1", failing_url), WebhookSink("w2", working_url)]
         assert dispatch(EVENT, sinks) == 1
-        assert handler.posts == 2
-        assert len((tmp_path / "a.ndjson").read_text().splitlines()) == 1
+        assert failing.posts == 2
+        assert working.bodies == [EVENT.to_json_obj()]
 
 
 class TestRuleEngine:
@@ -224,38 +228,60 @@ class TestRuleEngine:
         assert not blocked.is_alive()
         assert len(result[0]) == 1 and engine.failed_deliveries == 0
 
-    def test_observe_writes_alert_log(self, tmp_path):
-        engine = RuleEngine([Rule("r1", 3)], alert_log_path=tmp_path / "alerts.ndjson")
+    def test_observe_writes_alert_log(self, tmp_path, alert_log):
+        engine = RuleEngine([Rule("r1", 3)], alert_log=alert_log)
         assert engine.observe("utec-01", icca(153), ts=1) != []
         assert engine.observe("utec-01", icca(153), ts=2) == []
         lines = (tmp_path / "alerts.ndjson").read_text().splitlines()
-        assert len(lines) == 1
+        assert [json.loads(line) for line in lines] == [
+            AlertEvent("r1", "utec-01", AlertKind.RAISED, 153, "Dañina a la Salud", 1).to_json_obj()]
 
-    def test_states_resume_from_alert_log(self, tmp_path):
+    def test_alert_log_fsyncs_each_event(self, alert_log, monkeypatch):
+        synced = []
+        monkeypatch.setattr("os.fsync", synced.append)
+        engine = RuleEngine([Rule("r1", 3)], alert_log=alert_log)
+        engine.observe("a", icca(153), ts=1)
+        engine.observe("b", icca(153), ts=1)
+        assert len(synced) == 2
+
+    def test_alert_log_failure_logged_counted_and_sinks_still_called(
+            self, tmp_path, receiver, caplog):
+        handler, url = receiver
+        engine = RuleEngine([Rule("r1", 3, sink_ids=("w",))], {"w": WebhookSink("w", url)},
+                            alert_log=NdjsonLog(tmp_path / "alerts.ndjson"))
+        (tmp_path / "alerts.ndjson").mkdir()  # the log can no longer be opened
+        [event] = engine.observe("a", icca(153), ts=1)
+        assert engine.failed_deliveries == 1
+        assert handler.bodies == [event.to_json_obj()]
+        [record] = [r for r in caplog.records if r.name == "iccamon.rules"]
+        assert record.levelname == "ERROR" and "alert event not logged" in record.getMessage()
+        assert engine.observe("a", icca(10), ts=2) == []  # the state moved on all the same
+
+    def test_states_resume_from_alert_log(self, tmp_path, alert_log):
         log = tmp_path / "alerts.ndjson"
         rules = [Rule("r1", 3, clear_consecutive=2), Rule("r2", 2, clear_consecutive=2)]
-        first = RuleEngine(rules, alert_log_path=log)
+        first = RuleEngine(rules, alert_log=alert_log)
         assert len(first.observe("a", icca(153), 1)) == 2
         assert len(first.observe("b", icca(153), 1)) == 2
         assert [e.kind for e in first.observe("b", icca(20), 2)] == []
         assert [e.kind for e in first.observe("b", icca(20), 3)] == [AlertKind.CLEARED] * 2
         # restarted: "a" is still active for both rules, "b" for neither
-        second = RuleEngine(rules, alert_log_path=log)
+        second = RuleEngine(rules, alert_log=alert_log)
         assert second.observe("a", icca(153), 4) == []
         assert [e.kind for e in second.observe("b", icca(153), 4)] == [AlertKind.RAISED] * 2
         # a rule dropped from the config leaves no state behind
-        third = RuleEngine([Rule("r1", 3, clear_consecutive=2)], alert_log_path=log)
+        third = RuleEngine([Rule("r1", 3, clear_consecutive=2)], alert_log=alert_log)
         assert set(third._states) == {("r1", "a"), ("r1", "b")}
         assert third.observe("a", icca(153), 5) == []
         kinds = [json.loads(line)["kind"] for line in log.read_text().splitlines()]
         assert kinds == ["raised"] * 4 + ["cleared"] * 2 + ["raised"] * 2
 
-    def test_torn_alert_log_tail_is_cut(self, tmp_path, caplog):
+    def test_torn_alert_log_tail_is_cut(self, tmp_path, alert_log, caplog):
         log = tmp_path / "alerts.ndjson"
         raised = json.dumps(AlertEvent("r1", "a", AlertKind.RAISED, 153, "x", 1).to_json_obj())
         cleared = json.dumps(AlertEvent("r1", "a", AlertKind.CLEARED, 20, "x", 2).to_json_obj())
         log.write_text(raised + "\n" + cleared[:25])  # the cleared write was cut short
-        engine = RuleEngine([Rule("r1", 3, clear_consecutive=1)], alert_log_path=log)
+        engine = RuleEngine([Rule("r1", 3, clear_consecutive=1)], alert_log=alert_log)
         assert "torn record tail" in caplog.text
         assert log.read_text() == raised + "\n"
         assert engine.observe("a", icca(153), 3) == []  # still active
@@ -263,35 +289,34 @@ class TestRuleEngine:
         kinds = [json.loads(line)["kind"] for line in log.read_text().splitlines()]
         assert kinds == ["raised", "cleared"]
 
-    def test_corrupt_alert_log_line_raises_storage_error(self, tmp_path):
-        log = tmp_path / "alerts.ndjson"
-        log.write_text('{"rule_id":"r1"}\n')
+    def test_corrupt_alert_log_line_raises_storage_error(self, tmp_path, alert_log):
+        (tmp_path / "alerts.ndjson").write_text('{"rule_id":"r1"}\n')
         with pytest.raises(StorageError, match=r"alerts\.ndjson:1: corrupt alert event"):
-            RuleEngine([Rule("r1", 3)], alert_log_path=log)
+            RuleEngine([Rule("r1", 3)], alert_log=alert_log)
 
     def test_states_independent_per_station(self):
         engine = RuleEngine([Rule("r1", 3)])
         assert len(engine.observe("a", icca(153), 1)) == 1
         assert len(engine.observe("b", icca(153), 1)) == 1
 
-    def test_config_loading(self, tmp_path):
+    def test_config_loading(self, tmp_path, receiver):
+        handler, url = receiver
         cfg = {
             "rules": [{"rule_id": "unhealthy", "trigger_category_min": 3,
-                       "clear_consecutive": 2, "sink_ids": ["log"]}],
-            "sinks": [{"sink_id": "log", "type": "file", "path": "out.ndjson"},
-                      {"sink_id": "hook", "type": "webhook",
-                       "url": "http://127.0.0.1:9/x", "timeout": 0.5}],
+                       "clear_consecutive": 2, "sink_ids": ["hook"]}],
+            "sinks": [{"sink_id": "hook", "type": "webhook", "url": url, "timeout": 0.5}],
         }
         path = tmp_path / "rules.json"
         path.write_text(json.dumps(cfg))
         engine = load_rules_config(path)
         assert engine.rules[0].rule_id == "unhealthy"
         assert engine.rules[0].clear_consecutive == 2
-        assert engine.sinks["hook"].url == "http://127.0.0.1:9/x"
+        assert engine.rules[0].sink_ids == ("hook",)
+        assert engine.sinks["hook"].url == url
         assert engine.sinks["hook"].timeout == 0.5
-        assert engine.alert_log_path is None  # build_service places the alert log
-        engine.observe("utec-01", icca(170), ts=9)
-        assert (tmp_path / "out.ndjson").exists()
+        assert engine.alert_log is None  # build_service passes the store's alert log
+        [event] = engine.observe("utec-01", icca(170), ts=9)
+        assert handler.bodies == [event.to_json_obj()]
         assert engine.failed_deliveries == 0
 
     def test_unknown_sink_id_rejected_at_construction(self):
@@ -321,6 +346,14 @@ class TestRuleEngine:
         {"sinks": [{"sink_id": "w", "type": "webhook", "url": "http://x", "timeout": True}]},
         {"sinks": [{"sink_id": "w", "type": "webhook", "url": 5}]},
         {"sinks": [{"sink_id": "f", "type": "file", "path": 5}]},
+        {"sinks": [{"sink_id": "f", "type": "file", "path": "a.ndjson"}]},  # no file sinks
+        {"rules": [{"rule_id": "r", "trigger_category_min": True}]},
+        {"rules": [{"rule_id": "r", "trigger_category_min": 3.0}]},
+        {"rules": [{"rule_id": "r", "trigger_category_min": 3, "clear_consecutive": 2.5}]},
+        {"rules": [{"rule_id": 5, "trigger_category_min": 3}]},
+        {"rules": [{"rule_id": "r", "trigger_category_min": 3, "sink_ids": "ab"}],
+         "sinks": [{"sink_id": "a", "type": "webhook", "url": "http://x"},
+                   {"sink_id": "b", "type": "webhook", "url": "http://x"}]},
     ])
     def test_config_bad_entry_names_the_file(self, tmp_path, cfg):
         path = tmp_path / "rules.json"

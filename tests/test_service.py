@@ -28,6 +28,8 @@ from iccamon.service import (
 from iccamon.store import StationRecord, TimeSeriesStore
 from iccamon.telemetry import TelemetryFrame, serialize
 
+from .helpers import register
+
 START = 1700006400
 
 
@@ -38,9 +40,9 @@ def frame_text(station="utec-01", token="tok-a", seq=1, ts=START, pm25=12.3, pm1
 
 @pytest.fixture
 def store(tmp_path):
-    s = TimeSeriesStore(tmp_path / "data")
-    s.upsert_station(StationRecord("utec-01", "San Salvador", 13.70, -89.19, "tok-a"))
-    s.upsert_station(StationRecord("santa-ana", "Santa Ana", 13.99, -89.56, "tok-b"))
+    s = TimeSeriesStore(register(tmp_path / "data",
+                                 StationRecord("utec-01", "San Salvador", 13.70, -89.19, "tok-a"),
+                                 StationRecord("santa-ana", "Santa Ana", 13.99, -89.56, "tok-b")))
     yield s
     s.close()
 
@@ -117,6 +119,28 @@ class TestIngest:
         monkeypatch.undo()
         assert service.ingest(frame_text(seq=1))[0] == 202
 
+    def test_unopenable_station_log_500(self, service, store):
+        log = store.data_dir / "series" / "utec-01.ndjson"
+        log.mkdir()  # after the store opened: the first append opens it
+        assert service.ingest(frame_text(seq=1)) == (500, {"error": "storage_failure"})
+        log.rmdir()
+        assert service.ingest(frame_text(seq=1))[0] == 202
+
+    def test_crash_after_fsync_before_reply_keeps_the_record_once(self, tmp_path, monkeypatch):
+        data = register(tmp_path / "d", StationRecord("utec-01", "x", 0.0, 0.0, "tok-a"))
+        with TimeSeriesStore(data) as s:
+            svc = MonitorService(s)
+
+            def crash(m):
+                raise RuntimeError("killed between the fsync and the 202")
+
+            monkeypatch.setattr(svc, "_post_accept", crash)
+            with pytest.raises(RuntimeError):
+                svc.ingest(frame_text(seq=1))
+        with TimeSeriesStore(data) as s:
+            assert MonitorService(s).ingest(frame_text(seq=1)) == (409, {"error": "duplicate_seq"})
+        assert (data / "series" / "utec-01.ndjson").read_text().count('"seq":1,') == 1
+
     def test_read_your_writes(self, service, store):
         status, _ = service.ingest(frame_text(seq=1, ts=START + 60))
         assert status == 202
@@ -124,9 +148,8 @@ class TestIngest:
         assert service.latest_payload("utec-01")["measurement"]["seq"] == 1
 
     def test_seq_state_rebuilt_after_restart(self, tmp_path):
-        data = tmp_path / "d"
+        data = register(tmp_path / "d", StationRecord("utec-01", "x", 0.0, 0.0, "tok-a"))
         with TimeSeriesStore(data) as s:
-            s.upsert_station(StationRecord("utec-01", "x", 0.0, 0.0, "tok-a"))
             MonitorService(s).ingest(frame_text(seq=41))
         with TimeSeriesStore(data) as s:
             svc = MonitorService(s)
@@ -229,9 +252,8 @@ class TestStationStateOwnership:
         assert [(e.kind.value, e.ts) for e in emitted] == [("raised", first)]
 
     def test_seq_zero_first_frame_survives_restart(self, tmp_path):
-        data = tmp_path / "d"
+        data = register(tmp_path / "d", StationRecord("utec-01", "x", 0.0, 0.0, "tok-a"))
         with TimeSeriesStore(data) as s:
-            s.upsert_station(StationRecord("utec-01", "x", 0.0, 0.0, "tok-a"))
             svc = MonitorService(s)
             assert svc.ingest(frame_text(seq=0))[0] == 202
             assert svc.ingest(frame_text(seq=0)) == (409, {"error": "duplicate_seq"})
@@ -345,14 +367,16 @@ class TestIncrementalWindow:
             return rng.choice(records).ts  # a ts already stored
         return latest + 86400 + rng.randrange(2 * 86400)  # a gap of more than a day
 
+    def register(self, data_dir, periods):
+        return register(data_dir, *(StationRecord(sid, sid, 13.7, -89.2, token, periods[sid])
+                                    for sid, token in self.STATIONS.items()))
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_recompute_after_every_frame(self, tmp_path, seed):
         rng = random.Random(seed)
-        data = tmp_path / "data"
-        store = TimeSeriesStore(data, fsync=False)
         periods = {sid: 1200 for sid in self.STATIONS}
-        for sid, token in self.STATIONS.items():
-            store.upsert_station(StationRecord(sid, sid, 13.7, -89.2, token))
+        data = self.register(tmp_path / "data", periods)
+        store = TimeSeriesStore(data, fsync=False)
         engine = RuleEngine([Rule("r2", trigger_category_min=2)])
         service = MonitorService(store, rule_engine=engine)
         seqs = dict.fromkeys(self.STATIONS, 0)
@@ -360,15 +384,14 @@ class TestIncrementalWindow:
             for step in range(400):
                 if step in (150, 300):
                     store.close()
+                    # the operator changes a station's period while it is down
+                    sid = rng.choice(sorted(self.STATIONS))
+                    periods[sid] = rng.choice((60, 300, 1200, 3600))
+                    self.register(data, periods)
                     store = TimeSeriesStore(data, fsync=False)
                     # recovery leaves the window to its first use
                     assert all(st.win_start is None for st in store._stations.values())
                     service = MonitorService(store, rule_engine=engine)
-                if step in (100, 250):
-                    sid = rng.choice(sorted(self.STATIONS))
-                    periods[sid] = rng.choice((60, 300, 1200, 3600))
-                    store.upsert_station(StationRecord(sid, sid, 13.7, -89.2, self.STATIONS[sid],
-                                                       report_period_s=periods[sid]))
                 sid = rng.choice(sorted(self.STATIONS))
                 seqs[sid] += 1
                 ts = self.next_ts(rng, store, sid, periods[sid])
@@ -414,13 +437,12 @@ class TestAlertWiring:
     def test_restart_with_active_alert_raises_it_once(self, tmp_path):
         rules = tmp_path / "rules.json"
         rules.write_text(json.dumps({"rules": [{"rule_id": "r3", "trigger_category_min": 3}]}))
-        config = ServerConfig(data_dir=str(tmp_path / "data"), rules_path=str(rules))
+        data_dir = register(tmp_path / "data", StationRecord("utec-01", "x", 0.0, 0.0, "tok-a"))
+        config = ServerConfig(data_dir=str(data_dir), rules_path=str(rules))
         seq = 0
-        for run in range(2):
+        for _run in range(2):
             service, store = build_service(config)
             try:
-                if run == 0:
-                    store.upsert_station(StationRecord("utec-01", "x", 0.0, 0.0, "tok-a"))
                 for _ in range(80):
                     seq += 1
                     assert service.ingest(
@@ -429,6 +451,21 @@ class TestAlertWiring:
                 store.close()
         lines = (tmp_path / "data" / "alerts.ndjson").read_text().splitlines()
         assert [json.loads(line)["kind"] for line in lines] == ["raised"]
+
+    def test_alert_log_failure_still_acknowledges_the_frame(self, tmp_path, caplog):
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps({"rules": [{"rule_id": "r3", "trigger_category_min": 3}]}))
+        data_dir = register(tmp_path / "data", StationRecord("utec-01", "x", 0.0, 0.0, "tok-a"))
+        service, store = build_service(ServerConfig(data_dir=str(data_dir), rules_path=str(rules)))
+        (data_dir / "alerts.ndjson").mkdir()  # every append to the alert log now fails
+        try:
+            for k in range(60):
+                assert service.ingest(
+                    frame_text(seq=k + 1, ts=START + k * 1200, pm25=100.0))[0] == 202
+        finally:
+            store.close()
+        assert service.rule_engine.failed_deliveries == 1  # the one raised event
+        assert [r.levelname for r in caplog.records if r.name == "iccamon.rules"] == ["ERROR"]
 
     def test_no_alerts_from_insufficient_windows(self, store):
         engine = RuleEngine([Rule("r1", trigger_category_min=1)])
@@ -565,8 +602,8 @@ class TestNoDelayedAckStall:
     def test_keep_alive_posts_answered_well_under_40ms(self, tmp_path):
         # headers and body are two writes; with Nagle's algorithm the body
         # waits for the client's delayed ACK of the headers, about 40 ms
-        store = TimeSeriesStore(tmp_path / "data", fsync=False)
-        store.upsert_station(StationRecord("utec-01", "San Salvador", 13.70, -89.19, "tok-a"))
+        store = TimeSeriesStore(register(tmp_path / "data", StationRecord(
+            "utec-01", "San Salvador", 13.70, -89.19, "tok-a")), fsync=False)
         srv = HttpServer(MonitorService(store), port=0)
         srv.start()
         try:
@@ -647,6 +684,19 @@ class TestMisbehavingClients:
         finally:
             srv.shutdown()
 
+    def test_stalled_body_does_not_delay_another_client(self, server):
+        assert service_mod.SOCKET_TIMEOUT_S == 10.0
+        head = b"POST /v1/telemetry HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as stalled:
+            stalled.sendall(head)  # and never the body
+            time.sleep(0.05)  # its handler thread is now waiting for the body
+            started = time.monotonic()
+            resp = requests.post(f"{server.url}/v1/telemetry", data=frame_text().encode(),
+                                 timeout=5)
+            elapsed = time.monotonic() - started
+        assert resp.status_code == 202
+        assert elapsed < 1.0
+
     def test_client_hang_up_logged_without_traceback(self, capfd, caplog):
         caplog.set_level(logging.INFO, logger="iccamon.http")
         entered, release = threading.Event(), threading.Event()
@@ -724,11 +774,10 @@ class TestServerConfig:
     def test_build_service_writes_alert_log_in_data_dir(self, tmp_path):
         rules = tmp_path / "rules.json"
         rules.write_text(json.dumps({"rules": [{"rule_id": "r3", "trigger_category_min": 3}]}))
-        data_dir = tmp_path / "data"
+        data_dir = register(tmp_path / "data", StationRecord("utec-01", "x", 0.0, 0.0, "tok-a"))
         service, store = build_service(ServerConfig(data_dir=str(data_dir),
                                                     rules_path=str(rules)))
         try:
-            store.upsert_station(StationRecord("utec-01", "x", 0.0, 0.0, "tok-a"))
             for k in range(60):
                 assert service.ingest(
                     frame_text(seq=k + 1, ts=START + k * 1200, pm25=100.0))[0] == 202

@@ -23,6 +23,8 @@ from iccamon.sim import (
 )
 from iccamon.store import StationRecord
 
+from .helpers import register
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 START = 1700006400  # 00:00 UTC
 
@@ -280,9 +282,8 @@ class TestServiceIntegration:
         from iccamon.service import MonitorService
         from iccamon.store import TimeSeriesStore
 
-        store = TimeSeriesStore(tmp_path / name, fsync=False)
-        for m in members:
-            store.upsert_station(m.station)
+        store = TimeSeriesStore(register(tmp_path / name, *(m.station for m in members)),
+                                fsync=False)
         return MonitorService(store), store
 
     def test_offline_replay_equals_online_run(self, tmp_path):

@@ -10,6 +10,8 @@ from iccamon.store import (
     UnknownStationError,
 )
 
+from .helpers import register
+
 STATION = StationRecord(
     station_id="utec-01", display_name="San Salvador Centro", lat=13.70, lon=-89.20,
     token="tok-a", report_period_s=1200)
@@ -17,8 +19,7 @@ STATION = StationRecord(
 
 @pytest.fixture
 def store(tmp_path):
-    s = TimeSeriesStore(tmp_path / "data")
-    s.upsert_station(STATION)
+    s = TimeSeriesStore(register(tmp_path / "data", STATION))
     yield s
     s.close()
 
@@ -44,10 +45,9 @@ class TestAppend:
             store.append(m(1, station="ghost"))
 
     def test_five_stations_72_each(self, tmp_path):
-        s = TimeSeriesStore(tmp_path / "data")
         ids = [f"st-{i}" for i in range(5)]
-        for sid in ids:
-            s.upsert_station(StationRecord(sid, sid, 13.7, -89.2, f"tok-{sid}"))
+        s = TimeSeriesStore(register(tmp_path / "data", *(
+            StationRecord(sid, sid, 13.7, -89.2, f"tok-{sid}") for sid in ids)))
         for sid in ids:
             for seq in range(1, 73):
                 s.append(m(seq, station=sid))
@@ -98,9 +98,8 @@ class TestQuery:
 
 class TestRecovery:
     def test_reopen_preserves_records_and_seq(self, tmp_path):
-        data = tmp_path / "data"
+        data = register(tmp_path / "data", STATION)
         with TimeSeriesStore(data) as s:
-            s.upsert_station(STATION)
             for seq in range(1, 11):
                 s.append(m(seq))
         with TimeSeriesStore(data) as s:
@@ -111,9 +110,8 @@ class TestRecovery:
             assert s.append(m(11)) == 10
 
     def test_torn_tail_discarded(self, tmp_path):
-        data = tmp_path / "data"
+        data = register(tmp_path / "data", STATION)
         with TimeSeriesStore(data) as s:
-            s.upsert_station(STATION)
             for seq in range(1, 6):
                 s.append(m(seq))
         log = data / "series" / "utec-01.ndjson"
@@ -127,9 +125,8 @@ class TestRecovery:
             assert s.count("utec-01") == 6
 
     def test_truncation_at_any_byte_yields_whole_record_prefix(self, tmp_path):
-        data = tmp_path / "data"
+        data = register(tmp_path / "data", STATION)
         with TimeSeriesStore(data) as s:
-            s.upsert_station(STATION)
             for seq in range(1, 21):
                 s.append(m(seq))
         log = data / "series" / "utec-01.ndjson"
@@ -147,9 +144,8 @@ class TestRecovery:
     def test_retried_append_line_kept_once(self, tmp_path, monkeypatch):
         # an fsync failure after the write leaves the line on disk; the
         # retry writes it again, and recovery keeps the first copy only
-        data = tmp_path / "data"
+        data = register(tmp_path / "data", STATION)
         with TimeSeriesStore(data) as s:
-            s.upsert_station(STATION)
             s.append(m(1))
             with monkeypatch.context() as patch:
                 patch.setattr("os.fsync", lambda fd: (_ for _ in ()).throw(OSError("EIO")))
@@ -164,9 +160,8 @@ class TestRecovery:
             assert s.last_seq("utec-01") == 3
 
     def test_seq_zero_is_a_real_first_seq(self, tmp_path):
-        data = tmp_path / "data"
+        data = register(tmp_path / "data", STATION)
         with TimeSeriesStore(data) as s:
-            s.upsert_station(STATION)
             assert s.lookup("utec-01") == ("tok-a", None)
             assert s.append(m(0)) == 0
             assert s.append(m(0)) is None
@@ -178,9 +173,8 @@ class TestRecovery:
             assert s.append(m(1)) == 1
 
     def test_mid_file_corruption_raises(self, tmp_path):
-        data = tmp_path / "data"
+        data = register(tmp_path / "data", STATION)
         with TimeSeriesStore(data) as s:
-            s.upsert_station(STATION)
             for seq in range(1, 4):
                 s.append(m(seq))
         log = data / "series" / "utec-01.ndjson"
@@ -191,9 +185,8 @@ class TestRecovery:
             TimeSeriesStore(data)
 
     def test_recovery_reads_one_record_per_line(self, tmp_path):
-        data = tmp_path / "data"
+        data = register(tmp_path / "data", STATION)
         with TimeSeriesStore(data) as s:
-            s.upsert_station(STATION)
             for seq in range(1, 4):
                 s.append(m(seq))
         log = data / "series" / "utec-01.ndjson"
@@ -214,9 +207,6 @@ class TestRegistry:
             StationRecord("x", "x", 0.0, 0.0, "t", report_period_s=0)
 
     def test_registry_round_trip(self, tmp_path):
-        data = tmp_path / "data"
-        with TimeSeriesStore(data) as s:
-            s.upsert_station(STATION)
-        with TimeSeriesStore(data) as s:
+        with TimeSeriesStore(register(tmp_path / "data", STATION)) as s:
             assert s.get_station("utec-01") == STATION
             assert s.token_registry() == {"utec-01": "tok-a"}
