@@ -85,7 +85,13 @@ DEFAULT_REPORT_PERIOD_S = 20 * 60
 def _truncate_tenths(concentration: float) -> int:
     # One-decimal truncation defined on the decimal rendering of the value,
     # so 15.3 stays 153 tenths instead of drifting to 152 via binary floats.
-    return int(Decimal(str(concentration)).scaleb(1).to_integral_value(rounding=ROUND_DOWN))
+    # A positional rendering ("15.35", "7") is cut after its first decimal
+    # digit; an exponent form ("1e-05", "1e+16") goes through Decimal.
+    text = repr(concentration)
+    if "e" in text:
+        return int(Decimal(text).scaleb(1).to_integral_value(rounding=ROUND_DOWN))
+    whole, _, frac = text.partition(".")
+    return int(whole + (frac[:1] or "0"))
 
 
 def sub_index(pollutant: Pollutant, concentration: float) -> IccaResult:
@@ -135,6 +141,8 @@ def overall_icca(pm25_avg: WindowAverage | None, pm10_avg: WindowAverage | None)
         if result.value > best.value:
             dominant, best = pollutant, result
     beyond = any(r.beyond_scale for _, r in candidates)
+    if beyond == best.beyond_scale:
+        return best  # sub_index already names its pollutant as dominant
     return IccaResult(best.value, best.category, dominant, beyond_scale=beyond)
 
 

@@ -77,6 +77,9 @@ class RuleState:
     below_count: int = 0
 
 
+_IDLE = RuleState()  # the state of a pair with no evaluation yet
+
+
 def evaluate(
     rule: Rule, station_id: str, state: RuleState, icca: IccaResult, ts: int
 ) -> tuple[list[AlertEvent], RuleState]:
@@ -190,7 +193,7 @@ class RuleEngine:
         with self._lock:
             for rule in self.rules:
                 key = (rule.rule_id, station_id)
-                state = self._states.get(key, RuleState())
+                state = self._states.get(key, _IDLE)
                 events, new_state = evaluate(rule, station_id, state, icca, ts)
                 self._states[key] = new_state
                 for event in events:

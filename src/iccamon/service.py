@@ -41,6 +41,8 @@ request_logger = logging.getLogger("iccamon.http")
 MAX_BODY_BYTES = 4096  # a telemetry frame is under 200 bytes
 POLL_INTERVAL_S = 0.05  # how long shutdown() waits for serve_forever at most
 SOCKET_TIMEOUT_S = 10.0  # a connection that sends nothing for this long is closed
+# one encoder for every response: json.dumps with options builds one per call
+_RESPONSE_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 _STATUS_FOR_REASON = {
     RejectReason.BAD_TOKEN: 401,
@@ -315,13 +317,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         started = time.monotonic()
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = -1
-        if length < 0:
+        # 1*DIGIT (RFC 9110 section 8.6); int() would also take "+5", "1_0" and " 5"
+        value = self.headers.get("Content-Length", "0").strip(" \t")
+        if not (value.isascii() and value.isdigit()):
             self._respond(400, {"error": "bad_content_length"}, started, close=True)
             return
+        length = int(value)
         if length > MAX_BODY_BYTES:
             # the body is left unread, so the connection cannot be reused
             self._respond(413, {"error": "body_too_large"}, started, close=True)
@@ -367,7 +368,7 @@ class _Handler(BaseHTTPRequestHandler):
         return 404, {"error": "not_found"}
 
     def _respond(self, status: int, body, started: float, close: bool = False) -> None:
-        payload = json.dumps(body, ensure_ascii=False).encode("utf-8")
+        payload = _RESPONSE_ENCODER.encode(body).encode("utf-8")
         outcome = ""
         try:
             self.send_response(status)

@@ -6,11 +6,16 @@ Layout under the data directory:
     series/<station_id>.ndjson one JSON record per line, append-only
     alerts.ndjson              the rule engine's alert events, append-only
 
-Both kinds of log are NdjsonLogs. A record line mirrors the wire frame
-minus the token, plus quality flags. An in-memory index (records sorted
-by timestamp, last accepted sequence number) is rebuilt on open; logs are
-small at desk scale. Beside it each station keeps exact running sums of its
-24-hour window, built on the window's first use and updated per record.
+Both kinds of log are NdjsonLogs: one compact JSON line per record, each
+fsynced before the append returns, then ASCII-space padding that keeps
+the file allocated up to CHUNK_BYTES ahead of its data (so a log uses at
+most that much more disk than its records). A crash mid-write leaves a
+torn last line, which the next open blanks with spaces. A record line
+mirrors the wire frame minus the token, plus quality flags. An in-memory
+index (records sorted by timestamp, last accepted sequence number) is
+rebuilt on open; logs are small at desk scale. Beside it each station
+keeps exact running sums of its 24-hour window, built on the window's
+first use and updated per record.
 """
 
 from __future__ import annotations
@@ -31,7 +36,12 @@ logger = logging.getLogger(__name__)
 
 BEYOND_SENSOR_RANGE = "beyond_sensor_range"
 
-_JSON_SEP = (",", ":")
+# one encoder for every log line: json.dumps with options builds one per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+# A log grows by this much padding at a time (see NdjsonLog): one journal
+# commit of a new file size per chunk, not per line.
+CHUNK_BYTES = 64 * 1024
+_PADDING = b" " * CHUNK_BYTES
 _NO_FLAGS: frozenset[str] = frozenset()
 _ts = attrgetter("ts")
 # what a line that is not the expected JSON object raises in parsing or conversion
@@ -49,47 +59,94 @@ class UnknownStationError(LookupError):
 class NdjsonLog:
     """An append-only file of compact JSON lines, created by the first append.
 
-    Each append is flushed and, with fsync, fsynced before it returns.
+    The file is allocated ahead of its data: past the last line it holds
+    ASCII spaces, which JSON reads as whitespace after the last value. An
+    append writes its line at the data end, over that padding, and fsyncs;
+    an fsync that does not change the file size commits no new size through
+    the file system's journal. Only a line that does not fit grows the
+    file, by the line and CHUNK_BYTES of spaces, so a log takes at most
+    CHUNK_BYTES more disk than its lines. A file without padding, as
+    written before logs were padded, gains it at its first append. A line
+    torn by a crash is blanked with spaces when the file is next read or
+    appended to (see _load).
+
+    Each append is written and, with fsync, fsynced before it returns.
     Not thread-safe: callers serialise appends.
     """
 
     def __init__(self, path: Path, fsync: bool = True):
         self.path = path
         self._fsync = fsync
-        self._fh = None
+        self._fd: int | None = None
+        self._end: int | None = None  # offset past the last whole line; None until found
+        self._size = 0  # file size; the bytes from _end to it are padding
 
     def append(self, obj) -> None:
-        line = json.dumps(obj, separators=_JSON_SEP, ensure_ascii=False) + "\n"
+        line = (_ENCODER.encode(obj) + "\n").encode("utf-8")
         try:
-            if self._fh is None:
-                self._fh = open(self.path, "ab")
-            self._fh.write(line.encode("utf-8"))
-            self._fh.flush()
+            if self._fd is None:
+                if self._end is None:
+                    self._load()
+                self._fd = os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o644)
+            pos = self._end
+            data = line if pos + len(line) <= self._size else line + _PADDING
+            written = os.pwrite(self._fd, data, pos)
+            if written != len(data):
+                # part of data is on disk: find the data end in the file again
+                self.close()
+                self._end = None
+                raise StorageError(f"append to {self.path} failed: wrote {written} "
+                                   f"of {len(data)} bytes")
+            # before the fsync: a retry after a failed fsync writes a second copy
+            self._end = pos + len(line)
+            self._size = max(self._size, pos + len(data))
             if self._fsync:
-                os.fsync(self._fh.fileno())
+                os.fsync(self._fd)
         except OSError as exc:
             raise StorageError(f"append to {self.path} failed: {exc}") from exc
+
+    def _load(self) -> bytes:
+        """The file's bytes up to the data end, which it records; b"" without a file.
+
+        The data ends after the last newline. A write cut short by a crash
+        is blanked with spaces on disk, so a torn record never surfaces and
+        the next append starts a fresh line: either bytes after the last
+        newline that are not padding (the line's end was lost), or a last
+        line that starts with a space (its start was lost, its end reached
+        disk). Single bytes decide; the padding is never scanned.
+        """
+        try:
+            raw = self.path.read_bytes()
+        except FileNotFoundError:
+            raw = b""
+        end = raw.rfind(b"\n") + 1
+        torn = None
+        if raw[end:end + 1] not in (b"", b" "):
+            torn = end
+            logger.warning("discarding torn record tail at byte %d of %s", end, self.path)
+        elif end:
+            start = raw.rfind(b"\n", 0, end - 1) + 1
+            if raw[start:start + 1] == b" ":
+                torn, end = start, start
+                logger.warning("discarding torn record start at byte %d of %s", start, self.path)
+        if torn is not None:
+            with open(self.path, "r+b") as fh:
+                fh.seek(torn)
+                fh.write(b" " * (len(raw) - torn))
+        self._end, self._size = end, len(raw)
+        return raw[:end]
 
     def read(self, convert, what: str) -> list:
         """convert(obj) for each line, in file order; [] without a file.
 
-        A final line without its newline is a torn write, so a crash
-        mid-write never surfaces a torn record. It is cut on disk too, so the
-        next append starts a fresh line. A blank line is skipped; a line that
-        does not parse or convert is a StorageError naming path:lineno.
+        A torn last line is blanked first (see _load). A blank line is
+        skipped; a line that does not parse or convert is a StorageError
+        naming path:lineno.
         """
         try:
-            raw = self.path.read_bytes()
-            complete, _, tail = raw.rpartition(b"\n")
-            if tail:
-                logger.warning("discarding torn record tail (%d bytes) in %s", len(tail), self.path)
-                with open(self.path, "r+b") as fh:
-                    fh.truncate(len(raw) - len(tail))
-        except FileNotFoundError:
-            return []
+            lines = self._load().splitlines()
         except OSError as exc:
             raise StorageError(f"read of {self.path} failed: {exc}") from exc
-        lines = complete.splitlines()
         try:
             # one parse for the whole log, much cheaper than one per line;
             # a log it cannot read as one object per line is read line by
@@ -110,9 +167,9 @@ class NdjsonLog:
         return items
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
 
 @dataclass(frozen=True)

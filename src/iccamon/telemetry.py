@@ -26,7 +26,8 @@ from .store import BEYOND_SENSOR_RANGE, Measurement
 
 FRAME_KEYS = ("station_id", "token", "seq", "ts", "pm25", "pm10", "temp_c")
 
-_STATION_ID_RE = re.compile(r"^[a-z0-9_-]{1,64}$")
+_FRAME_KEY_SET = frozenset(FRAME_KEYS)
+_STATION_ID_RE = re.compile(r"[a-z0-9_-]{1,64}")  # whole string: fullmatch
 _MAX_SEQ = 2**64 - 1
 
 
@@ -57,6 +58,7 @@ PM_MAX = 1000.0
 PM_FLAG_ABOVE = 500.0
 TEMP_MIN_C = 0.0
 TEMP_MAX_C = 150.0
+_BEYOND_FLAGS = frozenset({BEYOND_SENSOR_RANGE})
 
 
 @dataclass(frozen=True)
@@ -92,19 +94,24 @@ def parse_frame(text: str) -> TelemetryFrame:
 
     Raises ValueError on any syntax, key, or type failure.
     """
+    return TelemetryFrame(*_parse_fields(text))
+
+
+def _parse_fields(text: str) -> tuple[str, str, int, int, float, float, float]:
+    """A frame's values in FRAME_KEYS order; ValueError as parse_frame."""
     try:
         obj = json.loads(text)
     except ValueError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError("frame must be a JSON object")
-    if set(obj) != set(FRAME_KEYS):
-        unknown = set(obj) - set(FRAME_KEYS)
-        missing = set(FRAME_KEYS) - set(obj)
+    if obj.keys() != _FRAME_KEY_SET:
+        unknown = set(obj) - _FRAME_KEY_SET
+        missing = _FRAME_KEY_SET - set(obj)
         raise ValueError(f"bad keys: unknown={sorted(unknown)} missing={sorted(missing)}")
 
     station_id = obj["station_id"]
-    if not isinstance(station_id, str) or not _STATION_ID_RE.match(station_id):
+    if not isinstance(station_id, str) or not _STATION_ID_RE.fullmatch(station_id):
         raise ValueError(f"bad station_id: {station_id!r}")
     token = obj["token"]
     if not isinstance(token, str) or not token:
@@ -115,14 +122,13 @@ def parse_frame(text: str) -> TelemetryFrame:
     ts = obj["ts"]
     if isinstance(ts, bool) or not isinstance(ts, int) or ts < 0:
         raise ValueError(f"ts must be a non-negative integer, got {ts!r}")
-    values = {}
+    values = []
     for key in ("pm25", "pm10", "temp_c"):
         v = obj[key]
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
             raise ValueError(f"{key} must be a finite number, got {v!r}")
-        values[key] = float(v)
-
-    return TelemetryFrame(station_id=station_id, token=token, seq=seq, ts=ts, **values)
+        values.append(float(v))
+    return (station_id, token, seq, ts, *values)
 
 
 def parse_and_validate(
@@ -135,40 +141,28 @@ def parse_and_validate(
     any state change after an accepted outcome.
     """
     try:
-        frame = parse_frame(text)
+        station_id, token, seq, ts, pm25, pm10, temp_c = _parse_fields(text)
     except ValueError:
         return _reject(RejectReason.MALFORMED)
 
-    station = lookup(frame.station_id)
+    station = lookup(station_id)
     if station is None:
         return _reject(RejectReason.UNKNOWN_STATION)
-    token, last = station
-    if frame.token != token:
+    registered_token, last = station
+    if token != registered_token:
         return _reject(RejectReason.BAD_TOKEN)
 
     if last is not None:
-        if frame.seq == last:
+        if seq == last:
             return _reject(RejectReason.DUPLICATE_SEQ)
-        if frame.seq < last:
+        if seq < last:
             return _reject(RejectReason.STALE_SEQ)
 
-    if not (0.0 <= frame.pm25 < PM_MAX) or not (0.0 <= frame.pm10 < PM_MAX):
+    if not (0.0 <= pm25 < PM_MAX) or not (0.0 <= pm10 < PM_MAX):
         return _reject(RejectReason.OUT_OF_RANGE)
-    if not (TEMP_MIN_C <= frame.temp_c <= TEMP_MAX_C):
+    if not (TEMP_MIN_C <= temp_c <= TEMP_MAX_C):
         return _reject(RejectReason.OUT_OF_RANGE)
 
-    flags = frozenset()
-    if frame.pm25 > PM_FLAG_ABOVE or frame.pm10 > PM_FLAG_ABOVE:
-        flags = frozenset({BEYOND_SENSOR_RANGE})
-
-    return ValidationOutcome(
-        measurement=Measurement(
-            station_id=frame.station_id,
-            seq=frame.seq,
-            ts=frame.ts,
-            pm25=frame.pm25,
-            pm10=frame.pm10,
-            temp_c=frame.temp_c,
-            flags=flags,
-        )
-    )
+    beyond = pm25 > PM_FLAG_ABOVE or pm10 > PM_FLAG_ABOVE
+    return ValidationOutcome(Measurement(
+        station_id, seq, ts, pm25, pm10, temp_c, _BEYOND_FLAGS if beyond else frozenset()))

@@ -14,3 +14,10 @@ def register(data_dir, *stations: StationRecord) -> Path:
     registry = [st.to_json_obj() for st in stations]
     (data_dir / TimeSeriesStore.REGISTRY_FILE).write_text(json.dumps(registry))
     return data_dir
+
+
+def log_data(path) -> bytes:
+    """An NDJSON log's bytes up to its data end: the whole lines, without the
+    space padding the store keeps after them."""
+    raw = Path(path).read_bytes()
+    return raw[:raw.rfind(b"\n") + 1]

@@ -15,7 +15,7 @@ from iccamon.service import HttpServer, MonitorService, load_server_config
 from iccamon.sim import CallableTransport, load_fleet_config, run_fleet
 from iccamon.store import Measurement, StationRecord, TimeSeriesStore
 
-from .helpers import register
+from .helpers import log_data, register
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -324,7 +324,7 @@ class TestStorageErrorAtOpen:
                        for i, line in enumerate(
                            (d / "series" / "santa-ana.ndjson").read_bytes().split(b"\n")))),
         lambda d: (d / "series" / "santa-ana.ndjson").write_bytes(
-            (d / "series" / "santa-ana.ndjson").read_bytes() + b"[1]\n"),
+            log_data(d / "series" / "santa-ana.ndjson") + b"[1]\n"),
         lambda d: [(d / "series" / "santa-ana.ndjson").unlink(),
                    (d / "series" / "santa-ana.ndjson").mkdir()],
     ], ids=["registry-not-json", "registry-object", "registry-unknown-key", "corrupt-mid-record",

@@ -1,5 +1,5 @@
 import random
-from decimal import Decimal
+from decimal import ROUND_DOWN, Decimal
 
 import pytest
 
@@ -10,6 +10,7 @@ from iccamon.icca import (
     InsufficientDataError,
     Pollutant,
     WindowAverage,
+    _truncate_tenths,
     overall_icca,
     rolling_average,
     scaled,
@@ -174,6 +175,29 @@ class TestSubIndex:
 
     def test_deterministic(self):
         assert sub_index(Pollutant.PM10, 123.4) == sub_index(Pollutant.PM10, 123.4)
+
+
+def decimal_tenths(concentration) -> int:
+    """The truncation rule on the decimal rendering, computed in Decimal throughout."""
+    return int(Decimal(str(concentration)).scaleb(1).to_integral_value(rounding=ROUND_DOWN))
+
+
+class TestTruncateTenths:
+    def test_matches_decimal_rule_on_random_floats(self):
+        rng = random.Random(10)
+        values = [rng.uniform(0, 1e4) for _ in range(100_000)]
+        values += [rng.uniform(0, 10) for _ in range(20_000)]
+        got = [_truncate_tenths(c) for c in values]
+        want = [decimal_tenths(c) for c in values]
+        assert got == want, next(c for c, g, w in zip(values, got, want) if g != w)
+
+    @pytest.mark.parametrize("c, tenths", [
+        (15.3, 153), (15.35, 153), (0.1, 1), (0.0, 0), (-0.0, 0), (999.95, 9999),
+        (1e-05, 0), (5e-324, 0), (0.0001, 0), (0.99, 9), (1e16, 10**17), (1.5e300, 15 * 10**300),
+        (9999999999999998.0, 99999999999999980), (0, 0), (7, 70), (604, 6040), (10**20, 10**21),
+    ])
+    def test_edge_values(self, c, tenths):
+        assert _truncate_tenths(c) == decimal_tenths(c) == tenths
 
 
 class TestOverallIcca:

@@ -28,7 +28,7 @@ from iccamon.service import (
 from iccamon.store import StationRecord, TimeSeriesStore
 from iccamon.telemetry import TelemetryFrame, serialize
 
-from .helpers import register
+from .helpers import log_data, register
 
 START = 1700006400
 
@@ -86,6 +86,11 @@ class TestIngest:
     def test_unknown_station_404(self, service):
         status, _ = service.ingest(frame_text(station="ghost", token="tok-a"))
         assert status == 404
+
+    def test_station_id_with_trailing_newline_422(self, service, store):
+        status, body = service.ingest(frame_text(station="utec-01\n"))
+        assert (status, body) == (422, {"error": "malformed"})
+        assert store.count("utec-01") == 0
 
     def test_out_of_range_422(self, service, store):
         status, body = service.ingest(frame_text(temp_c=151.0))
@@ -236,7 +241,7 @@ class TestStationStateOwnership:
         accepted = sorted(seq for r in results for seq, status in r if status == 202)
         stored = [m.seq for m in store.query_range("utec-01", 0, 2**62)]
         log = store.data_dir / "series" / "utec-01.ndjson"
-        on_disk = [json.loads(line)["seq"] for line in log.read_text().splitlines()]
+        on_disk = [json.loads(line)["seq"] for line in log_data(log).splitlines()]
         assert on_disk == stored
         assert all(a < b for a, b in zip(stored, stored[1:]))
         assert accepted == stored
@@ -449,7 +454,7 @@ class TestAlertWiring:
                         frame_text(seq=seq, ts=START + seq * 1200, pm25=100.0))[0] == 202
             finally:
                 store.close()
-        lines = (tmp_path / "data" / "alerts.ndjson").read_text().splitlines()
+        lines = log_data(tmp_path / "data" / "alerts.ndjson").splitlines()
         assert [json.loads(line)["kind"] for line in lines] == ["raised"]
 
     def test_alert_log_failure_still_acknowledges_the_frame(self, tmp_path, caplog):
@@ -626,12 +631,12 @@ class TestNoDelayedAckStall:
 
 class TestHttpContentLength:
     @staticmethod
-    def raw_post(server, content_length: str) -> bytes:
-        """Send a bare POST head and read until the server closes."""
+    def raw_post(server, content_length: str, body: bytes = b"") -> bytes:
+        """Send a POST head and body and read until the server closes."""
         head = (f"POST /v1/telemetry HTTP/1.1\r\nHost: x\r\n"
-                f"Content-Length: {content_length}\r\n\r\n").encode()
+                f"Content-Length: {content_length}\r\n\r\n").encode("latin-1")
         with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
-            sock.sendall(head)
+            sock.sendall(head + body)
             chunks = []
             while chunk := sock.recv(4096):
                 chunks.append(chunk)
@@ -647,6 +652,25 @@ class TestHttpContentLength:
         # the server still answers the next connection
         resp = requests.post(f"{server.url}/v1/telemetry", data=frame_text().encode())
         assert resp.status_code == 202
+
+    @pytest.mark.parametrize("value", ["1_0", "+5", "0x10", "\xb2", "1 0"])
+    def test_length_not_ascii_digits_answered_and_closed(self, server, value):
+        # int() reads each of these as a length; RFC 9110 allows digits only
+        reply = self.raw_post(server, value, frame_text().encode())
+        assert reply.startswith(b"HTTP/1.1 400 "), reply
+        assert reply.endswith(b'{"error": "bad_content_length"}')
+        assert b"\r\nConnection: close\r\n" in reply
+
+    def test_length_with_surrounding_blanks_accepted(self, server):
+        body = frame_text().encode()
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            conn.putrequest("POST", "/v1/telemetry")
+            conn.putheader("Content-Length", f"\t{len(body)} ")
+            conn.endheaders(body)
+            assert conn.getresponse().status == 202
+        finally:
+            conn.close()
 
     def test_unrouted_post_body_is_consumed(self, server):
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
@@ -783,6 +807,6 @@ class TestServerConfig:
                     frame_text(seq=k + 1, ts=START + k * 1200, pm25=100.0))[0] == 202
         finally:
             store.close()
-        lines = (data_dir / "alerts.ndjson").read_text().splitlines()
+        lines = log_data(data_dir / "alerts.ndjson").splitlines()
         assert [json.loads(line)["kind"] for line in lines] == ["raised"]
         assert not (tmp_path / "alerts.ndjson").exists()

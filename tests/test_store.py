@@ -1,16 +1,20 @@
+import json
+import os
 import random
 
 import pytest
 
 from iccamon.store import (
+    CHUNK_BYTES,
     Measurement,
+    NdjsonLog,
     StationRecord,
     StorageError,
     TimeSeriesStore,
     UnknownStationError,
 )
 
-from .helpers import register
+from .helpers import log_data, register
 
 STATION = StationRecord(
     station_id="utec-01", display_name="San Salvador Centro", lat=13.70, lon=-89.20,
@@ -115,8 +119,7 @@ class TestRecovery:
             for seq in range(1, 6):
                 s.append(m(seq))
         log = data / "series" / "utec-01.ndjson"
-        raw = log.read_bytes()
-        log.write_bytes(raw + b'{"station_id":"utec-01","seq":6')
+        log.write_bytes(log_data(log) + b'{"station_id":"utec-01","seq":6')
         with TimeSeriesStore(data) as s:
             assert s.count("utec-01") == 5
             # appending after recovery starts a clean line
@@ -131,14 +134,18 @@ class TestRecovery:
                 s.append(m(seq))
         log = data / "series" / "utec-01.ndjson"
         raw = log.read_bytes()
+        records_bytes = log_data(log)
         rng = random.Random(8)
-        for cut in sorted(rng.sample(range(len(raw)), 40)):
-            log.write_bytes(raw[:cut])
+        # cut inside the records, not the padding after them; the bytes past
+        # the cut are lost (a log without padding) or padding (a padded one)
+        for cut in sorted(rng.sample(range(len(records_bytes)), 40)):
             expect = raw[:cut].count(b"\n")
-            with TimeSeriesStore(data) as s:
-                records = s.query_range("utec-01", 0, 10**9)
-                assert len(records) == expect
-                assert [r.seq for r in records] == list(range(1, expect + 1))
+            for torn in (raw[:cut], raw[:cut] + b" " * (len(raw) - cut)):
+                log.write_bytes(torn)
+                with TimeSeriesStore(data) as s:
+                    records = s.query_range("utec-01", 0, 10**9)
+                    assert len(records) == expect
+                    assert [r.seq for r in records] == list(range(1, expect + 1))
             log.write_bytes(raw)
 
     def test_retried_append_line_kept_once(self, tmp_path, monkeypatch):
@@ -154,7 +161,10 @@ class TestRecovery:
             assert s.append(m(2)) == 1
             assert s.append(m(3)) == 2
         log = data / "series" / "utec-01.ndjson"
-        assert log.read_bytes().count(b'"seq":2,') == 2
+        assert log_data(log).count(b'"seq":2,') == 2
+        # the retry reused the padding: one chunk past the first line, no more
+        first = len(log_data(log).splitlines(keepends=True)[0])
+        assert os.path.getsize(log) == first + CHUNK_BYTES
         with TimeSeriesStore(data) as s:
             assert [r.seq for r in s.query_range("utec-01", 0, 10**9)] == [1, 2, 3]
             assert s.last_seq("utec-01") == 3
@@ -197,6 +207,137 @@ class TestRecovery:
         log.write_bytes(lines[0] + lines[1].rstrip(b"\n") + b"," + lines[2])
         with pytest.raises(StorageError, match=r"utec-01\.ndjson:2: corrupt record"):
             TimeSeriesStore(data)
+
+
+class TestPaddedLog:
+    @staticmethod
+    def written(tmp_path, n):
+        """A data dir whose station log holds records 1..n, and that log."""
+        data = register(tmp_path / "data", STATION)
+        with TimeSeriesStore(data) as s:
+            for seq in range(1, n + 1):
+                s.append(m(seq))
+        return data, data / "series" / "utec-01.ndjson"
+
+    @staticmethod
+    def seqs(data):
+        with TimeSeriesStore(data) as s:
+            return [r.seq for r in s.query_range("utec-01", 0, 10**9)]
+
+    def test_log_is_records_then_one_chunk_of_spaces(self, tmp_path):
+        data, log = self.written(tmp_path, 3)
+        raw = log.read_bytes()
+        records = log_data(log)
+        # allocated at the first append: its line and one chunk of spaces
+        assert len(raw) == len(records.splitlines(keepends=True)[0]) + CHUNK_BYTES
+        assert raw == records + b" " * (len(raw) - len(records))
+        # JSON allows the padding as whitespace after the last value
+        assert [json.loads(line)["seq"] for line in records.splitlines()] == [1, 2, 3]
+        assert len(json.loads(b"[" + b",".join(records.splitlines()) + b"]" + raw[len(records):])) == 3
+
+    def test_format_matches_unpadded_lines(self, tmp_path):
+        # with its padding removed, a log holds the same bytes as one written
+        # a line at a time with json.dumps, as unpadded logs were
+        data = register(tmp_path / "data", STATION)
+        ms = [m(1), m(2, pm25=600.5), Measurement("utec-01", 3, 3600, 0.1, 1e-05, 0.0,
+                                                  frozenset({"b", "a"}))]
+        with TimeSeriesStore(data) as s:
+            for x in ms:
+                s.append(x)
+        unpadded = b"".join(
+            (json.dumps(x.to_json_obj(), separators=(",", ":"), ensure_ascii=False) + "\n")
+            .encode() for x in ms)
+        assert log_data(data / "series" / "utec-01.ndjson") == unpadded
+        assert unpadded.startswith(
+            b'{"station_id":"utec-01","seq":1,"ts":1200,"pm25":10.0,"pm10":20.0,'
+            b'"temp_c":25.0,"flags":[]}\n')
+        log = NdjsonLog(tmp_path / "alerts.ndjson")
+        event = {"category": "Dañina a la Salud", "ts": 1}
+        log.append(event)
+        log.close()
+        assert log_data(log.path) == (json.dumps(event, separators=(",", ":"), ensure_ascii=False)
+                                      + "\n").encode()
+
+    def test_partial_line_before_padding_is_blanked(self, tmp_path, caplog):
+        data, log = self.written(tmp_path, 5)
+        raw = log.read_bytes()
+        end = len(log_data(log))
+        torn = b'{"station_id":"utec-01","seq":6,"ts":72'  # the line's end never reached disk
+        log.write_bytes(raw[:end] + torn + raw[end + len(torn):])
+        assert self.seqs(data) == [1, 2, 3, 4, 5]
+        assert "torn record tail" in caplog.text
+        # blanked in place: the file keeps its size and holds records then spaces
+        assert log.read_bytes() == raw
+        with TimeSeriesStore(data) as s:
+            assert s.append(m(6)) == 5
+        assert self.seqs(data) == [1, 2, 3, 4, 5, 6]
+
+    def test_final_line_whose_start_was_lost_is_blanked(self, tmp_path, caplog):
+        data, log = self.written(tmp_path, 5)
+        raw = log.read_bytes()
+        lines = log_data(log).splitlines(keepends=True)
+        start = sum(map(len, lines[:4]))
+        # the earlier sector of the last write still holds padding, the later one its end
+        lost = raw[:start] + b" " * 20 + raw[start + 20:]
+        log.write_bytes(lost)
+        assert self.seqs(data) == [1, 2, 3, 4]
+        assert "torn record start" in caplog.text
+        assert log.read_bytes() == raw[:start] + b" " * (len(raw) - start)
+        with TimeSeriesStore(data) as s:
+            assert s.append(m(5, pm25=11.0)) == 4
+            assert s.append(m(6)) == 5
+        assert self.seqs(data) == [1, 2, 3, 4, 5, 6]
+        assert log_data(log).splitlines(keepends=True)[:4] == lines[:4]
+
+    def test_unpadded_log_recovers_takes_appends_and_reopens(self, tmp_path):
+        data, log = self.written(tmp_path, 4)
+        unpadded = log_data(log)
+        log.write_bytes(unpadded)  # as logs were written before padding
+        with TimeSeriesStore(data) as s:
+            assert s.count("utec-01") == 4
+            assert s.append(m(5)) == 4
+        assert self.seqs(data) == [1, 2, 3, 4, 5]
+        raw = log.read_bytes()
+        assert raw.startswith(unpadded)
+        assert raw == log_data(log) + b" " * CHUNK_BYTES  # padded from its first append
+        # an unpadded log with a torn tail too: the tail is blanked, not cut
+        log.write_bytes(unpadded + b'{"station_id":"ut')
+        assert self.seqs(data) == [1, 2, 3, 4]
+        assert log.read_bytes() == unpadded + b" " * 17
+
+    def test_append_crossing_a_chunk_boundary(self, tmp_path):
+        path = tmp_path / "x.ndjson"
+        log = NdjsonLog(path, fsync=False)
+        obj = m(10**6).to_json_obj()
+        line = len(json.dumps(obj, separators=(",", ":"))) + 1
+        sizes = []
+        n = CHUNK_BYTES // line + 3  # the first append allocates one chunk past its line
+        for seq in range(n):
+            log.append({**obj, "seq": 10**6 + seq})  # every line the same length
+            sizes.append(os.path.getsize(path))
+        log.close()
+        # the file grew at the first append and at the one that did not fit
+        fits = CHUNK_BYTES // line + 1
+        assert sizes[:fits] == [line + CHUNK_BYTES] * fits
+        assert sizes[fits] == (fits + 1) * line + CHUNK_BYTES
+        assert len(set(sizes)) == 2
+        raw = path.read_bytes()
+        assert raw == log_data(path) + b" " * (len(raw) - n * line)
+        assert [o["seq"] - 10**6 for o in NdjsonLog(path).read(dict, "record")] == list(range(n))
+
+    def test_short_write_is_overwritten_by_the_next_append(self, tmp_path, monkeypatch):
+        data = register(tmp_path / "data", STATION)
+        real = os.pwrite
+        with TimeSeriesStore(data) as s:
+            s.append(m(1))
+            with monkeypatch.context() as patch:
+                patch.setattr("os.pwrite", lambda fd, buf, pos: real(fd, buf[:30], pos))
+                with pytest.raises(StorageError, match="wrote 30 of"):
+                    s.append(m(2, ts=10**6))
+            assert s.append(m(2)) == 1
+            assert s.append(m(3)) == 2
+        assert self.seqs(data) == [1, 2, 3]
+        assert len(log_data(data / "series" / "utec-01.ndjson").splitlines()) == 3
 
 
 class TestRegistry:

@@ -90,6 +90,8 @@ class TestParseAndValidate:
             "[1,2]",
             '"frame"',
             '{"station_id":"UTEC","token":"tok-a","seq":1,"ts":1,"pm25":1,"pm10":1,"temp_c":1}',
+            # "$" also matches before a final newline; the whole id must match
+            '{"station_id":"utec-01\\n","token":"tok-a","seq":1,"ts":1,"pm25":1,"pm10":1,"temp_c":1}',
             '{"station_id":"utec-01","token":"tok-a","seq":1.5,"ts":1,"pm25":1,"pm10":1,"temp_c":1}',
             '{"station_id":"utec-01","token":"tok-a","seq":true,"ts":1,"pm25":1,"pm10":1,"temp_c":1}',
             '{"station_id":"utec-01","token":"tok-a","seq":1,"ts":-5,"pm25":1,"pm10":1,"temp_c":1}',
