@@ -11,9 +11,15 @@ station's records, so a frame, an /icca read and each /overview entry do
 constant window work; /icca with another window_s recomputes from the
 records. Both give the same exact, correctly rounded means.
 
+/overview keeps one built entry per registered station and rebuilds it
+only after that station's next accepted record: records are append-only
+and the registry is fixed at open, so a station's record count versions
+its entry. The registry's order (by station_id) is also fixed at open.
+
 Status mapping: BadToken→401, UnknownStation→404, DuplicateSeq/StaleSeq→409,
 OutOfRange/Malformed→422; acceptance → 202 after the record is durable.
-A bad Content-Length gets 400, one above MAX_BODY_BYTES 413; both close.
+A bad Content-Length, or repeats that differ, get 400, one above
+MAX_BODY_BYTES 413, and any Transfer-Encoding 501; all three close.
 A connection that stalls for SOCKET_TIMEOUT_S is closed. Relative paths in
 a server config file are relative to that file.
 """
@@ -32,7 +38,9 @@ from urllib.parse import parse_qs, urlsplit
 from . import icca
 from .icca import IccaResult, InsufficientDataError, WindowAverage
 from .rules import RuleEngine, load_rules_config
-from .store import Measurement, StorageError, TimeSeriesStore, UnknownStationError
+from .store import (
+    Measurement, StationRecord, StorageError, TimeSeriesStore, UnknownStationError,
+)
 from .telemetry import RejectReason, parse_and_validate
 
 logger = logging.getLogger(__name__)
@@ -140,6 +148,10 @@ class MonitorService:
         self.store = store
         self.rule_engine = rule_engine
         self.alert_source = alert_source
+        self._registry = store.stations()  # fixed at open, in station_id order
+        # per registered station, (record count, overview entry) built at
+        # that count; -1 matches no count, so the first overview builds all
+        self._overview: list[tuple[int, dict | None]] = [(-1, None)] * len(self._registry)
 
     # -- ingestion ---------------------------------------------------------
 
@@ -240,22 +252,43 @@ class MonitorService:
         return _snapshot_payload(snap)
 
     def overview_payload(self) -> dict:
+        """One entry per registered station, in station_id order.
+
+        An entry is rebuilt only when its station's record count has moved
+        since it was built, so a station without a new record costs a
+        length read and a compare. Entries are shared between calls (and
+        between threads): an in-process caller must not mutate them.
+        """
+        cache = self._overview
         entries = []
-        for rec in self.store.stations():
-            latest = self.store.latest(rec.station_id)
-            # a station with no records has no window to read
-            snap = self.rolling_icca(rec.station_id) if latest else None
-            entry = {
-                "station_id": rec.station_id,
-                "display_name": rec.display_name,
-                "location": {"lat": rec.lat, "lon": rec.lon},
-                "latest": latest.to_json_obj() if latest else None,
-                "last_seen": latest.ts if latest else None,
-                "icca": _icca_fields(snap.result) if snap else None,
-                "coverage": snap.coverage if snap else 0.0,
-            }
-            entries.append(entry)
+        for i, count in enumerate(self.store.record_counts()):
+            built = cache[i]
+            if built[0] != count:
+                # one list slot holds the count and its entry together, so a
+                # concurrent reader that stores an older pair leaves a count
+                # that no longer matches, and the next read rebuilds it
+                built = cache[i] = self._overview_entry(self._registry[i])
+            entries.append(built[1])
         return {"stations": entries}
+
+    def _overview_entry(self, rec: StationRecord) -> tuple[int, dict]:
+        """(record count, entry) read under one hold of the station lock, so
+        latest, last_seen and the index come from the same records."""
+        sid = rec.station_id
+        with self.store.station_lock(sid):
+            count = self.store.count(sid)
+            latest = self.store.latest(sid)
+            # a station with no records has no window to read
+            snap = self.rolling_icca(sid) if latest else None
+        return count, {
+            "station_id": sid,
+            "display_name": rec.display_name,
+            "location": {"lat": rec.lat, "lon": rec.lon},
+            "latest": latest.to_json_obj() if latest else None,
+            "last_seen": latest.ts if latest else None,
+            "icca": _icca_fields(snap.result) if snap else None,
+            "coverage": snap.coverage if snap else 0.0,
+        }
 
 
 def _icca_fields(result: IccaResult | None) -> dict | None:
@@ -315,11 +348,24 @@ class _Handler(BaseHTTPRequestHandler):
     def service(self) -> MonitorService:
         return self.server.service  # type: ignore[attr-defined]
 
+    def parse_request(self) -> bool:
+        if not super().parse_request():
+            return False
+        if "Transfer-Encoding" in self.headers:
+            # bodies are framed by Content-Length only; this one is left
+            # unread, so the connection cannot carry another request
+            self._respond(501, {"error": "transfer_encoding_not_supported"}, time.monotonic(),
+                          close=True)
+            return False
+        return True
+
     def do_POST(self):
         started = time.monotonic()
-        # 1*DIGIT (RFC 9110 section 8.6); int() would also take "+5", "1_0" and " 5"
-        value = self.headers.get("Content-Length", "0").strip(" \t")
-        if not (value.isascii() and value.isdigit()):
+        # 1*DIGIT (RFC 9110 section 8.6); int() would also take "+5", "1_0" and " 5".
+        # Repeats that differ are a framing error (RFC 9112 section 6.3).
+        values = {v.strip(" \t") for v in self.headers.get_all("Content-Length", ["0"])}
+        value = values.pop()
+        if values or not (value.isascii() and value.isdigit()):
             self._respond(400, {"error": "bad_content_length"}, started, close=True)
             return
         length = int(value)

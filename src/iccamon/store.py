@@ -2,7 +2,8 @@
 
 Layout under the data directory:
 
-    stations.json              station registry, only read
+    stations.json              station registry, read once at open and
+                               kept in station_id order
     series/<station_id>.ndjson one JSON record per line, append-only
     alerts.ndjson              the rule engine's alert events, append-only
 
@@ -44,6 +45,7 @@ CHUNK_BYTES = 64 * 1024
 _PADDING = b" " * CHUNK_BYTES
 _NO_FLAGS: frozenset[str] = frozenset()
 _ts = attrgetter("ts")
+_station_id = attrgetter("station_id")
 # what a line that is not the expected JSON object raises in parsing or conversion
 _BAD_LINE = (ValueError, KeyError, TypeError, AttributeError)
 
@@ -343,11 +345,13 @@ class TimeSeriesStore:
         if not path.exists():
             return
         try:
-            for obj in json.loads(path.read_text()):
-                record = StationRecord.from_json_obj(obj)
-                self._stations[record.station_id] = _Station(record, self.series_dir, fsync)
+            records = [StationRecord.from_json_obj(obj) for obj in json.loads(path.read_text())]
         except (TypeError, KeyError, ValueError) as exc:
             raise StorageError(f"corrupt registry {path}: {exc}") from exc
+        # _stations stays in station_id order, so listing the registry sorts
+        # nothing; stable, so of two entries with one id the later still wins
+        for record in sorted(records, key=_station_id):
+            self._stations[record.station_id] = _Station(record, self.series_dir, fsync)
 
     def _station(self, station_id: str) -> _Station:
         try:
@@ -359,10 +363,11 @@ class TimeSeriesStore:
         return self._station(station_id).record
 
     def station_ids(self) -> list[str]:
-        return sorted(self._stations)
+        return list(self._stations)
 
     def stations(self) -> list[StationRecord]:
-        return [self._stations[sid].record for sid in self.station_ids()]
+        """The registry, in station_id order (as are station_ids and record_counts)."""
+        return [station.record for station in self._stations.values()]
 
     def token_registry(self) -> dict[str, str]:
         return {sid: st.record.token for sid, st in self._stations.items()}
@@ -416,6 +421,14 @@ class TimeSeriesStore:
 
     def count(self, station_id: str) -> int:
         return len(self._station(station_id).records)
+
+    def record_counts(self) -> list[int]:
+        """Each station's record count, in station_id order.
+
+        Read without the locks: a station's records only grow, one append
+        at a time, so each count is exact at some moment during the call.
+        """
+        return [len(station.records) for station in self._stations.values()]
 
     def last_seq(self, station_id: str) -> int | None:
         return self._station(station_id).last_seq

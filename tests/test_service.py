@@ -512,7 +512,8 @@ class TestHttpEndpoints:
         resp = requests.get(f"{server.url}/v1/stations")
         assert resp.status_code == 200
         stations = resp.json()
-        assert {s["station_id"] for s in stations} == {"utec-01", "santa-ana"}
+        # stations.json lists utec-01 first; the listing is by station_id
+        assert [s["station_id"] for s in stations] == ["santa-ana", "utec-01"]
         assert all("token" not in s for s in stations)
         assert stations[0]["lat"] is not None
 
@@ -576,13 +577,142 @@ class TestHttpEndpoints:
             service.ingest(frame_text(seq=k + 1, ts=START + k * 1200, pm25=20.0))
         body = requests.get(f"{server.url}/v1/overview").json()
         entries = {e["station_id"]: e for e in body["stations"]}
-        assert set(entries) == {"utec-01", "santa-ana"}
+        assert list(entries) == ["santa-ana", "utec-01"]  # by station_id, not file order
         filled = entries["utec-01"]
         assert filled["icca"] is not None and filled["icca"]["category"] == "Moderada"
         assert filled["last_seen"] == START + 71 * 1200
         assert filled["location"] == {"lat": 13.7, "lon": -89.19}
         empty = entries["santa-ana"]
         assert empty["latest"] is None and empty["icca"] is None
+
+
+
+class TestOverviewCache:
+    """Overview entries kept per station until its next accepted record,
+    against a fresh service over the same store, whose cache is empty."""
+
+    TOKENS = {"alpha": "tok-1", "bravo": "tok-2", "quiet": "tok-3"}  # quiet never reports
+
+    @staticmethod
+    def encoded(payload) -> bytes:
+        return service_mod._RESPONSE_ENCODER.encode(payload).encode("utf-8")
+
+    def steps(self):
+        """(frame text, expected status) for alpha (hourly) and bravo."""
+        t = self.TOKENS
+        ts = START
+        for seq in range(1, 31):
+            yield frame_text("alpha", t["alpha"], seq, ts, pm25=10.0 + seq), 202
+            if seq % 10 == 0:
+                yield frame_text("bravo", t["bravo"], seq // 10, ts + 60, pm25=30.0), 202
+            ts += 3600
+        latest = ts - 3600
+        yield frame_text("alpha", t["alpha"], 30, latest), 409  # replay
+        yield frame_text("alpha", t["alpha"], 28, latest), 409  # stale seq
+        yield frame_text("alpha", "wrong", 31, latest + 3600), 401
+        yield frame_text("quiet", "wrong", 1, latest), 401
+        yield frame_text("alpha", t["alpha"], 31, latest - 5 * 3600 + 60, pm25=90.0), 202
+        yield frame_text("alpha", t["alpha"], 32, latest - 3 * 86400, pm25=90.0), 202
+        yield frame_text("bravo", t["bravo"], 4, latest + 120, pm25=612.0, pm10=700.0), 202
+        # each slides the window past old records, the last past all but itself
+        for seq, gap in ((33, 20 * 3600), (34, 3 * 3600), (35, 2 * 86400)):
+            latest += gap
+            yield frame_text("alpha", t["alpha"], seq, latest, pm25=40.0), 202
+
+    def test_matches_a_fresh_service_after_every_step(self, tmp_path):
+        stations = [StationRecord("quiet", "Quiet", 13.5, -88.9, self.TOKENS["quiet"]),
+                    StationRecord("bravo", "Bravo", 13.6, -89.0, self.TOKENS["bravo"]),
+                    StationRecord("alpha", "Alpha", 13.7, -89.2, self.TOKENS["alpha"], 3600)]
+        store = TimeSeriesStore(register(tmp_path / "data", *stations), fsync=False)
+        service = MonitorService(store)
+        try:
+            prev = service.overview_payload()["stations"]
+            prev_counts = store.record_counts()
+            for text, status in self.steps():
+                assert service.ingest(text)[0] == status, text
+                got = service.overview_payload()
+                want = MonitorService(store).overview_payload()
+                assert got == want, text
+                assert self.encoded(got) == self.encoded(want)
+                counts = store.record_counts()
+                for old, entry, before, now in zip(prev, got["stations"], prev_counts, counts):
+                    # an entry is rebuilt exactly when its station's count moved
+                    assert (entry is old) == (before == now), (text, entry["station_id"])
+                    sid = entry["station_id"]
+                    body = service.icca_payload(sid)
+                    assert (entry["icca"], entry["coverage"]) == (body["icca"], body["coverage"])
+                    assert entry["latest"] == service.latest_payload(sid)["measurement"]
+                prev, prev_counts = got["stations"], counts
+            by_id = {e["station_id"]: e for e in prev}
+            assert list(by_id) == ["alpha", "bravo", "quiet"]
+            assert by_id["quiet"]["latest"] is None and by_id["quiet"]["coverage"] == 0.0
+            assert by_id["bravo"]["latest"]["flags"] == ["beyond_sensor_range"]
+            assert by_id["alpha"]["coverage"] == 1 / 24  # only the last frame is in its window
+        finally:
+            store.close()
+
+    def test_concurrent_ingest_and_overview_reads(self, tmp_path):
+        sids = [f"st-{i}" for i in range(4)]
+        store = TimeSeriesStore(register(tmp_path / "data", *(
+            StationRecord(sid, sid, 13.7, -89.2, "tok", 3600) for sid in reversed(sids))),
+            fsync=False)
+        service = MonitorService(store)
+        # (station, seq) -> (icca, coverage) just after that seq was accepted;
+        # only one thread writes each station, so nothing comes in between
+        after = {}
+        errors = []
+        reads = []
+        writing = threading.Event()
+        writing.set()
+
+        def ingest(sid):
+            for seq in range(1, 121):
+                status, _ = service.ingest(frame_text(sid, "tok", seq, START + seq * 3600,
+                                                      pm25=5.0 + seq))
+                if status != 202:
+                    errors.append((sid, seq, status))
+                body = service.icca_payload(sid)
+                after[(sid, seq)] = (body["icca"], body["coverage"])
+
+        def read():
+            while writing.is_set():
+                reads.append(service.overview_payload()["stations"])
+
+        reader = threading.Thread(target=read)
+        writers = [threading.Thread(target=ingest, args=(sid,)) for sid in sids]
+        # switch threads often, so reads land inside ingests
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reader.start()
+            for t in writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=30)
+        finally:
+            writing.clear()
+            reader.join(timeout=30)
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(t.is_alive() for t in writers + [reader])
+            assert errors == []
+            assert len(reads) > 1
+            for entries in reads:
+                assert [e["station_id"] for e in entries] == sids
+                for e in entries:
+                    if e["latest"] is None:
+                        assert (e["last_seen"], e["icca"], e["coverage"]) == (None, None, 0.0)
+                        continue
+                    assert e["last_seen"] == e["latest"]["ts"]
+                    assert (e["icca"], e["coverage"]) == after[(e["station_id"], e["latest"]["seq"])]
+            final = service.overview_payload()
+            assert final == MonitorService(store).overview_payload()
+            for e in final["stations"]:
+                body = service.icca_payload(e["station_id"])
+                assert (e["icca"], e["coverage"]) == (body["icca"], body["coverage"])
+                assert e["latest"]["seq"] == 120
+        finally:
+            store.close()
 
 
 class TestNoDelayedAckStall:
@@ -629,18 +759,24 @@ class TestNoDelayedAckStall:
             store.close()
 
 
+def raw_request(server, headers: str, body: bytes = b"", method: str = "POST") -> bytes:
+    """Send a request with these header lines and body to /v1/telemetry and
+    read until the server closes the connection."""
+    head = (f"{method} /v1/telemetry HTTP/1.1\r\nHost: x\r\n"
+            f"{headers}\r\n\r\n").encode("latin-1")
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+        sock.sendall(head + body)
+        chunks = []
+        while chunk := sock.recv(4096):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
 class TestHttpContentLength:
     @staticmethod
     def raw_post(server, content_length: str, body: bytes = b"") -> bytes:
         """Send a POST head and body and read until the server closes."""
-        head = (f"POST /v1/telemetry HTTP/1.1\r\nHost: x\r\n"
-                f"Content-Length: {content_length}\r\n\r\n").encode("latin-1")
-        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
-            sock.sendall(head + body)
-            chunks = []
-            while chunk := sock.recv(4096):
-                chunks.append(chunk)
-        return b"".join(chunks)
+        return raw_request(server, f"Content-Length: {content_length}", body)
 
     @pytest.mark.parametrize("value, status", [
         ("abc", 400), ("-1", 400), ("", 400), (str(MAX_BODY_BYTES + 1), 413), ("1048576", 413),
@@ -672,6 +808,23 @@ class TestHttpContentLength:
         finally:
             conn.close()
 
+    def test_differing_repeated_lengths_answered_and_closed(self, server, store):
+        # RFC 9112 section 6.3: an unrecoverable framing error
+        body = frame_text().encode()
+        reply = raw_request(server, f"Content-Length: {len(body)}\r\nContent-Length: 5\r\n"
+                                    "Connection: close", body)
+        assert reply.startswith(b"HTTP/1.1 400 "), reply
+        assert reply.endswith(b'{"error": "bad_content_length"}')
+        assert b"\r\nConnection: close\r\n" in reply
+        assert store.count("utec-01") == 0
+
+    def test_identical_repeated_lengths_accepted(self, server, store):
+        body = frame_text().encode()
+        reply = raw_request(server, f"Content-Length: {len(body)}\r\nContent-Length: {len(body)} "
+                                    "\r\nConnection: close", body)
+        assert reply.startswith(b"HTTP/1.1 202 "), reply
+        assert store.count("utec-01") == 1
+
     def test_unrouted_post_body_is_consumed(self, server):
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
         try:
@@ -689,6 +842,32 @@ class TestHttpContentLength:
         body = frame_text().encode().ljust(MAX_BODY_BYTES)
         resp = requests.post(f"{server.url}/v1/telemetry", data=body)
         assert resp.status_code == 202
+
+
+class TestTransferEncoding:
+    """Bodies are framed by Content-Length only; a request with any
+    Transfer-Encoding is refused, so its body is never read as a request."""
+
+    def test_chunked_post_answered_501_once_and_closed(self, server, store):
+        body = frame_text().encode()
+        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        reply = raw_request(server, "Transfer-Encoding: chunked", chunked)
+        assert reply.startswith(b"HTTP/1.1 501 "), reply
+        assert reply.endswith(b'{"error": "transfer_encoding_not_supported"}')
+        assert b"\r\nConnection: close\r\n" in reply
+        assert reply.count(b"HTTP/1.1 ") == 1  # the chunk bytes were not read as a request
+        assert store.count("utec-01") == 0
+
+    @pytest.mark.parametrize("method, headers", [
+        ("POST", "Transfer-Encoding: chunked\r\nContent-Length: 5"),
+        ("POST", "Transfer-Encoding: identity"),
+        ("GET", "Transfer-Encoding: chunked"),
+    ])
+    def test_any_transfer_encoding_refused(self, server, method, headers):
+        reply = raw_request(server, headers, b"0\r\n\r\n", method)
+        assert reply.startswith(b"HTTP/1.1 501 "), reply
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert b"\r\nConnection: close\r\n" in reply
 
 
 class TestMisbehavingClients:

@@ -351,3 +351,17 @@ class TestRegistry:
         with TimeSeriesStore(register(tmp_path / "data", STATION)) as s:
             assert s.get_station("utec-01") == STATION
             assert s.token_registry() == {"utec-01": "tok-a"}
+
+    def test_registry_kept_in_station_id_order(self, tmp_path):
+        ids = ["zeta", "alpha", "mike", "bravo"]
+        records = [StationRecord(sid, sid, 0.0, 0.0, "t") for sid in ids]
+        # a repeated id: the later entry wins
+        records.append(StationRecord("mike", "Mike 2", 0.0, 0.0, "t2"))
+        with TimeSeriesStore(register(tmp_path / "data", *records), fsync=False) as s:
+            assert s.station_ids() == ["alpha", "bravo", "mike", "zeta"]
+            assert [r.station_id for r in s.stations()] == s.station_ids()
+            assert s.get_station("mike").display_name == "Mike 2"
+            s.append(m(1, station="mike"))
+            s.append(m(2, station="mike"))
+            s.append(m(1, station="zeta"))
+            assert s.record_counts() == [0, 0, 2, 1]
