@@ -18,20 +18,34 @@ its entry. The registry's order (by station_id) is also fixed at open.
 
 Status mapping: BadToken→401, UnknownStation→404, DuplicateSeq/StaleSeq→409,
 OutOfRange/Malformed→422; acceptance → 202 after the record is durable.
-A bad Content-Length, or repeats that differ, get 400, one above
-MAX_BODY_BYTES 413, and any Transfer-Encoding 501; all three close.
-A connection that stalls for SOCKET_TIMEOUT_S is closed. Relative paths in
-a server config file are relative to that file.
+
+HttpServer is a keep-alive HTTP/1.1 loop on a plain socket: an accept
+thread and one thread per connection, at most MAX_CONNECTIONS of them (one
+more gets 503). A request's head is read into a buffer of at most
+MAX_HEAD_BYTES (431 beyond) and parsed once; its body is exactly
+Content-Length bytes, for every method (RFC 9112 section 6); the reply,
+headers and body, goes out in one write. A request line or header line
+that does not parse, a bad Content-Length or repeats that differ get 400,
+a body over MAX_BODY_BYTES 413, a method other than GET and POST or any
+Transfer-Encoding 501. Every refusal closes the connection. A request
+must arrive whole within SOCKET_TIMEOUT_S of the previous reply (or of the
+accept); past that deadline the connection is closed unanswered, which
+also ends an idle keep-alive connection.
+
+Relative paths in a server config file are relative to that file.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import re
+import socket
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
@@ -47,10 +61,20 @@ logger = logging.getLogger(__name__)
 request_logger = logging.getLogger("iccamon.http")
 
 MAX_BODY_BYTES = 4096  # a telemetry frame is under 200 bytes
+MAX_HEAD_BYTES = 8192  # request line, header lines and the empty line after them
+MAX_CONNECTIONS = 64  # served at once; one beyond gets 503
 POLL_INTERVAL_S = 0.05  # how long shutdown() waits for serve_forever at most
-SOCKET_TIMEOUT_S = 10.0  # a connection that sends nothing for this long is closed
+# a request (head and body) must arrive whole within this long of the
+# previous reply, or of the accept; an idle connection is closed then too
+SOCKET_TIMEOUT_S = 10.0
+_RECV_BYTES = 65536
 # one encoder for every response: json.dumps with options builds one per call
 _RESPONSE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+_STATUS_LINES = {s.value: f"HTTP/1.1 {s.value} {s.phrase}\r\n".encode() for s in HTTPStatus}
+_TOKEN = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")  # RFC 9110 section 5.6.2
+_REQUEST_LINE = re.compile(f"({_TOKEN.pattern})" + r" (\S+) HTTP/1\.([0-9])")
+_CLOSE = b"Connection: close\r\n"
+_KEEP_ALIVE = b"Connection: keep-alive\r\n"
 
 _STATUS_FOR_REASON = {
     RejectReason.BAD_TOKEN: 401,
@@ -332,109 +356,198 @@ def _snapshot_payload(snap: IccaSnapshot) -> dict:
 # -- HTTP layer ----------------------------------------------------------------
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    # headers and body go out in two writes; with Nagle's algorithm on, the
-    # second waits for the client's delayed ACK of the first (about 40 ms)
-    disable_nagle_algorithm = True
+class _Refusal(Exception):
+    """A request answered with {"error": ...} and then closed on."""
 
-    @property
-    def timeout(self) -> float:
-        # read when each connection is set up; a stalled read then raises
-        # TimeoutError, on which the base handler closes the connection
-        return SOCKET_TIMEOUT_S
+    def __init__(self, status: int, error: str):
+        super().__init__(error)
+        self.status = status
 
-    @property
-    def service(self) -> MonitorService:
-        return self.server.service  # type: ignore[attr-defined]
 
-    def parse_request(self) -> bool:
-        if not super().parse_request():
-            return False
-        if "Transfer-Encoding" in self.headers:
-            # bodies are framed by Content-Length only; this one is left
-            # unread, so the connection cannot carry another request
-            self._respond(501, {"error": "transfer_encoding_not_supported"}, time.monotonic(),
-                          close=True)
-            return False
-        return True
+class _Connection:
+    """One client connection, serving its keep-alive requests in turn.
 
-    def do_POST(self):
-        started = time.monotonic()
-        # 1*DIGIT (RFC 9110 section 8.6); int() would also take "+5", "1_0" and " 5".
-        # Repeats that differ are a framing error (RFC 9112 section 6.3).
-        values = {v.strip(" \t") for v in self.headers.get_all("Content-Length", ["0"])}
-        value = values.pop()
-        if values or not (value.isascii() and value.isdigit()):
-            self._respond(400, {"error": "bad_content_length"}, started, close=True)
-            return
-        length = int(value)
-        if length > MAX_BODY_BYTES:
-            # the body is left unread, so the connection cannot be reused
-            self._respond(413, {"error": "body_too_large"}, started, close=True)
-            return
-        text = self.rfile.read(length).decode("utf-8", errors="replace")
-        if urlsplit(self.path).path != "/v1/telemetry":
-            status, body = 404, {"error": "not_found"}
-        else:
-            status, body = self.service.ingest(text)
-        self._respond(status, body, started)
+    Each request must arrive whole (head and body) within SOCKET_TIMEOUT_S
+    of the previous reply, or of the accept for the first one; an idle
+    connection is closed at the same deadline.
+    """
 
-    def do_GET(self):
-        started = time.monotonic()
-        split = urlsplit(self.path)
+    def __init__(self, server: HttpServer, sock: socket.socket):
+        self.server = server
+        self.sock = sock
+        self.timeout = SOCKET_TIMEOUT_S  # read per connection
+        self.buf = b""
+        self.deadline = 0.0
+
+    def serve(self) -> None:
         try:
-            status, body = self._route_get(split.path, parse_qs(split.query))
+            while self._request():
+                pass
+        except OSError:
+            pass  # reset by the client, or no whole request by the deadline
+
+    def _read_more(self) -> bool:
+        """Add what the client sends next to the buffer; False if it closed."""
+        remaining = self.deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError
+        self.sock.settimeout(remaining)
+        chunk = self.sock.recv(_RECV_BYTES)
+        self.buf += chunk
+        return bool(chunk)
+
+    def _read_head(self) -> str | None:
+        """The request line and header lines, or None if the client closed."""
+        # the head counts up to and including the empty line that ends it
+        while (end := self.buf.find(b"\r\n\r\n")) < 0:
+            if len(self.buf) >= MAX_HEAD_BYTES:
+                raise _Refusal(431, "header_too_large")
+            if not self._read_more():
+                return None
+        if end + 4 > MAX_HEAD_BYTES:
+            raise _Refusal(431, "header_too_large")
+        head, self.buf = self.buf[:end], self.buf[end + 4:]
+        return head.decode("latin-1")
+
+    def _read_body(self, length: int) -> bytes | None:
+        while len(self.buf) < length:
+            if not self._read_more():
+                return None
+        body, self.buf = self.buf[:length], self.buf[length:]
+        return body
+
+    def _request(self) -> bool:
+        """Read, route and answer one request; False once the connection is done.
+
+        Framing follows RFC 9112 section 6: a body is exactly Content-Length
+        bytes, for every method, and is read before the request is routed.
+        """
+        started = time.monotonic()  # until the head is in, for a refusal's log line
+        self.deadline = started + self.timeout
+        method = target = "-"
+        try:
+            head = self._read_head()
+            if head is None:
+                return False
+            started = time.monotonic()
+            lines = head.split("\r\n")
+            match = _REQUEST_LINE.fullmatch(lines[0])
+            if match is None:
+                raise _Refusal(400, "bad_request_line")
+            method, target, minor = match.groups()
+            fields = _parse_fields(lines[1:])
+            if method not in ("GET", "POST"):
+                raise _Refusal(501, "method_not_supported")
+            if "transfer-encoding" in fields:
+                # bodies are framed by Content-Length only; this one is left
+                # unread, so the connection cannot carry another request
+                raise _Refusal(501, "transfer_encoding_not_supported")
+            length = _content_length(fields.get("content-length", ["0"]))
+        except _Refusal as refusal:
+            self._respond(method, target, refusal.status, {"error": str(refusal)}, started,
+                          _CLOSE)
+            return False
+        connection = _connection_header(fields, minor)
+        if (minor != "0" and len(self.buf) < length
+                and any(v.lower() == "100-continue" for v in fields.get("expect", ()))):
+            self.sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        body = self._read_body(length)
+        if body is None:
+            return False
+        try:
+            status, payload = self._route(method, target, body)
+        except Exception:  # a bug in a handler: answer it, keep the traceback, close
+            logger.exception("error serving %s %s", method, target)
+            status, payload, connection = 500, {"error": "internal_error"}, _CLOSE
+        return self._respond(method, target, status, payload, started, connection)
+
+    def _route(self, method: str, target: str, body: bytes) -> tuple[int, dict | list]:
+        split = urlsplit(target)
+        service = self.server.service
+        if method == "POST":
+            if split.path != "/v1/telemetry":
+                return 404, {"error": "not_found"}
+            return service.ingest(body.decode("utf-8", errors="replace"))
+        try:
+            return _route_get(service, split.path, parse_qs(split.query))
         except UnknownStationError:
-            status, body = 404, {"error": "unknown_station"}
+            return 404, {"error": "unknown_station"}
         except ValueError as exc:
-            status, body = 400, {"error": str(exc)}
-        self._respond(status, body, started)
+            return 400, {"error": str(exc)}
 
-    def _route_get(self, path: str, query: dict) -> tuple[int, dict | list]:
-        service = self.service
-        if path == "/v1/stations":
-            return 200, service.stations_payload()
-        if path == "/v1/overview":
-            return 200, service.overview_payload()
-        parts = path.strip("/").split("/")
-        if len(parts) == 4 and parts[:2] == ["v1", "stations"]:
-            station_id, leaf = parts[2], parts[3]
-            if leaf == "latest":
-                return 200, service.latest_payload(station_id)
-            if leaf == "history":
-                t0 = _int_param(query, "from", 0)
-                t1 = _int_param(query, "to", 2**62)
-                return 200, service.history_payload(station_id, t0, t1)
-            if leaf == "icca":
-                window = _int_param(query, "window_s", 0) or None
-                if window is not None and window <= 0:
-                    raise ValueError("window_s must be positive")
-                return 200, service.icca_payload(station_id, window)
-        return 404, {"error": "not_found"}
-
-    def _respond(self, status: int, body, started: float, close: bool = False) -> None:
-        payload = _RESPONSE_ENCODER.encode(body).encode("utf-8")
+    def _respond(self, method: str, target: str, status: int, body, started: float,
+                 connection: bytes) -> bool:
+        """Send the reply in one write; False when the connection is to close."""
         outcome = ""
         try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json; charset=utf-8")
-            self.send_header("Content-Length", str(len(payload)))
-            if close:
-                self.send_header("Connection", "close")  # also sets close_connection
-            self.end_headers()
-            self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
-            outcome = ", client hung up"
+            self.sock.settimeout(self.timeout)
+            self.sock.sendall(_response(status, body, self.server._http_date(), connection))
+        except TimeoutError:
+            connection, outcome = _CLOSE, ", client stopped reading"
+        except OSError:
+            connection, outcome = _CLOSE, ", client hung up"
         request_logger.info(
             "%s %s -> %d (%.1f ms%s)",
-            self.command, self.path, status, (time.monotonic() - started) * 1e3, outcome,
+            method, target, status, (time.monotonic() - started) * 1e3, outcome,
         )
+        return connection is not _CLOSE
 
-    def log_message(self, fmt, *args):
-        # request logging goes through _respond; keep stderr quiet
-        pass
+
+def _parse_fields(lines: list[str]) -> dict[str, list[str]]:
+    """Header fields by lower-cased name; each value stripped of blanks."""
+    fields: dict[str, list[str]] = {}
+    for line in lines:
+        name, colon, value = line.partition(":")
+        # no blank is allowed before the colon, nor a folded line (RFC 9112 section 5)
+        if not colon or _TOKEN.fullmatch(name) is None:
+            raise _Refusal(400, "bad_header")
+        fields.setdefault(name.lower(), []).append(value.strip(" \t"))
+    return fields
+
+
+def _connection_header(fields: dict[str, list[str]], minor: str) -> bytes:
+    """The Connection header of the reply: close, unless the client keeps the
+    connection open (HTTP/1.1 by default, HTTP/1.0 only when it asks)."""
+    tokens = {t.strip(" \t").lower() for v in fields.get("connection", ()) for t in v.split(",")}
+    if minor == "0":
+        return _KEEP_ALIVE if "keep-alive" in tokens else _CLOSE
+    return _CLOSE if "close" in tokens else b""
+
+
+def _content_length(values: list[str]) -> int:
+    # 1*DIGIT (RFC 9110 section 8.6); int() would also take "+5", "1_0" and " 5".
+    # Repeats that differ are a framing error (RFC 9112 section 6.3).
+    distinct = set(values)
+    value = distinct.pop()
+    if distinct or not (value.isascii() and value.isdigit()):
+        raise _Refusal(400, "bad_content_length")
+    length = int(value)
+    if length > MAX_BODY_BYTES:
+        # the body is left unread, so the connection cannot be reused
+        raise _Refusal(413, "body_too_large")
+    return length
+
+
+def _route_get(service: MonitorService, path: str, query: dict) -> tuple[int, dict | list]:
+    if path == "/v1/stations":
+        return 200, service.stations_payload()
+    if path == "/v1/overview":
+        return 200, service.overview_payload()
+    parts = path.strip("/").split("/")
+    if len(parts) == 4 and parts[:2] == ["v1", "stations"]:
+        station_id, leaf = parts[2], parts[3]
+        if leaf == "latest":
+            return 200, service.latest_payload(station_id)
+        if leaf == "history":
+            t0 = _int_param(query, "from", 0)
+            t1 = _int_param(query, "to", 2**62)
+            return 200, service.history_payload(station_id, t0, t1)
+        if leaf == "icca":
+            window = _int_param(query, "window_s", 0) or None
+            if window is not None and window <= 0:
+                raise ValueError("window_s must be positive")
+            return 200, service.icca_payload(station_id, window)
+    return 404, {"error": "not_found"}
 
 
 def _int_param(query: dict, key: str, default: int) -> int:
@@ -447,37 +560,115 @@ def _int_param(query: dict, key: str, default: int) -> int:
         raise ValueError(f"{key} must be an integer") from None
 
 
+def _response(status: int, body, date: bytes, connection: bytes) -> bytes:
+    """Status line, headers and JSON body as one buffer."""
+    payload = _RESPONSE_ENCODER.encode(body).encode("utf-8")
+    return b"%sDate: %s\r\nContent-Type: application/json; charset=utf-8\r\n" \
+           b"Content-Length: %d\r\n%s\r\n%s" % (
+               _STATUS_LINES[status], date, len(payload), connection, payload)
+
+
 class HttpServer:
-    """Threaded HTTP front door over a MonitorService."""
+    """HTTP/1.1 front door over a MonitorService: an accept thread and one
+    thread per connection, at most MAX_CONNECTIONS of them at once."""
 
     def __init__(self, service: MonitorService, host: str = "127.0.0.1", port: int = 0):
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.service = service  # type: ignore[attr-defined]
-        self._httpd.daemon_threads = True
+        self.service = service
+        self._listener = socket.create_server((host, port))
+        self._address = self._listener.getsockname()
+        # accept() wakes this often to see whether shutdown() was called
+        self._listener.settimeout(POLL_INTERVAL_S)
+        self._stop = threading.Event()
+        self._loop_stopped = threading.Event()
+        self._loop_stopped.set()  # set while no accept loop runs
         self._thread: threading.Thread | None = None
+        self._lock = threading.Lock()  # guards _connections
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._date_cache = (0, b"")
 
     @property
     def port(self) -> int:
-        return self._httpd.server_address[1]
+        return self._address[1]
 
     @property
     def url(self) -> str:
-        host = self._httpd.server_address[0]
-        return f"http://{host}:{self.port}"
+        return f"http://{self._address[0]}:{self.port}"
+
+    def _http_date(self) -> bytes:
+        """The Date header value (RFC 9110 section 6.6.1), formatted once a second."""
+        now = int(time.time())
+        cached = self._date_cache
+        if cached[0] != now:
+            cached = self._date_cache = (now, formatdate(now, usegmt=True).encode("ascii"))
+        return cached[1]
 
     def start(self) -> None:
+        self._loop_stopped.clear()
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, args=(POLL_INTERVAL_S,), daemon=True)
+            target=self.serve_forever, name="iccamon-http-accept", daemon=True)
         self._thread.start()
-        logger.info("listening on %s", self.url)
 
     def serve_forever(self) -> None:
         logger.info("listening on %s", self.url)
-        self._httpd.serve_forever(POLL_INTERVAL_S)
+        self._loop_stopped.clear()
+        try:
+            while not self._stop.is_set():
+                try:
+                    sock, _ = self._listener.accept()
+                except TimeoutError:
+                    continue
+                except OSError as exc:  # out of file descriptors, say
+                    logger.warning("accept failed: %s", exc)
+                    self._stop.wait(POLL_INTERVAL_S)
+                    continue
+                self._admit(sock)
+        finally:
+            self._loop_stopped.set()
+
+    def _admit(self, sock: socket.socket) -> None:
+        # a reply is one write, but with Nagle's algorithm a second one right
+        # after it (pipelined requests, or 100 Continue and then the reply)
+        # would wait for the client's delayed ACK of the first
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with self._lock:
+            if len(self._connections) < MAX_CONNECTIONS:
+                thread = threading.Thread(target=self._serve_connection, args=(sock,),
+                                          name="iccamon-http-conn", daemon=True)
+                self._connections[sock] = thread
+                thread.start()
+                return
+        request_logger.info("- - -> 503 (%d connections open)", MAX_CONNECTIONS)
+        with sock:
+            sock.setblocking(False)  # a small reply into an empty send buffer
+            try:
+                sock.sendall(_response(503, {"error": "too_many_connections"}, self._http_date(),
+                                       _CLOSE))
+            except OSError:
+                pass
+
+    def _serve_connection(self, sock: socket.socket) -> None:
+        try:
+            _Connection(self, sock).serve()
+        finally:
+            with self._lock:
+                del self._connections[sock]
+                sock.close()
 
     def shutdown(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        """Stop accepting, close every open connection and wait for its thread."""
+        self._stop.set()
+        self._loop_stopped.wait()
+        self._listener.close()
+        with self._lock:
+            threads = list(self._connections.values())
+            for sock in self._connections:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)  # wakes a thread blocked in recv
+                except OSError:
+                    pass
+        deadline = time.monotonic() + 5
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
         if self._thread is not None:
             self._thread.join(timeout=5)
 

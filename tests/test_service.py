@@ -1,3 +1,4 @@
+import email.utils
 import http.client
 import json
 import logging
@@ -772,6 +773,21 @@ def raw_request(server, headers: str, body: bytes = b"", method: str = "POST") -
     return b"".join(chunks)
 
 
+def read_to_eof(sock) -> bytes:
+    """Everything the server sends until it closes the connection."""
+    chunks = []
+    while chunk := sock.recv(4096):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def raw_exchange(server, data: bytes) -> bytes:
+    """Send these bytes on a new connection and read until the server closes."""
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+        sock.sendall(data)
+        return read_to_eof(sock)
+
+
 class TestHttpContentLength:
     @staticmethod
     def raw_post(server, content_length: str, body: bytes = b"") -> bytes:
@@ -837,6 +853,17 @@ class TestHttpContentLength:
             assert conn.getresponse().status == 202
         finally:
             conn.close()
+
+    def test_get_body_is_not_read_as_a_request(self, server):
+        # a GET's Content-Length frames a body too (RFC 9112 section 6)
+        inner = b"GET /v1/nope HTTP/1.1\r\n\r\n"
+        reply = raw_exchange(
+            server,
+            b"GET /v1/stations HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+            b"GET /v1/stations/utec-01/latest HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+            % (len(inner), inner))
+        assert re.findall(rb"HTTP/1\.1 (\d{3}) ", reply) == [b"200", b"200"], reply
+        assert reply.endswith(b'{"station_id": "utec-01", "measurement": null}')
 
     def test_limit_itself_is_accepted(self, server):
         body = frame_text().encode().ljust(MAX_BODY_BYTES)
@@ -933,6 +960,199 @@ class TestMisbehavingClients:
         message = caplog.records[0].getMessage()
         assert "POST /v1/telemetry -> 202" in message and "client hung up" in message
         assert "Traceback" not in capfd.readouterr().err
+
+
+def post_status(server) -> int | None:
+    """POST one frame on a new connection; None if the server reset it."""
+    body = frame_text().encode()
+    try:
+        reply = raw_request(server, f"Content-Length: {len(body)}\r\nConnection: close", body)
+    except ConnectionError:
+        return None
+    return int(reply[9:12])
+
+
+class TestFrontEndFaults:
+    """Fault injection for the front end's bounds (at lowered limits) and
+    error paths."""
+
+    def test_trickling_head_closed_at_the_deadline(self, service, monkeypatch):
+        # the deadline covers the whole request, not each read
+        monkeypatch.setattr(service_mod, "SOCKET_TIMEOUT_S", 1.0)
+        srv = HttpServer(service, port=0)
+        srv.start()
+        try:
+            head = b"GET /v1/stations HTTP/1.1\r\nHost: x\r\n\r\n"  # 12 s at this pace
+            reply = None
+            with socket.create_connection(("127.0.0.1", srv.port), timeout=0.3) as sock:
+                started = time.monotonic()
+                while time.monotonic() - started < 2.5:
+                    try:
+                        sock.sendall(head[:1])
+                        head = head[1:]
+                        reply = sock.recv(4096)  # waits 0.3 s between bytes
+                        break
+                    except TimeoutError:
+                        continue
+                    except ConnectionError:
+                        reply = b""
+                        break
+                elapsed = time.monotonic() - started
+            assert reply == b"", reply  # closed without a reply
+            assert elapsed < 2.0
+            assert post_status(srv) == 202
+        finally:
+            srv.shutdown()
+
+    def test_connection_beyond_the_cap_gets_503(self, service, monkeypatch):
+        monkeypatch.setattr(service_mod, "MAX_CONNECTIONS", 2)
+        srv = HttpServer(service, port=0)
+        srv.start()
+        held = [http.client.HTTPConnection("127.0.0.1", srv.port, timeout=5) for _ in range(2)]
+        try:
+            for conn in held:  # both stay open after their reply
+                conn.request("GET", "/v1/stations")
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == 200
+            with socket.create_connection(("127.0.0.1", srv.port), timeout=5) as third:
+                reply = read_to_eof(third)
+            assert reply.startswith(b"HTTP/1.1 503 Service Unavailable\r\n"), reply
+            assert b"\r\nConnection: close\r\n" in reply
+            assert reply.endswith(b'{"error": "too_many_connections"}')
+            held[0].close()
+            # the slot is free once the server has seen that close
+            deadline = time.monotonic() + 2
+            while (status := post_status(srv)) in (503, None) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert status == 202
+        finally:
+            for conn in held:
+                conn.close()
+            srv.shutdown()
+
+    def test_head_over_the_limit_gets_431(self, server, monkeypatch):
+        monkeypatch.setattr(service_mod, "MAX_HEAD_BYTES", 256)
+
+        def head(size: int) -> bytes:
+            start = b"GET /v1/stations HTTP/1.1\r\nConnection: close\r\nX-Pad: "
+            return start + b"a" * (size - len(start) - 4) + b"\r\n\r\n"
+
+        assert raw_exchange(server, head(256)).startswith(b"HTTP/1.1 200 ")
+        reply = raw_exchange(server, head(257))
+        assert reply.startswith(b"HTTP/1.1 431 Request Header Fields Too Large\r\n"), reply
+        assert b"\r\nConnection: close\r\n" in reply
+        assert reply.endswith(b'{"error": "header_too_large"}')
+        # a head that never ends is refused once it passes the limit
+        reply = raw_exchange(server, b"GET /v1/stations HTTP/1.1\r\nX-Pad: " + b"a" * 300)
+        assert reply.startswith(b"HTTP/1.1 431 "), reply
+
+    @pytest.mark.parametrize("head, error", [
+        (b"GET /v1/stations\r\n\r\n", "bad_request_line"),
+        (b"GET  /v1/stations HTTP/1.1\r\n\r\n", "bad_request_line"),
+        (b"GET /v1/stations HTTP/2.0\r\n\r\n", "bad_request_line"),
+        (b"GET /v1/stations HTTP/1.1 \r\n\r\n", "bad_request_line"),
+        (b"\r\nGET /v1/stations HTTP/1.1\r\n\r\n", "bad_request_line"),
+        (b"GET /v1/stations HTTP/1.1\r\nNoColon\r\n\r\n", "bad_header"),
+        (b"GET /v1/stations HTTP/1.1\r\nHost : x\r\n\r\n", "bad_header"),
+        (b"GET /v1/stations HTTP/1.1\r\nHost: x\r\n folded\r\n\r\n", "bad_header"),
+    ])
+    def test_bad_request_line_or_header_gets_400(self, server, head, error):
+        reply = raw_exchange(server, head + b"GET /v1/stations HTTP/1.1\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n"), reply
+        assert reply.endswith(b'{"error": "%s"}' % error.encode())
+        assert b"\r\nConnection: close\r\n" in reply
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+    @pytest.mark.parametrize("method", ["HEAD", "PUT", "DELETE"])
+    def test_other_methods_get_501(self, server, method):
+        reply = raw_exchange(server, b"%s /v1/stations HTTP/1.1\r\nHost: x\r\n\r\n"
+                             % method.encode())
+        assert reply.startswith(b"HTTP/1.1 501 Not Implemented\r\n"), reply
+        assert reply.endswith(b'{"error": "method_not_supported"}')
+        assert b"\r\nConnection: close\r\n" in reply
+
+    def test_handler_error_answered_500_and_logged(self, caplog):
+        class BrokenService:
+            def ingest(self, text):
+                raise RuntimeError("boom")
+
+        srv = HttpServer(BrokenService(), port=0)
+        srv.start()
+        try:
+            body = frame_text().encode()
+            reply = raw_request(srv, f"Content-Length: {len(body)}", body)
+        finally:
+            srv.shutdown()
+        assert reply.startswith(b"HTTP/1.1 500 Internal Server Error\r\n"), reply
+        assert reply.endswith(b'{"error": "internal_error"}')
+        assert b"\r\nConnection: close\r\n" in reply
+        errors = [r for r in caplog.records if r.name == "iccamon.service"]
+        assert len(errors) == 1 and errors[0].exc_info[0] is RuntimeError
+
+    def test_shutdown_closes_idle_keep_alive_connections(self, service):
+        srv = HttpServer(service, port=0)
+        srv.start()
+        try:
+            idle = []
+            for _ in range(2):
+                sock = socket.create_connection(("127.0.0.1", srv.port), timeout=5)
+                idle.append(sock)
+                sock.sendall(b"GET /v1/stations HTTP/1.1\r\nHost: x\r\n\r\n")
+                TestNoDelayedAckStall.read_response(sock)
+        finally:
+            srv.shutdown()
+        for sock in idle:
+            with sock:
+                sock.settimeout(1)
+                assert sock.recv(4096) == b""
+
+
+class TestHttpBehaviourKept:
+    """What the standard library's server did, kept by the front end."""
+
+    def test_expect_100_continue(self, server, store):
+        body = frame_text().encode()
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(b"POST /v1/telemetry HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(body))
+            interim = b""
+            while b"\r\n\r\n" not in interim:
+                interim += sock.recv(4096)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            head = TestNoDelayedAckStall.read_response(sock)
+        assert head.startswith(b"HTTP/1.1 202 Accepted\r\n")
+        assert store.count("utec-01") == 1
+
+    def test_http_1_0_closes_unless_asked_to_keep_alive(self, server):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(b"GET /v1/stations HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
+            assert TestNoDelayedAckStall.read_response(sock).startswith(b"HTTP/1.1 200 ")
+            sock.sendall(b"GET /v1/stations HTTP/1.0\r\n\r\n")
+            reply = read_to_eof(sock)
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+    def test_connection_close_closes_after_the_reply(self, server):
+        reply = raw_exchange(server, b"GET /v1/stations HTTP/1.1\r\nHost: x\r\n"
+                                     b"Connection: close\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+    def test_every_response_carries_a_date(self, server):
+        body = frame_text().encode()
+        replies = [
+            raw_request(server, f"Content-Length: {len(body)}\r\nConnection: close", body),
+            raw_request(server, "Content-Length: x"),
+            raw_request(server, f"Content-Length: {MAX_BODY_BYTES + 1}"),
+            raw_exchange(server, b"GET /v1/nope HTTP/1.1\r\nConnection: close\r\n\r\n"),
+        ]
+        for reply in replies:
+            date = re.search(rb"\r\nDate: ([^\r]+)\r\n", reply)
+            assert date, reply
+            sent = email.utils.parsedate_to_datetime(date.group(1).decode())
+            assert abs(sent.timestamp() - time.time()) < 5
 
 
 class TestServerConfig:
