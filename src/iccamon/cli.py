@@ -21,6 +21,7 @@ import math
 import re
 import signal
 import sys
+import threading
 from pathlib import Path
 
 import requests
@@ -44,7 +45,10 @@ def parse_window(text: str) -> int:
     m = _WINDOW_RE.match(text.strip())
     if not m:
         raise ValueError(f"bad window {text!r} (use e.g. 24h, 90m, 3600s)")
-    return int(m.group(1)) * _WINDOW_UNIT_S[m.group(2)]
+    window_s = int(m.group(1)) * _WINDOW_UNIT_S[m.group(2)]
+    if window_s == 0:
+        raise ValueError(f"window must be positive, got {text!r}")
+    return window_s
 
 
 def _use_color() -> bool:
@@ -67,27 +71,27 @@ def _colored(text: str, color: str) -> str:
 
 
 def _open_service(args):
-    """(config, service, store) from --config, with --data-dir overriding
-    the config's data_dir; None, after printing why, when either is unusable."""
+    """(config, service) from --config, with --data-dir overriding the
+    config's data_dir; None, after printing why, when either is unusable."""
     try:
         config = service_mod.load_server_config(args.config)
         if args.data_dir:
             config.data_dir = args.data_dir
-        svc, store = service_mod.build_service(config)
+        svc, _ = service_mod.build_service(config)
     except StorageError as exc:
         print(f"storage error: {exc}", file=sys.stderr)
         return None
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return None
-    return config, svc, store
+    return config, svc
 
 
 def cmd_serve(args) -> int:
     opened = _open_service(args)
     if opened is None:
         return EXIT_USAGE
-    config, svc, store = opened
+    config, svc = opened
 
     server = service_mod.HttpServer(svc, config.host, config.port)
     print(f"serving on {server.url} (data_dir={config.data_dir})", flush=True)
@@ -95,15 +99,15 @@ def cmd_serve(args) -> int:
     def _stop(signum, frame):
         raise KeyboardInterrupt
 
-    signal.signal(signal.SIGINT, _stop)
-    signal.signal(signal.SIGTERM, _stop)
     try:
-        server.serve_forever()
+        signal.signal(signal.SIGINT, _stop)
+        signal.signal(signal.SIGTERM, _stop)
+        server.start()
+        threading.Event().wait()  # until SIGINT or SIGTERM raises out of it
     except KeyboardInterrupt:
         pass
     finally:
         server.shutdown()
-        store.close()
         logging.shutdown()
     print("shut down cleanly")
     return EXIT_OK
@@ -116,7 +120,7 @@ def cmd_replay(args) -> int:
     opened = _open_service(args)
     if opened is None:
         return EXIT_USAGE
-    _, svc, store = opened
+    _, svc = opened
     by_status: dict[str, int] = {}
     try:
         for line in sim.iter_offline_frames(args.frames):
@@ -125,8 +129,6 @@ def cmd_replay(args) -> int:
     except OSError as exc:
         print(f"frames error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        store.close()
     print(json.dumps(dict(sorted(by_status.items()))))
     # 409 means the store already holds the frame, as for a station's resend
     return EXIT_OK if set(by_status) <= {"202", "409"} else EXIT_RUNTIME

@@ -63,7 +63,7 @@ request_logger = logging.getLogger("iccamon.http")
 MAX_BODY_BYTES = 4096  # a telemetry frame is under 200 bytes
 MAX_HEAD_BYTES = 8192  # request line, header lines and the empty line after them
 MAX_CONNECTIONS = 64  # served at once; one beyond gets 503
-POLL_INTERVAL_S = 0.05  # how long shutdown() waits for serve_forever at most
+POLL_INTERVAL_S = 0.05  # how long shutdown() waits for the accept loop at most
 # a request (head and body) must arrive whole within this long of the
 # previous reply, or of the accept; an idle connection is closed then too
 SOCKET_TIMEOUT_S = 10.0
@@ -521,11 +521,13 @@ def _content_length(values: list[str]) -> int:
     value = distinct.pop()
     if distinct or not (value.isascii() and value.isdigit()):
         raise _Refusal(400, "bad_content_length")
-    length = int(value)
-    if length > MAX_BODY_BYTES:
+    digits = value.lstrip("0") or "0"
+    # more digits than the cap has are over it; int() refuses a few thousand
+    # (sys.get_int_max_str_digits), so it never sees them
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
         # the body is left unread, so the connection cannot be reused
         raise _Refusal(413, "body_too_large")
-    return length
+    return int(digits)
 
 
 def _route_get(service: MonitorService, path: str, query: dict) -> tuple[int, dict | list]:
@@ -543,14 +545,14 @@ def _route_get(service: MonitorService, path: str, query: dict) -> tuple[int, di
             t1 = _int_param(query, "to", 2**62)
             return 200, service.history_payload(station_id, t0, t1)
         if leaf == "icca":
-            window = _int_param(query, "window_s", 0) or None
+            window = _int_param(query, "window_s", None)
             if window is not None and window <= 0:
                 raise ValueError("window_s must be positive")
             return 200, service.icca_payload(station_id, window)
     return 404, {"error": "not_found"}
 
 
-def _int_param(query: dict, key: str, default: int) -> int:
+def _int_param(query: dict, key: str, default: int | None) -> int | None:
     values = query.get(key)
     if not values:
         return default
@@ -570,7 +572,8 @@ def _response(status: int, body, date: bytes, connection: bytes) -> bytes:
 
 class HttpServer:
     """HTTP/1.1 front door over a MonitorService: an accept thread and one
-    thread per connection, at most MAX_CONNECTIONS of them at once."""
+    thread per connection, at most MAX_CONNECTIONS of them at once, from
+    start() until shutdown()."""
 
     def __init__(self, service: MonitorService, host: str = "127.0.0.1", port: int = 0):
         self.service = service
@@ -579,8 +582,6 @@ class HttpServer:
         # accept() wakes this often to see whether shutdown() was called
         self._listener.settimeout(POLL_INTERVAL_S)
         self._stop = threading.Event()
-        self._loop_stopped = threading.Event()
-        self._loop_stopped.set()  # set while no accept loop runs
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()  # guards _connections
         self._connections: dict[socket.socket, threading.Thread] = {}
@@ -603,27 +604,23 @@ class HttpServer:
         return cached[1]
 
     def start(self) -> None:
-        self._loop_stopped.clear()
+        """Accept connections on a background thread until shutdown()."""
         self._thread = threading.Thread(
-            target=self.serve_forever, name="iccamon-http-accept", daemon=True)
+            target=self._accept_loop, name="iccamon-http-accept", daemon=True)
         self._thread.start()
 
-    def serve_forever(self) -> None:
+    def _accept_loop(self) -> None:
         logger.info("listening on %s", self.url)
-        self._loop_stopped.clear()
-        try:
-            while not self._stop.is_set():
-                try:
-                    sock, _ = self._listener.accept()
-                except TimeoutError:
-                    continue
-                except OSError as exc:  # out of file descriptors, say
-                    logger.warning("accept failed: %s", exc)
-                    self._stop.wait(POLL_INTERVAL_S)
-                    continue
-                self._admit(sock)
-        finally:
-            self._loop_stopped.set()
+        while not self._stop.is_set():
+            try:
+                sock, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            except OSError as exc:  # out of file descriptors, say
+                logger.warning("accept failed: %s", exc)
+                self._stop.wait(POLL_INTERVAL_S)
+                continue
+            self._admit(sock)
 
     def _admit(self, sock: socket.socket) -> None:
         # a reply is one write, but with Nagle's algorithm a second one right
@@ -655,9 +652,11 @@ class HttpServer:
                 sock.close()
 
     def shutdown(self) -> None:
-        """Stop accepting, close every open connection and wait for its thread."""
+        """Stop accepting, close the listener and every open connection, and
+        wait for the accept thread and each connection's thread."""
         self._stop.set()
-        self._loop_stopped.wait()
+        if self._thread is not None:
+            self._thread.join()
         self._listener.close()
         with self._lock:
             threads = list(self._connections.values())
@@ -669,8 +668,6 @@ class HttpServer:
         deadline = time.monotonic() + 5
         for thread in threads:
             thread.join(max(0.0, deadline - time.monotonic()))
-        if self._thread is not None:
-            self._thread.join(timeout=5)
 
 
 def build_service(config: ServerConfig) -> tuple[MonitorService, TimeSeriesStore]:

@@ -72,38 +72,39 @@ class NdjsonLog:
     torn by a crash is blanked with spaces when the file is next read or
     appended to (see _load).
 
-    Each append is written and, with fsync, fsynced before it returns.
+    Each append opens the file, writes, fsyncs (with fsync) and closes it
+    before it returns, so a log holds no file descriptor between appends.
     Not thread-safe: callers serialise appends.
     """
 
     def __init__(self, path: Path, fsync: bool = True):
         self.path = path
         self._fsync = fsync
-        self._fd: int | None = None
         self._end: int | None = None  # offset past the last whole line; None until found
         self._size = 0  # file size; the bytes from _end to it are padding
 
     def append(self, obj) -> None:
         line = (_ENCODER.encode(obj) + "\n").encode("utf-8")
         try:
-            if self._fd is None:
-                if self._end is None:
-                    self._load()
-                self._fd = os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o644)
-            pos = self._end
-            data = line if pos + len(line) <= self._size else line + _PADDING
-            written = os.pwrite(self._fd, data, pos)
-            if written != len(data):
-                # part of data is on disk: find the data end in the file again
-                self.close()
-                self._end = None
-                raise StorageError(f"append to {self.path} failed: wrote {written} "
-                                   f"of {len(data)} bytes")
-            # before the fsync: a retry after a failed fsync writes a second copy
-            self._end = pos + len(line)
-            self._size = max(self._size, pos + len(data))
-            if self._fsync:
-                os.fsync(self._fd)
+            if self._end is None:
+                self._load()
+            fd = os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o644)
+            try:
+                pos = self._end
+                data = line if pos + len(line) <= self._size else line + _PADDING
+                written = os.pwrite(fd, data, pos)
+                if written != len(data):
+                    # part of data is on disk: find the data end in the file again
+                    self._end = None
+                    raise StorageError(f"append to {self.path} failed: wrote {written} "
+                                       f"of {len(data)} bytes")
+                # before the fsync: a retry after a failed fsync writes a second copy
+                self._end = pos + len(line)
+                self._size = max(self._size, pos + len(data))
+                if self._fsync:
+                    os.fsync(fd)
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise StorageError(f"append to {self.path} failed: {exc}") from exc
 
@@ -167,11 +168,6 @@ class NdjsonLog:
             except _BAD_LINE as exc:
                 raise StorageError(f"{self.path}:{lineno}: corrupt {what}: {exc}") from exc
         return items
-
-    def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
 
 
 @dataclass(frozen=True)
@@ -434,9 +430,8 @@ class TimeSeriesStore:
         return self._station(station_id).last_seq
 
     def close(self) -> None:
-        for station in self._stations.values():
-            station.log.close()
-        self.alert_log.close()
+        """Nothing to release: a log holds no file between appends. Kept, with
+        the context manager, for callers written when the store held files."""
 
     def __enter__(self):
         return self

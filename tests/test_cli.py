@@ -170,8 +170,9 @@ class TestReportCommand:
     def test_unreachable_server_exits_1(self, capsys):
         assert cli.main(["report", "--server", "http://127.0.0.1:1"]) == 1
 
-    def test_bad_window_exits_2(self, live_server):
-        assert cli.main(["report", "--server", live_server.url, "--window", "soon"]) == 2
+    @pytest.mark.parametrize("window", ["soon", "0", "0h"])
+    def test_bad_window_exits_2(self, live_server, window):
+        assert cli.main(["report", "--server", live_server.url, "--window", window]) == 2
 
 
 class TestDumpFrame:
@@ -198,9 +199,10 @@ class TestParseWindow:
         assert cli.parse_window("3600s") == 3600
         assert cli.parse_window("120") == 120
 
-    def test_rejects_garbage(self):
+    @pytest.mark.parametrize("text", ["1d", "0", "0s", "00m", "0h"])
+    def test_rejects_garbage(self, text):
         with pytest.raises(ValueError):
-            cli.parse_window("1d")
+            cli.parse_window(text)
 
 
 class TestShippedConfigs:
@@ -357,7 +359,8 @@ class TestServeCommand:
         bad.write_text("{nope")
         assert cli.main(["serve", "--config", str(bad)]) == 2
 
-    def test_serve_subprocess_creates_data_dir_and_stops_cleanly(self, tmp_path):
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    def test_serve_subprocess_creates_data_dir_and_stops_cleanly(self, tmp_path, signum):
         config = tmp_path / "server.json"
         data_dir = tmp_path / "fresh_data"
         config.write_text(json.dumps({
@@ -385,8 +388,11 @@ class TestServeCommand:
             else:
                 pytest.fail("server never answered")
             assert data_dir.is_dir()
-            proc.send_signal(signal.SIGINT)
+            proc.send_signal(signum)
             assert proc.wait(timeout=10) == 0
+            assert "shut down cleanly" in proc.stdout.read()
         finally:
             if proc.poll() is None:
                 proc.kill()
+                proc.wait()
+            proc.stdout.close()

@@ -158,9 +158,7 @@ def receiver(receivers):
 
 @pytest.fixture
 def alert_log(tmp_path):
-    log = NdjsonLog(tmp_path / "alerts.ndjson")
-    yield log
-    log.close()
+    return NdjsonLog(tmp_path / "alerts.ndjson")
 
 
 EVENT = AlertEvent("r1", "utec-01", AlertKind.RAISED, 153, "Dañina a la Salud", 1700000000)

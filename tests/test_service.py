@@ -7,6 +7,7 @@ import re
 import socket
 import statistics
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -183,6 +184,34 @@ class TestIngest:
         for sid in ("utec-01", "santa-ana"):
             seqs = [m.seq for m in store.query_range(sid, 0, 2**62)]
             assert seqs == list(range(1, 51))
+
+
+# ingests the frames on stdin under a lowered descriptor limit (argv[2]) and
+# prints the count of each status; the limit holds for this child only
+_INGEST_UNDER_FD_LIMIT = """
+import collections, json, resource, sys
+from iccamon.service import MonitorService
+from iccamon.store import TimeSeriesStore
+hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+resource.setrlimit(resource.RLIMIT_NOFILE, (int(sys.argv[2]), hard))
+service = MonitorService(TimeSeriesStore(sys.argv[1]))
+print(json.dumps(collections.Counter(service.ingest(line)[0] for line in sys.stdin)))
+"""
+
+
+class TestDescriptorUse:
+    def test_more_stations_than_file_descriptors(self, tmp_path):
+        # a log holds no descriptor between appends, so the stations that
+        # have ever reported can outnumber the process's descriptor limit
+        stations = [StationRecord(f"st-{i:03d}", f"Station {i}", 13.70, -89.19, f"tok-{i}")
+                    for i in range(300)]
+        data = register(tmp_path / "data", *stations)
+        frames = "".join(frame_text(st.station_id, st.token) + "\n" for st in stations)
+        child = subprocess.run(
+            [sys.executable, "-c", _INGEST_UNDER_FD_LIMIT, str(data), "256"],
+            input=frames, capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout) == {"202": 300}, child.stderr[-2000:]
 
 
 def _container_sizes(*roots):
@@ -570,8 +599,10 @@ class TestHttpEndpoints:
             f"{server.url}/v1/stations/utec-01/icca?window_s=7200").json()
         assert body["window_s"] == 7200
         assert body["sufficient"] is True  # 6 of 6 expected in 2h window
-        assert requests.get(
-            f"{server.url}/v1/stations/utec-01/icca?window_s=-5").status_code == 400
+        for window in ("-5", "0"):
+            resp = requests.get(f"{server.url}/v1/stations/utec-01/icca?window_s={window}")
+            assert resp.status_code == 400
+            assert resp.json() == {"error": "window_s must be positive"}
 
     def test_overview(self, server, service):
         for k in range(72):
@@ -796,6 +827,7 @@ class TestHttpContentLength:
 
     @pytest.mark.parametrize("value, status", [
         ("abc", 400), ("-1", 400), ("", 400), (str(MAX_BODY_BYTES + 1), 413), ("1048576", 413),
+        pytest.param("9" * 5000, 413, id="5000-digits"),  # more digits than int() converts
     ])
     def test_bad_length_answered_and_closed(self, server, value, status):
         reply = self.raw_post(server, value)
@@ -812,6 +844,13 @@ class TestHttpContentLength:
         assert reply.startswith(b"HTTP/1.1 400 "), reply
         assert reply.endswith(b'{"error": "bad_content_length"}')
         assert b"\r\nConnection: close\r\n" in reply
+
+    def test_length_with_many_leading_zeros_accepted(self, server):
+        # 1*DIGIT allows leading zeros, more of them than int() converts
+        body = frame_text().encode()
+        reply = raw_request(server, f"Content-Length: {'0' * 5000}{len(body)}\r\n"
+                                    "Connection: close", body)
+        assert reply.startswith(b"HTTP/1.1 202 "), reply
 
     def test_length_with_surrounding_blanks_accepted(self, server):
         body = frame_text().encode()

@@ -254,7 +254,6 @@ class TestPaddedLog:
         log = NdjsonLog(tmp_path / "alerts.ndjson")
         event = {"category": "Dañina a la Salud", "ts": 1}
         log.append(event)
-        log.close()
         assert log_data(log.path) == (json.dumps(event, separators=(",", ":"), ensure_ascii=False)
                                       + "\n").encode()
 
@@ -315,7 +314,6 @@ class TestPaddedLog:
         for seq in range(n):
             log.append({**obj, "seq": 10**6 + seq})  # every line the same length
             sizes.append(os.path.getsize(path))
-        log.close()
         # the file grew at the first append and at the one that did not fit
         fits = CHUNK_BYTES // line + 1
         assert sizes[:fits] == [line + CHUNK_BYTES] * fits
