@@ -8,8 +8,9 @@
 
 Exit codes: 0 success (a simulation with delivery failures still counts;
 a replay where every frame got 202 or 409), 1 runtime failure (a replayed
-frame rejected otherwise), 2 usage, config or storage error (a data
-directory the store cannot open).
+frame rejected otherwise), 2 usage, config, storage or I/O error (a data
+directory the store cannot open, a port in use, an unreadable frames file,
+an output file that cannot be written).
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def cmd_replay(args) -> int:
         for line in sim.iter_offline_frames(args.frames):
             status = str(svc.ingest(line)[0])
             by_status[status] = by_status.get(status, 0) + 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"frames error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(json.dumps(dict(sorted(by_status.items()))))
@@ -345,7 +346,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return int(exc.code) if exc.code else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # a port in use, an output path in a missing directory
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

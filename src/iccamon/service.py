@@ -6,10 +6,11 @@ alert rules — all under the store's per-station lock, with the store as the
 authority on sequence numbers, so acceptance and window updates are
 race-free while distinct stations proceed in parallel. Reads are public.
 
-The 24-hour index comes from running sums the store keeps beside each
-station's records, so a frame, an /icca read and each /overview entry do
-constant window work; /icca with another window_s recomputes from the
-records. Both give the same exact, correctly rounded means.
+Every index, for a frame's alert rules, an /icca read or an /overview
+entry, is the rolling index over window sums from the store. The 24-hour
+window's sums are kept beside each station's records, so it costs constant
+work; /icca with another window_s has the store sum that window once. Both
+give the same exact, correctly rounded means.
 
 /overview keeps one built entry per registered station and rebuilds it
 only after that station's next accepted record: records are append-only
@@ -96,7 +97,9 @@ class ServerConfig:
     port: int = 8321
     data_dir: str = "data"
     rules_path: str | None = None
-    alert_source: str = "rolling"  # or "instant"
+    # read by nothing: alerts key on the rolling index only. Kept because
+    # perfbench/workloads.py still passes alert_source="rolling".
+    alert_source: str = "rolling"
 
 
 def load_server_config(path: str | Path) -> ServerConfig:
@@ -109,10 +112,7 @@ def load_server_config(path: str | Path) -> ServerConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    types = {
-        "host": str, "port": int, "data_dir": str, "rules_path": (str, type(None)),
-        "alert_source": str,
-    }
+    types = {"host": str, "port": int, "data_dir": str, "rules_path": (str, type(None))}
     unknown = set(obj) - set(types)
     if unknown:
         raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
@@ -120,8 +120,6 @@ def load_server_config(path: str | Path) -> ServerConfig:
         if not isinstance(value, types[key]) or isinstance(value, bool):
             raise ConfigError(f"config {path}: {key} has wrong type ({value!r})")
     cfg = ServerConfig(**obj)
-    if cfg.alert_source not in ("rolling", "instant"):
-        raise ConfigError(f"alert_source must be 'rolling' or 'instant', got {cfg.alert_source!r}")
     if not 0 <= cfg.port <= 65535:
         raise ConfigError(f"config {path}: port must be in 0..65535, got {cfg.port}")
     # relative paths in a config file are relative to that file
@@ -163,15 +161,9 @@ class MonitorService:
     window_s = icca.WINDOW_24H_S
     coverage_min = icca.DEFAULT_COVERAGE_MIN
 
-    def __init__(
-        self,
-        store: TimeSeriesStore,
-        rule_engine: RuleEngine | None = None,
-        alert_source: str = "rolling",
-    ):
+    def __init__(self, store: TimeSeriesStore, rule_engine: RuleEngine | None = None):
         self.store = store
         self.rule_engine = rule_engine
-        self.alert_source = alert_source
         self._registry = store.stations()  # fixed at open, in station_id order
         # per registered station, (record count, overview entry) built at
         # that count; -1 matches no count, so the first overview builds all
@@ -202,12 +194,6 @@ class MonitorService:
     def _post_accept(self, m: Measurement) -> None:
         if self.rule_engine is None:
             return
-        if self.alert_source == "instant":
-            a25 = WindowAverage(m.pm25, 1, 1, 1.0, True)
-            a10 = WindowAverage(m.pm10, 1, 1, 1.0, True)
-            result = icca.overall_icca(a25, a10)
-            self.rule_engine.observe(m.station_id, result, m.ts)
-            return
         snapshot = self.rolling_icca(m.station_id)
         if snapshot.sufficient:
             self.rule_engine.observe(m.station_id, snapshot.result, m.ts)
@@ -215,30 +201,16 @@ class MonitorService:
     # -- queries -----------------------------------------------------------
 
     def rolling_icca(self, station_id: str, window_s: int | None = None) -> IccaSnapshot:
-        """Rolling index with the window ending at the station's latest record.
-
-        The default window comes from the store's running sums; any other
-        window_s is recomputed from the records.
-        """
+        """Rolling index over the store's window sums for the window ending
+        at the station's latest record."""
         window_s = window_s or self.window_s
         period = self.store.get_station(station_id).report_period_s
-        if window_s == icca.WINDOW_24H_S:
-            window = self.store.window(station_id)
-            if window is None:
-                return IccaSnapshot(station_id, None, window_s, None, None, None)
-            end, count, sum25, sum10 = window
-            a25 = icca.window_average(count, sum25, window_s, period, self.coverage_min)
-            a10 = icca.window_average(count, sum10, window_s, period, self.coverage_min)
-        else:
-            latest = self.store.latest(station_id)
-            if latest is None:
-                return IccaSnapshot(station_id, None, window_s, None, None, None)
-            end = latest.ts
-            records = self.store.query_range(station_id, end - window_s + 1, end)
-            a25 = icca.rolling_average(
-                [(r.ts, r.pm25) for r in records], end, window_s, period, self.coverage_min)
-            a10 = icca.rolling_average(
-                [(r.ts, r.pm10) for r in records], end, window_s, period, self.coverage_min)
+        window = self.store.window(station_id, window_s)
+        if window is None:
+            return IccaSnapshot(station_id, None, window_s, None, None, None)
+        end, count, sum25, sum10 = window
+        a25 = icca.window_average(count, sum25, window_s, period, self.coverage_min)
+        a10 = icca.window_average(count, sum10, window_s, period, self.coverage_min)
         try:
             result = icca.overall_icca(a25, a10)
         except InsufficientDataError:
@@ -271,9 +243,7 @@ class MonitorService:
         }
 
     def icca_payload(self, station_id: str, window_s: int | None = None) -> dict:
-        self.store.get_station(station_id)  # 404 for unknown ids
-        snap = self.rolling_icca(station_id, window_s)
-        return _snapshot_payload(snap)
+        return _snapshot_payload(self.rolling_icca(station_id, window_s))
 
     def overview_payload(self) -> dict:
         """One entry per registered station, in station_id order.
@@ -679,5 +649,5 @@ def build_service(config: ServerConfig) -> tuple[MonitorService, TimeSeriesStore
     engine = None
     if config.rules_path:
         engine = load_rules_config(config.rules_path, store.alert_log)
-    service = MonitorService(store, rule_engine=engine, alert_source=config.alert_source)
+    service = MonitorService(store, rule_engine=engine)
     return service, store

@@ -14,9 +14,11 @@ most that much more disk than its records). A crash mid-write leaves a
 torn last line, which the next open blanks with spaces. A record line
 mirrors the wire frame minus the token, plus quality flags. An in-memory
 index (records sorted by timestamp, last accepted sequence number) is
-rebuilt on open; logs are small at desk scale. Beside it each station
-keeps exact running sums of its 24-hour window, built on the window's
-first use and updated per record.
+rebuilt on open; logs are small at desk scale. The store is the one place
+that sums a window's values (see _Station.window). Beside the index each
+station keeps exact running sums of its 24-hour window, built on the
+window's first use and slid forward by each newest record; a record older
+than the newest drops them, and the next use sums the window again.
 """
 
 from __future__ import annotations
@@ -242,10 +244,11 @@ class _Station:
         self.records: list[Measurement] = []  # kept sorted by ts
         self.ts_index: list[int] = []
         self.last_seq: int | None = None  # None until a record is accepted; 0 is a valid seq
-        # The default window, (latest ts - WINDOW_24H_S, latest ts], is
+        # The 24-hour window, (latest ts - WINDOW_24H_S, latest ts], is
         # records[win_start:]; sum25/sum10 are the exact scaled sums of its
-        # values (icca.scaled). win_start stays None until the window is
-        # first used, so recovery does no window work.
+        # values (icca.scaled). win_start is None while no sums are kept:
+        # until the window's first use, so recovery does no window work, and
+        # again after a record older than the newest is inserted.
         self.win_start: int | None = None
         self.sum25 = self.sum10 = 0
 
@@ -269,44 +272,44 @@ class _Station:
         self.last_seq = m.seq
         if self.win_start is None:
             return
-        if pos == len(self.records) - 1:
-            # newest ts (or equal to it): the window end moves up to m.ts
-            self.sum25 += scaled(m.pm25)
-            self.sum10 += scaled(m.pm10)
-            lo = m.ts - WINDOW_24H_S
-            start = self.win_start
-            while self.ts_index[start] <= lo:
-                old = self.records[start]
-                self.sum25 -= scaled(old.pm25)
-                self.sum10 -= scaled(old.pm10)
-                start += 1
-            self.win_start = start
-        elif m.ts > self.ts_index[-1] - WINDOW_24H_S:
-            # older, inside the window (and so inserted at or after win_start)
-            self.sum25 += scaled(m.pm25)
-            self.sum10 += scaled(m.pm10)
-        else:
-            # older than the window: inserted before it
-            self.win_start += 1
+        if pos < len(self.records) - 1:
+            # older than the newest record: the next use sums the window again
+            self.win_start = None
+            return
+        # newest ts (or equal to it): the window end moves up to m.ts
+        self.sum25 += scaled(m.pm25)
+        self.sum10 += scaled(m.pm10)
+        lo = m.ts - WINDOW_24H_S
+        start = self.win_start
+        while self.ts_index[start] <= lo:
+            old = self.records[start]
+            self.sum25 -= scaled(old.pm25)
+            self.sum10 -= scaled(old.pm10)
+            start += 1
+        self.win_start = start
 
-    def window(self) -> tuple[int, int, int, int] | None:
+    def window(self, window_s: int) -> tuple[int, int, int, int] | None:
         """(window end, sample count, scaled pm2.5 sum, scaled pm10 sum) of
-        the default window, or None without records. Call under the lock.
+        (latest ts - window_s, latest ts], or None without records. Call
+        under the lock.
 
-        The first call after open sums the window in one pass; from then on
-        _index keeps it up to date in O(1) amortised per record.
+        The 24-hour window is summed in one pass at its first use, and from
+        then on _index keeps it up to date in O(1) amortised per newest
+        record. Any other width is summed in one pass at each call.
         """
-        if self.win_start is None:
-            start = 0
-            if self.records:
-                start = bisect_right(self.ts_index, self.ts_index[-1] - WINDOW_24H_S)
-            for m in islice(self.records, start, None):
-                self.sum25 += scaled(m.pm25)
-                self.sum10 += scaled(m.pm10)
-            self.win_start = start
         if not self.records:
             return None
-        return self.ts_index[-1], len(self.records) - self.win_start, self.sum25, self.sum10
+        end = self.ts_index[-1]
+        if window_s == WINDOW_24H_S and self.win_start is not None:
+            return end, len(self.records) - self.win_start, self.sum25, self.sum10
+        start = bisect_right(self.ts_index, end - window_s)
+        sum25 = sum10 = 0
+        for m in islice(self.records, start, None):
+            sum25 += scaled(m.pm25)
+            sum10 += scaled(m.pm10)
+        if window_s == WINDOW_24H_S:
+            self.win_start, self.sum25, self.sum10 = start, sum25, sum10
+        return end, len(self.records) - start, sum25, sum10
 
 
 class TimeSeriesStore:
@@ -403,12 +406,13 @@ class TimeSeriesStore:
             hi = bisect_right(station.ts_index, t1)
             return station.records[lo:hi]
 
-    def window(self, station_id: str) -> tuple[int, int, int, int] | None:
+    def window(self, station_id: str, window_s: int) -> tuple[int, int, int, int] | None:
         """(window end, sample count, scaled pm2.5 sum, scaled pm10 sum) of the
-        station's default 24-hour window, or None when it has no records."""
+        station's window (latest ts - window_s, latest ts], or None when it
+        has no records."""
         station = self._station(station_id)
         with station.lock:
-            return station.window()
+            return station.window(window_s)
 
     def latest(self, station_id: str) -> Measurement | None:
         station = self._station(station_id)
@@ -430,11 +434,5 @@ class TimeSeriesStore:
         return self._station(station_id).last_seq
 
     def close(self) -> None:
-        """Nothing to release: a log holds no file between appends. Kept, with
-        the context manager, for callers written when the store held files."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+        """Nothing to release: a log holds no file between appends. Kept for
+        callers written when the store held files (perfbench/ calls it)."""

@@ -268,9 +268,9 @@ def test_criterion_7_crash_safety(tmp_path):
     from iccamon.store import Measurement, StationRecord
 
     data = register(tmp_path / "crash", StationRecord("st-1", "st-1", 13.7, -89.2, "tok"))
-    with TimeSeriesStore(data) as store:
-        for seq in range(1, 41):
-            store.append(Measurement("st-1", seq, seq * 60, 10.0 + seq, 20.0, 25.0))
+    store = TimeSeriesStore(data)
+    for seq in range(1, 41):
+        store.append(Measurement("st-1", seq, seq * 60, 10.0 + seq, 20.0, 25.0))
     log = data / "series" / "st-1.ndjson"
     pristine = log.read_bytes()
     rng = random.Random(7)
@@ -279,10 +279,10 @@ def test_criterion_7_crash_safety(tmp_path):
     for cut in offsets:
         log.write_bytes(pristine[:cut])
         expect_whole = pristine[:cut].count(b"\n")
-        with TimeSeriesStore(data) as store:
-            records = store.query_range("st-1", 0, 2**62)
-            assert len(records) == expect_whole, cut
-            assert [m.seq for m in records] == list(range(1, expect_whole + 1)), cut
+        store = TimeSeriesStore(data)
+        records = store.query_range("st-1", 0, 2**62)
+        assert len(records) == expect_whole, cut
+        assert [m.seq for m in records] == list(range(1, expect_whole + 1)), cut
         log.write_bytes(pristine)
     _ok(7, "50 random truncations: always the maximal whole-record prefix, never torn", budget)
 

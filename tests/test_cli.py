@@ -1,6 +1,7 @@
 import json
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -18,6 +19,11 @@ from iccamon.store import Measurement, StationRecord, TimeSeriesStore
 from .helpers import log_data, register
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error:" in err and "Traceback" not in err
 
 
 class TestIccaCommand:
@@ -120,6 +126,17 @@ class TestSimulateCommand:
         assert report["totals"]["delivered"] == 0
         assert report["totals"]["buffered"] == report["totals"]["generated"] == 15
 
+    def test_offline_file_in_missing_directory_exits_2(self, tmp_path, capsys):
+        assert cli.main(["simulate", "--scenario", str(CONFIGS / "fleet_demo.json"),
+                         "--duration", "1", "--offline", str(tmp_path / "no" / "x.ndjson")]) == 2
+        assert_one_error_line(capsys)
+
+    def test_report_json_in_missing_directory_exits_2(self, tmp_path, capsys):
+        assert cli.main(["simulate", "--scenario", str(CONFIGS / "fleet_demo.json"),
+                         "--duration", "1", "--offline", str(tmp_path / "o.ndjson"),
+                         "--report-json", str(tmp_path / "no" / "r.json")]) == 2
+        assert_one_error_line(capsys)
+
 
 @pytest.fixture
 def live_server(tmp_path):
@@ -169,6 +186,11 @@ class TestReportCommand:
 
     def test_unreachable_server_exits_1(self, capsys):
         assert cli.main(["report", "--server", "http://127.0.0.1:1"]) == 1
+
+    def test_json_in_missing_directory_exits_2(self, live_server, tmp_path, capsys):
+        assert cli.main(["report", "--server", live_server.url,
+                         "--json", str(tmp_path / "no" / "r.json")]) == 2
+        assert_one_error_line(capsys)
 
     @pytest.mark.parametrize("window", ["soon", "0", "0h"])
     def test_bad_window_exits_2(self, live_server, window):
@@ -241,8 +263,8 @@ class TestReplayCommand:
         # the second pass finds every seq stored already
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out) == {"409": 5 * 18}
-        with TimeSeriesStore(data_dir, fsync=False) as store:
-            assert sum(store.count(sid) for sid in store.station_ids()) == 5 * 18
+        store = TimeSeriesStore(data_dir, fsync=False)
+        assert sum(store.count(sid) for sid in store.station_ids()) == 5 * 18
         assert not (tmp_path / "unused").exists()
 
     def test_rejected_frame_exits_1(self, tmp_path, capsys):
@@ -254,6 +276,14 @@ class TestReplayCommand:
         assert cli.main(["replay", "--config", str(config), "--data-dir", str(data_dir),
                          str(frames)]) == 1
         assert json.loads(capsys.readouterr().out) == {"401": 1}
+
+    def test_non_utf8_frames_file_exits_2(self, tmp_path, capsys):
+        frames = tmp_path / "frames.ndjson"
+        frames.write_bytes(b"\xff\xfe{}\n")
+        config, data_dir = self.server_config(tmp_path)
+        assert cli.main(["replay", "--config", str(config), "--data-dir", str(data_dir),
+                         str(frames)]) == 2
+        assert_one_error_line(capsys)
 
     def test_bad_config_exits_2(self, tmp_path):
         bad = tmp_path / "server.json"
@@ -274,8 +304,8 @@ class TestReplayCommand:
         assert cli.main(["replay", "--config", str(CONFIGS / "server_demo.json"),
                          "--data-dir", "data", "frames.ndjson"]) == 0
         assert json.loads(capsys.readouterr().out) == {"202": 5 * 18}
-        with TimeSeriesStore(tmp_path / "data", fsync=False) as store:
-            assert sum(store.count(sid) for sid in store.station_ids()) == 5 * 18
+        store = TimeSeriesStore(tmp_path / "data", fsync=False)
+        assert sum(store.count(sid) for sid in store.station_ids()) == 5 * 18
 
     def test_missing_rules_file_names_key_and_config(self, tmp_path, capsys):
         config = tmp_path / "server.json"
@@ -311,9 +341,9 @@ class TestStorageErrorAtOpen:
     @staticmethod
     def data_dir(tmp_path):
         config, data_dir = TestReplayCommand.server_config(tmp_path)
-        with TimeSeriesStore(data_dir, fsync=False) as store:
-            for seq in range(1, 4):
-                store.append(Measurement("santa-ana", seq, 1700006400 + seq * 1200, 12.3, 20.0, 28.5))
+        store = TimeSeriesStore(data_dir, fsync=False)
+        for seq in range(1, 4):
+            store.append(Measurement("santa-ana", seq, 1700006400 + seq * 1200, 12.3, 20.0, 28.5))
         return config, data_dir
 
     @pytest.mark.parametrize("corrupt", [
@@ -358,6 +388,14 @@ class TestServeCommand:
         assert cli.main(["serve", "--config", str(bad)]) == 2
         bad.write_text("{nope")
         assert cli.main(["serve", "--config", str(bad)]) == 2
+
+    def test_port_in_use_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "server.json"
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            config.write_text(json.dumps({"host": "127.0.0.1", "port": taken.getsockname()[1],
+                                          "data_dir": str(tmp_path / "data")}))
+            assert cli.main(["serve", "--config", str(config)]) == 2
+        assert_one_error_line(capsys)
 
     @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
     def test_serve_subprocess_creates_data_dir_and_stops_cleanly(self, tmp_path, signum):

@@ -1,5 +1,6 @@
 import email.utils
 import http.client
+import itertools
 import json
 import logging
 import random
@@ -135,17 +136,17 @@ class TestIngest:
 
     def test_crash_after_fsync_before_reply_keeps_the_record_once(self, tmp_path, monkeypatch):
         data = register(tmp_path / "d", StationRecord("utec-01", "x", 0.0, 0.0, "tok-a"))
-        with TimeSeriesStore(data) as s:
-            svc = MonitorService(s)
+        s = TimeSeriesStore(data)
+        svc = MonitorService(s)
 
-            def crash(m):
-                raise RuntimeError("killed between the fsync and the 202")
+        def crash(m):
+            raise RuntimeError("killed between the fsync and the 202")
 
-            monkeypatch.setattr(svc, "_post_accept", crash)
-            with pytest.raises(RuntimeError):
-                svc.ingest(frame_text(seq=1))
-        with TimeSeriesStore(data) as s:
-            assert MonitorService(s).ingest(frame_text(seq=1)) == (409, {"error": "duplicate_seq"})
+        monkeypatch.setattr(svc, "_post_accept", crash)
+        with pytest.raises(RuntimeError):
+            svc.ingest(frame_text(seq=1))
+        s = TimeSeriesStore(data)
+        assert MonitorService(s).ingest(frame_text(seq=1)) == (409, {"error": "duplicate_seq"})
         assert (data / "series" / "utec-01.ndjson").read_text().count('"seq":1,') == 1
 
     def test_read_your_writes(self, service, store):
@@ -156,13 +157,13 @@ class TestIngest:
 
     def test_seq_state_rebuilt_after_restart(self, tmp_path):
         data = register(tmp_path / "d", StationRecord("utec-01", "x", 0.0, 0.0, "tok-a"))
-        with TimeSeriesStore(data) as s:
-            MonitorService(s).ingest(frame_text(seq=41))
-        with TimeSeriesStore(data) as s:
-            svc = MonitorService(s)
-            assert svc.ingest(frame_text(seq=41))[0] == 409
-            assert svc.ingest(frame_text(seq=40))[0] == 409
-            assert svc.ingest(frame_text(seq=42))[0] == 202
+        s = TimeSeriesStore(data)
+        MonitorService(s).ingest(frame_text(seq=41))
+        s = TimeSeriesStore(data)
+        svc = MonitorService(s)
+        assert svc.ingest(frame_text(seq=41))[0] == 409
+        assert svc.ingest(frame_text(seq=40))[0] == 409
+        assert svc.ingest(frame_text(seq=42))[0] == 202
 
     def test_concurrent_stations_keep_per_station_order(self, service, store):
         errors = []
@@ -288,15 +289,15 @@ class TestStationStateOwnership:
 
     def test_seq_zero_first_frame_survives_restart(self, tmp_path):
         data = register(tmp_path / "d", StationRecord("utec-01", "x", 0.0, 0.0, "tok-a"))
-        with TimeSeriesStore(data) as s:
-            svc = MonitorService(s)
-            assert svc.ingest(frame_text(seq=0))[0] == 202
-            assert svc.ingest(frame_text(seq=0)) == (409, {"error": "duplicate_seq"})
-        with TimeSeriesStore(data) as s:
-            svc = MonitorService(s)
-            assert svc.ingest(frame_text(seq=0)) == (409, {"error": "duplicate_seq"})
-            assert svc.ingest(frame_text(seq=1))[0] == 202
-            assert [m.seq for m in s.query_range("utec-01", 0, 2**62)] == [0, 1]
+        s = TimeSeriesStore(data)
+        svc = MonitorService(s)
+        assert svc.ingest(frame_text(seq=0))[0] == 202
+        assert svc.ingest(frame_text(seq=0)) == (409, {"error": "duplicate_seq"})
+        s = TimeSeriesStore(data)
+        svc = MonitorService(s)
+        assert svc.ingest(frame_text(seq=0)) == (409, {"error": "duplicate_seq"})
+        assert svc.ingest(frame_text(seq=1))[0] == 202
+        assert [m.seq for m in s.query_range("utec-01", 0, 2**62)] == [0, 1]
 
     def test_unknown_station_ids_create_no_state(self, service, store):
         assert service.ingest(frame_text(seq=1))[0] == 202
@@ -348,21 +349,21 @@ class TestRollingIcca:
 
 
 class TestIncrementalWindow:
-    """The default-window snapshot, kept from the store's running sums,
-    against a fresh recompute over every stored record."""
+    """Snapshots from the store's window sums (the 24-hour one kept as
+    running sums) against a fresh recompute over every stored record."""
 
     STATIONS = {"utec-01": "tok-a", "santa-ana": "tok-b"}
     VALUES = (0.1, 12.3, 499.9, 0.7, 33.3)
 
     @staticmethod
-    def recomputed(service, sid):
+    def recomputed(service, sid, window_s):
         records = service.store.query_range(sid, 0, 2**62)
         if not records:
             return None, None, None
         end = records[-1].ts
         period = service.store.get_station(sid).report_period_s
-        a25 = icca.rolling_average([(r.ts, r.pm25) for r in records], end, 86400, period, 0.75)
-        a10 = icca.rolling_average([(r.ts, r.pm10) for r in records], end, 86400, period, 0.75)
+        a25 = icca.rolling_average([(r.ts, r.pm25) for r in records], end, window_s, period, 0.75)
+        a10 = icca.rolling_average([(r.ts, r.pm10) for r in records], end, window_s, period, 0.75)
         try:
             result = icca.overall_icca(a25, a10)
         except icca.InsufficientDataError:
@@ -372,8 +373,9 @@ class TestIncrementalWindow:
     def check(self, service):
         overview = {e["station_id"]: e for e in service.overview_payload()["stations"]}
         for sid in self.STATIONS:
-            snap = service.rolling_icca(sid)
-            assert (snap.pm25, snap.pm10, snap.result) == self.recomputed(service, sid)
+            for window_s in (86400, 3600, 7 * 86400):
+                snap = service.rolling_icca(sid, window_s)
+                assert (snap.pm25, snap.pm10, snap.result) == self.recomputed(service, sid, window_s)
             body = service.icca_payload(sid)
             assert overview[sid]["icca"] == body["icca"]
             assert overview[sid]["coverage"] == body["coverage"]
@@ -442,17 +444,17 @@ class TestIncrementalWindow:
             assert service.ingest(frame_text(seq=k + 1, ts=START + k * 1200))[0] == 202
         service.rolling_icca("utec-01")  # the first use sums the window once
         calls = []
-        original = icca.rolling_average
-        monkeypatch.setattr(icca, "rolling_average",
-                            lambda *a, **k: calls.append(a) or original(*a, **k))
+        # the store sums a window's records through islice
+        monkeypatch.setattr("iccamon.store.islice",
+                            lambda *a: calls.append(a) or itertools.islice(*a))
         service.rule_engine = RuleEngine([Rule("r1", trigger_category_min=1)])
         assert service.ingest(frame_text(seq=73, ts=START + 72 * 1200))[0] == 202
         service.icca_payload("utec-01")
         service.overview_payload()
         assert calls == []
-        # a non-default window still recomputes
+        # another window is summed once per use
         service.icca_payload("utec-01", 3600)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 class TestAlertWiring:
@@ -510,12 +512,6 @@ class TestAlertWiring:
         for k in range(10):
             service.ingest(frame_text(seq=k + 1, ts=START + k * 1200, pm25=400.0))
         assert fired == []
-
-    def test_instant_alert_source(self, store):
-        engine = RuleEngine([Rule("r3", trigger_category_min=3)])
-        service = MonitorService(store, rule_engine=engine, alert_source="instant")
-        service.ingest(frame_text(seq=1, ts=START, pm25=100.0))
-        assert engine._states[("r3", "utec-01")].active
 
 
 class TestHttpEndpoints:
@@ -1208,6 +1204,7 @@ class TestServerConfig:
             {"coverage_min": 0.75},  # the 75% coverage rule is a constant
             {"window_s": 86400},  # so is the 24-h window
             {"alert_source": "psychic"},
+            {"alert_source": "rolling"},  # alerts key on the rolling index only
             {"bogus_key": 1},
             [1, 2],
             {"port": 70000},

@@ -103,35 +103,35 @@ class TestQuery:
 class TestRecovery:
     def test_reopen_preserves_records_and_seq(self, tmp_path):
         data = register(tmp_path / "data", STATION)
-        with TimeSeriesStore(data) as s:
-            for seq in range(1, 11):
-                s.append(m(seq))
-        with TimeSeriesStore(data) as s:
-            assert s.count("utec-01") == 10
-            assert s.last_seq("utec-01") == 10
-            # duplicate suppression survives the restart
-            assert s.append(m(7)) is None
-            assert s.append(m(11)) == 10
+        s = TimeSeriesStore(data)
+        for seq in range(1, 11):
+            s.append(m(seq))
+        s = TimeSeriesStore(data)
+        assert s.count("utec-01") == 10
+        assert s.last_seq("utec-01") == 10
+        # duplicate suppression survives the restart
+        assert s.append(m(7)) is None
+        assert s.append(m(11)) == 10
 
     def test_torn_tail_discarded(self, tmp_path):
         data = register(tmp_path / "data", STATION)
-        with TimeSeriesStore(data) as s:
-            for seq in range(1, 6):
-                s.append(m(seq))
+        s = TimeSeriesStore(data)
+        for seq in range(1, 6):
+            s.append(m(seq))
         log = data / "series" / "utec-01.ndjson"
         log.write_bytes(log_data(log) + b'{"station_id":"utec-01","seq":6')
-        with TimeSeriesStore(data) as s:
-            assert s.count("utec-01") == 5
-            # appending after recovery starts a clean line
-            assert s.append(m(6)) == 5
-        with TimeSeriesStore(data) as s:
-            assert s.count("utec-01") == 6
+        s = TimeSeriesStore(data)
+        assert s.count("utec-01") == 5
+        # appending after recovery starts a clean line
+        assert s.append(m(6)) == 5
+        s = TimeSeriesStore(data)
+        assert s.count("utec-01") == 6
 
     def test_truncation_at_any_byte_yields_whole_record_prefix(self, tmp_path):
         data = register(tmp_path / "data", STATION)
-        with TimeSeriesStore(data) as s:
-            for seq in range(1, 21):
-                s.append(m(seq))
+        s = TimeSeriesStore(data)
+        for seq in range(1, 21):
+            s.append(m(seq))
         log = data / "series" / "utec-01.ndjson"
         raw = log.read_bytes()
         records_bytes = log_data(log)
@@ -142,51 +142,51 @@ class TestRecovery:
             expect = raw[:cut].count(b"\n")
             for torn in (raw[:cut], raw[:cut] + b" " * (len(raw) - cut)):
                 log.write_bytes(torn)
-                with TimeSeriesStore(data) as s:
-                    records = s.query_range("utec-01", 0, 10**9)
-                    assert len(records) == expect
-                    assert [r.seq for r in records] == list(range(1, expect + 1))
+                s = TimeSeriesStore(data)
+                records = s.query_range("utec-01", 0, 10**9)
+                assert len(records) == expect
+                assert [r.seq for r in records] == list(range(1, expect + 1))
             log.write_bytes(raw)
 
     def test_retried_append_line_kept_once(self, tmp_path, monkeypatch):
         # an fsync failure after the write leaves the line on disk; the
         # retry writes it again, and recovery keeps the first copy only
         data = register(tmp_path / "data", STATION)
-        with TimeSeriesStore(data) as s:
-            s.append(m(1))
-            with monkeypatch.context() as patch:
-                patch.setattr("os.fsync", lambda fd: (_ for _ in ()).throw(OSError("EIO")))
-                with pytest.raises(StorageError):
-                    s.append(m(2))
-            assert s.append(m(2)) == 1
-            assert s.append(m(3)) == 2
+        s = TimeSeriesStore(data)
+        s.append(m(1))
+        with monkeypatch.context() as patch:
+            patch.setattr("os.fsync", lambda fd: (_ for _ in ()).throw(OSError("EIO")))
+            with pytest.raises(StorageError):
+                s.append(m(2))
+        assert s.append(m(2)) == 1
+        assert s.append(m(3)) == 2
         log = data / "series" / "utec-01.ndjson"
         assert log_data(log).count(b'"seq":2,') == 2
         # the retry reused the padding: one chunk past the first line, no more
         first = len(log_data(log).splitlines(keepends=True)[0])
         assert os.path.getsize(log) == first + CHUNK_BYTES
-        with TimeSeriesStore(data) as s:
-            assert [r.seq for r in s.query_range("utec-01", 0, 10**9)] == [1, 2, 3]
-            assert s.last_seq("utec-01") == 3
+        s = TimeSeriesStore(data)
+        assert [r.seq for r in s.query_range("utec-01", 0, 10**9)] == [1, 2, 3]
+        assert s.last_seq("utec-01") == 3
 
     def test_seq_zero_is_a_real_first_seq(self, tmp_path):
         data = register(tmp_path / "data", STATION)
-        with TimeSeriesStore(data) as s:
-            assert s.lookup("utec-01") == ("tok-a", None)
-            assert s.append(m(0)) == 0
-            assert s.append(m(0)) is None
-            assert s.lookup("utec-01") == ("tok-a", 0)
-        with TimeSeriesStore(data) as s:
-            assert s.lookup("utec-01") == ("tok-a", 0)
-            assert s.lookup("ghost") is None
-            assert s.append(m(0)) is None
-            assert s.append(m(1)) == 1
+        s = TimeSeriesStore(data)
+        assert s.lookup("utec-01") == ("tok-a", None)
+        assert s.append(m(0)) == 0
+        assert s.append(m(0)) is None
+        assert s.lookup("utec-01") == ("tok-a", 0)
+        s = TimeSeriesStore(data)
+        assert s.lookup("utec-01") == ("tok-a", 0)
+        assert s.lookup("ghost") is None
+        assert s.append(m(0)) is None
+        assert s.append(m(1)) == 1
 
     def test_mid_file_corruption_raises(self, tmp_path):
         data = register(tmp_path / "data", STATION)
-        with TimeSeriesStore(data) as s:
-            for seq in range(1, 4):
-                s.append(m(seq))
+        s = TimeSeriesStore(data)
+        for seq in range(1, 4):
+            s.append(m(seq))
         log = data / "series" / "utec-01.ndjson"
         lines = log.read_bytes().splitlines(keepends=True)
         lines[1] = b"not json at all\n"
@@ -196,14 +196,14 @@ class TestRecovery:
 
     def test_recovery_reads_one_record_per_line(self, tmp_path):
         data = register(tmp_path / "data", STATION)
-        with TimeSeriesStore(data) as s:
-            for seq in range(1, 4):
-                s.append(m(seq))
+        s = TimeSeriesStore(data)
+        for seq in range(1, 4):
+            s.append(m(seq))
         log = data / "series" / "utec-01.ndjson"
         lines = log.read_bytes().splitlines(keepends=True)
         log.write_bytes(lines[0] + b"\n" + lines[1] + lines[2])  # a blank line is skipped
-        with TimeSeriesStore(data) as s:
-            assert [r.seq for r in s.query_range("utec-01", 0, 10**9)] == [1, 2, 3]
+        s = TimeSeriesStore(data)
+        assert [r.seq for r in s.query_range("utec-01", 0, 10**9)] == [1, 2, 3]
         log.write_bytes(lines[0] + lines[1].rstrip(b"\n") + b"," + lines[2])
         with pytest.raises(StorageError, match=r"utec-01\.ndjson:2: corrupt record"):
             TimeSeriesStore(data)
@@ -214,15 +214,15 @@ class TestPaddedLog:
     def written(tmp_path, n):
         """A data dir whose station log holds records 1..n, and that log."""
         data = register(tmp_path / "data", STATION)
-        with TimeSeriesStore(data) as s:
-            for seq in range(1, n + 1):
-                s.append(m(seq))
+        s = TimeSeriesStore(data)
+        for seq in range(1, n + 1):
+            s.append(m(seq))
         return data, data / "series" / "utec-01.ndjson"
 
     @staticmethod
     def seqs(data):
-        with TimeSeriesStore(data) as s:
-            return [r.seq for r in s.query_range("utec-01", 0, 10**9)]
+        s = TimeSeriesStore(data)
+        return [r.seq for r in s.query_range("utec-01", 0, 10**9)]
 
     def test_log_is_records_then_one_chunk_of_spaces(self, tmp_path):
         data, log = self.written(tmp_path, 3)
@@ -241,9 +241,9 @@ class TestPaddedLog:
         data = register(tmp_path / "data", STATION)
         ms = [m(1), m(2, pm25=600.5), Measurement("utec-01", 3, 3600, 0.1, 1e-05, 0.0,
                                                   frozenset({"b", "a"}))]
-        with TimeSeriesStore(data) as s:
-            for x in ms:
-                s.append(x)
+        s = TimeSeriesStore(data)
+        for x in ms:
+            s.append(x)
         unpadded = b"".join(
             (json.dumps(x.to_json_obj(), separators=(",", ":"), ensure_ascii=False) + "\n")
             .encode() for x in ms)
@@ -267,8 +267,8 @@ class TestPaddedLog:
         assert "torn record tail" in caplog.text
         # blanked in place: the file keeps its size and holds records then spaces
         assert log.read_bytes() == raw
-        with TimeSeriesStore(data) as s:
-            assert s.append(m(6)) == 5
+        s = TimeSeriesStore(data)
+        assert s.append(m(6)) == 5
         assert self.seqs(data) == [1, 2, 3, 4, 5, 6]
 
     def test_final_line_whose_start_was_lost_is_blanked(self, tmp_path, caplog):
@@ -282,9 +282,9 @@ class TestPaddedLog:
         assert self.seqs(data) == [1, 2, 3, 4]
         assert "torn record start" in caplog.text
         assert log.read_bytes() == raw[:start] + b" " * (len(raw) - start)
-        with TimeSeriesStore(data) as s:
-            assert s.append(m(5, pm25=11.0)) == 4
-            assert s.append(m(6)) == 5
+        s = TimeSeriesStore(data)
+        assert s.append(m(5, pm25=11.0)) == 4
+        assert s.append(m(6)) == 5
         assert self.seqs(data) == [1, 2, 3, 4, 5, 6]
         assert log_data(log).splitlines(keepends=True)[:4] == lines[:4]
 
@@ -292,9 +292,9 @@ class TestPaddedLog:
         data, log = self.written(tmp_path, 4)
         unpadded = log_data(log)
         log.write_bytes(unpadded)  # as logs were written before padding
-        with TimeSeriesStore(data) as s:
-            assert s.count("utec-01") == 4
-            assert s.append(m(5)) == 4
+        s = TimeSeriesStore(data)
+        assert s.count("utec-01") == 4
+        assert s.append(m(5)) == 4
         assert self.seqs(data) == [1, 2, 3, 4, 5]
         raw = log.read_bytes()
         assert raw.startswith(unpadded)
@@ -326,14 +326,14 @@ class TestPaddedLog:
     def test_short_write_is_overwritten_by_the_next_append(self, tmp_path, monkeypatch):
         data = register(tmp_path / "data", STATION)
         real = os.pwrite
-        with TimeSeriesStore(data) as s:
-            s.append(m(1))
-            with monkeypatch.context() as patch:
-                patch.setattr("os.pwrite", lambda fd, buf, pos: real(fd, buf[:30], pos))
-                with pytest.raises(StorageError, match="wrote 30 of"):
-                    s.append(m(2, ts=10**6))
-            assert s.append(m(2)) == 1
-            assert s.append(m(3)) == 2
+        s = TimeSeriesStore(data)
+        s.append(m(1))
+        with monkeypatch.context() as patch:
+            patch.setattr("os.pwrite", lambda fd, buf, pos: real(fd, buf[:30], pos))
+            with pytest.raises(StorageError, match="wrote 30 of"):
+                s.append(m(2, ts=10**6))
+        assert s.append(m(2)) == 1
+        assert s.append(m(3)) == 2
         assert self.seqs(data) == [1, 2, 3]
         assert len(log_data(data / "series" / "utec-01.ndjson").splitlines()) == 3
 
@@ -346,20 +346,20 @@ class TestRegistry:
             StationRecord("x", "x", 0.0, 0.0, "t", report_period_s=0)
 
     def test_registry_round_trip(self, tmp_path):
-        with TimeSeriesStore(register(tmp_path / "data", STATION)) as s:
-            assert s.get_station("utec-01") == STATION
-            assert s.token_registry() == {"utec-01": "tok-a"}
+        s = TimeSeriesStore(register(tmp_path / "data", STATION))
+        assert s.get_station("utec-01") == STATION
+        assert s.token_registry() == {"utec-01": "tok-a"}
 
     def test_registry_kept_in_station_id_order(self, tmp_path):
         ids = ["zeta", "alpha", "mike", "bravo"]
         records = [StationRecord(sid, sid, 0.0, 0.0, "t") for sid in ids]
         # a repeated id: the later entry wins
         records.append(StationRecord("mike", "Mike 2", 0.0, 0.0, "t2"))
-        with TimeSeriesStore(register(tmp_path / "data", *records), fsync=False) as s:
-            assert s.station_ids() == ["alpha", "bravo", "mike", "zeta"]
-            assert [r.station_id for r in s.stations()] == s.station_ids()
-            assert s.get_station("mike").display_name == "Mike 2"
-            s.append(m(1, station="mike"))
-            s.append(m(2, station="mike"))
-            s.append(m(1, station="zeta"))
-            assert s.record_counts() == [0, 0, 2, 1]
+        s = TimeSeriesStore(register(tmp_path / "data", *records), fsync=False)
+        assert s.station_ids() == ["alpha", "bravo", "mike", "zeta"]
+        assert [r.station_id for r in s.stations()] == s.station_ids()
+        assert s.get_station("mike").display_name == "Mike 2"
+        s.append(m(1, station="mike"))
+        s.append(m(2, station="mike"))
+        s.append(m(1, station="zeta"))
+        assert s.record_counts() == [0, 0, 2, 1]
