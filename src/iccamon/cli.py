@@ -10,7 +10,9 @@ Exit codes: 0 success (a simulation with delivery failures still counts;
 a replay where every frame got 202 or 409), 1 runtime failure (a replayed
 frame rejected otherwise), 2 usage, config, storage or I/O error (a data
 directory the store cannot open, a port in use, an unreadable frames file,
-an output file that cannot be written).
+an output file that cannot be written; a config, scenario or registry
+entry with an unknown key, a value of the wrong type or an invalid
+station). A replay stopped by a bad frames line prints its counts so far.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def _open_service(args):
     except StorageError as exc:
         print(f"storage error: {exc}", file=sys.stderr)
         return None
-    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return None
     return config, svc
@@ -127,10 +129,11 @@ def cmd_replay(args) -> int:
         for line in sim.iter_offline_frames(args.frames):
             status = str(svc.ingest(line)[0])
             by_status[status] = by_status.get(status, 0) + 1
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a line that is not UTF-8
         print(f"frames error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(json.dumps(dict(sorted(by_status.items()))))
+    finally:  # after a bad line too: the frames before it are stored
+        print(json.dumps(dict(sorted(by_status.items()))))
     # 409 means the store already holds the frame, as for a station's resend
     return EXIT_OK if set(by_status) <= {"202", "409"} else EXIT_RUNTIME
 

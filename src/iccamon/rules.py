@@ -4,12 +4,13 @@ A rule raises when a station's index reaches its trigger category and
 clears only after a configurable number of consecutive evaluations below
 it, so noisy readings near a boundary don't flap. Events are appended to
 the alert log, read back at start so rule states survive a restart, and
-sent to webhook sinks. A failure of either is logged, never raised.
+sent to webhook sinks by notify, once the caller holds no lock. A failure
+of either is logged, never raised. The rules file is read with the store's
+load_config and check_keys, as every config file is.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import threading
@@ -20,7 +21,7 @@ from pathlib import Path
 import requests
 
 from .icca import IccaResult
-from .store import NdjsonLog, StorageError
+from .store import NdjsonLog, StorageError, check_keys, load_config
 
 logger = logging.getLogger(__name__)
 
@@ -33,13 +34,6 @@ class Rule:
     sink_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
-        # a bool or a float is not a count; a string is not a list of sink ids
-        if not isinstance(self.rule_id, str) or type(self.trigger_category_min) is not int \
-                or type(self.clear_consecutive) is not int \
-                or not isinstance(self.sink_ids, (list, tuple)) \
-                or not all(isinstance(sid, str) for sid in self.sink_ids):
-            raise TypeError(f"need a string id, integer counts and a list of sink ids: {self}")
-        object.__setattr__(self, "sink_ids", tuple(self.sink_ids))
         if not 1 <= self.trigger_category_min <= 5:
             raise ValueError(f"trigger_category_min must be in 1..5, got {self.trigger_category_min}")
         if self.clear_consecutive < 1:
@@ -172,6 +166,9 @@ class RuleEngine:
             for sid in rule.sink_ids:
                 if sid not in self.sinks:
                     raise ValueError(f"rule {rule.rule_id!r} names unknown sink {sid!r}")
+        self._sinks_of = {r.rule_id: [self.sinks[sid] for sid in r.sink_ids] for r in self.rules}
+        if len(self._sinks_of) < len(self.rules):  # states are keyed by rule_id too
+            raise ValueError("two rules share a rule_id")
         self.alert_log = alert_log
         self._states: dict[tuple[str, str], RuleState] = (
             _recover_states(alert_log, {r.rule_id for r in self.rules})
@@ -180,16 +177,16 @@ class RuleEngine:
         self.failed_deliveries = 0  # failed alert-log appends, and sinks after their retry
 
     def observe(self, station_id: str, icca: IccaResult, ts: int) -> list[AlertEvent]:
-        """Run every rule against one station index evaluation.
+        """Run every rule against one station index evaluation; the events.
 
         The caller must only pass indices computed from sufficient windows.
         States change and events are appended to the one alert log under
-        the engine's lock; the sinks are called after it is released, so a
-        slow sink delays only this call, not other stations. A station's
-        events keep their order because the caller serialises each station
-        (ingest holds the store's per-station lock).
+        the engine's lock. A station's events keep their order because the
+        caller serialises each station (ingest holds the store's
+        per-station lock). No sink is called: pass the events to notify,
+        after releasing any lock that others wait on.
         """
-        emitted: list[tuple[AlertEvent, Rule]] = []
+        emitted: list[AlertEvent] = []
         with self._lock:
             for rule in self.rules:
                 key = (rule.rule_id, station_id)
@@ -198,12 +195,17 @@ class RuleEngine:
                 self._states[key] = new_state
                 for event in events:
                     self._log(event)
-                    emitted.append((event, rule))
-        for event, rule in emitted:
-            failed = dispatch(event, [self.sinks[sid] for sid in rule.sink_ids])
-            with self._lock:
-                self.failed_deliveries += failed
-        return [event for event, _ in emitted]
+                emitted += events
+        return emitted
+
+    def notify(self, events) -> None:
+        """Send each event to its rule's sinks (see dispatch). Holds no lock
+        while a sink runs, which may take twice its timeout."""
+        for event in events:
+            failed = dispatch(event, self._sinks_of[event.rule_id])
+            if failed:
+                with self._lock:
+                    self.failed_deliveries += failed
 
     def _log(self, event: AlertEvent) -> None:
         """Append an event to the alert log, if any. Call under the lock."""
@@ -219,52 +221,29 @@ class RuleEngine:
 def load_rules_config(path: str | Path, alert_log: NdjsonLog | None = None) -> RuleEngine:
     """Build an engine from a JSON config file, writing alert_log if given.
 
-    Schema; any other key is an error:
+    Schema; any other key, or a value of another type, is an error:
         {"rules": [{"rule_id": ..., "trigger_category_min": 1..5,
                     "clear_consecutive": n, "sink_ids": [...]}],
          "sinks": [{"sink_id": ..., "type": "webhook", "url": ..., "timeout": s}]}
     Every error, bad JSON included, is a ValueError naming the file.
     """
-    path = Path(path)
-    try:
-        return _build_engine(json.loads(path.read_text()), alert_log)
-    except KeyError as exc:
-        raise ValueError(f"rules config {path}: missing key {exc}") from exc
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"rules config {path}: wrong type ({exc})") from exc
-    except ValueError as exc:
-        raise ValueError(f"rules config {path}: {exc}") from exc
-
-
-def check_keys(obj, where: str, *known: str) -> None:
-    """Refuse a config entry that is not a JSON object or has a key not in known."""
-    if not isinstance(obj, dict):
-        raise TypeError(f"{where} must be a JSON object, got {obj!r}")
-    unknown = set(obj) - set(known)
-    if unknown:
-        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+    return load_config(path, "rules config", lambda obj: _build_engine(obj, alert_log))
 
 
 def _build_engine(obj, alert_log) -> RuleEngine:
-    check_keys(obj, "top level", "rules", "sinks")
+    check_keys(obj, "top level", rules=list, sinks=list)
     rules = []
     for r in obj.get("rules", ()):
-        check_keys(r, "rule", "rule_id", "trigger_category_min", "clear_consecutive", "sink_ids")
-        rules.append(Rule(
-            rule_id=r["rule_id"],
-            trigger_category_min=r["trigger_category_min"],
-            clear_consecutive=r.get("clear_consecutive", 3),
-            sink_ids=r.get("sink_ids", ()),
-        ))
+        check_keys(r, "rule", rule_id=str, trigger_category_min=int, clear_consecutive=int,
+                   sink_ids=list)
+        rules.append(Rule(**{**r, "sink_ids": tuple(r.get("sink_ids", ()))}))
     sinks = {}
     for s in obj.get("sinks", ()):
         if s["type"] != "webhook":
             raise ValueError(f"unknown sink type: {s['type']!r}")
-        check_keys(s, "webhook sink", "sink_id", "type", "url", "timeout")
-        url, timeout = s["url"], s.get("timeout", 5.0)
-        if not isinstance(url, str) or type(timeout) not in (int, float) \
-                or not 0 < timeout < math.inf:
-            raise ValueError(f"webhook needs a string url and a positive timeout, "
-                             f"got {url!r} and {timeout!r}")
-        sinks[s["sink_id"]] = WebhookSink(s["sink_id"], url, timeout)
+        check_keys(s, "webhook sink", sink_id=str, type=str, url=str, timeout=float)
+        timeout = s.get("timeout", 5.0)
+        if not 0 < timeout < math.inf:
+            raise ValueError(f"webhook timeout must be positive, got {timeout!r}")
+        sinks[s["sink_id"]] = WebhookSink(s["sink_id"], s["url"], timeout)
     return RuleEngine(rules, sinks, alert_log)

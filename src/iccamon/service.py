@@ -4,7 +4,8 @@ POST /v1/telemetry validates a frame against the station registry, appends
 it durably, refreshes the station's rolling 24-hour index, and runs the
 alert rules — all under the store's per-station lock, with the store as the
 authority on sequence numbers, so acceptance and window updates are
-race-free while distinct stations proceed in parallel. Reads are public.
+race-free while distinct stations proceed in parallel. Alert sinks are
+called after the lock is released, so no read waits on one. Reads are public.
 
 Every index, for a frame's alert rules, an /icca read or an /overview
 entry, is the rolling index over window sums from the store. The 24-hour
@@ -52,9 +53,10 @@ from urllib.parse import parse_qs, urlsplit
 
 from . import icca
 from .icca import IccaResult, InsufficientDataError, WindowAverage
-from .rules import RuleEngine, load_rules_config
+from .rules import AlertEvent, RuleEngine, load_rules_config
 from .store import (
-    Measurement, StationRecord, StorageError, TimeSeriesStore, UnknownStationError,
+    Measurement, StationRecord, StorageError, TimeSeriesStore, UnknownStationError, check_keys,
+    load_config,
 )
 from .telemetry import RejectReason, parse_and_validate
 
@@ -87,10 +89,6 @@ _STATUS_FOR_REASON = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclass
 class ServerConfig:
     host: str = "127.0.0.1"
@@ -103,34 +101,25 @@ class ServerConfig:
 
 
 def load_server_config(path: str | Path) -> ServerConfig:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    types = {"host": str, "port": int, "data_dir": str, "rules_path": (str, type(None))}
-    unknown = set(obj) - set(types)
-    if unknown:
-        raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
-    for key, value in obj.items():
-        if not isinstance(value, types[key]) or isinstance(value, bool):
-            raise ConfigError(f"config {path}: {key} has wrong type ({value!r})")
+    """The server config in a JSON file; every error is a ValueError naming it."""
+    return load_config(path, "config", lambda obj: _build_server_config(obj, Path(path).parent))
+
+
+def _build_server_config(obj, base: Path) -> ServerConfig:
+    check_keys(obj, "top level", host=str, port=int, data_dir=str,
+               rules_path=(str, type(None)))
     cfg = ServerConfig(**obj)
     if not 0 <= cfg.port <= 65535:
-        raise ConfigError(f"config {path}: port must be in 0..65535, got {cfg.port}")
+        raise ValueError(f"port must be in 0..65535, got {cfg.port}")
     # relative paths in a config file are relative to that file
-    cfg.data_dir = str(path.parent / cfg.data_dir)
+    cfg.data_dir = str(base / cfg.data_dir)
     if cfg.rules_path is not None:
-        cfg.rules_path = str(path.parent / cfg.rules_path)
+        cfg.rules_path = str(base / cfg.rules_path)
         try:
             open(cfg.rules_path, "rb").close()
         except OSError as exc:
-            raise ConfigError(f"config {path}: rules_path {cfg.rules_path} cannot be opened: "
-                              f"{exc.strerror}") from exc
+            raise ValueError(f"rules_path {cfg.rules_path} cannot be opened: "
+                             f"{exc.strerror}") from exc
     return cfg
 
 
@@ -188,22 +177,26 @@ class MonitorService:
                 last = self.store.last_seq(m.station_id)
                 reason = RejectReason.DUPLICATE_SEQ if m.seq == last else RejectReason.STALE_SEQ
                 return 409, {"error": reason.value}
-            self._post_accept(m)
+            events = self._post_accept(m)
+        if events:  # logged under the lock; sent outside it, as a sink may take seconds
+            self.rule_engine.notify(events)
         return 202, {"station_id": m.station_id, "seq": m.seq}
 
-    def _post_accept(self, m: Measurement) -> None:
-        if self.rule_engine is None:
-            return
-        snapshot = self.rolling_icca(m.station_id)
-        if snapshot.sufficient:
-            self.rule_engine.observe(m.station_id, snapshot.result, m.ts)
+    def _post_accept(self, m: Measurement) -> list[AlertEvent] | None:
+        if self.rule_engine is not None:
+            snapshot = self.rolling_icca(m.station_id)
+            if snapshot.sufficient:
+                return self.rule_engine.observe(m.station_id, snapshot.result, m.ts)
+        return None
 
     # -- queries -----------------------------------------------------------
 
     def rolling_icca(self, station_id: str, window_s: int | None = None) -> IccaSnapshot:
         """Rolling index over the store's window sums for the window ending
-        at the station's latest record."""
-        window_s = window_s or self.window_s
+        at the station's latest record; window_s None means 24 hours."""
+        window_s = self.window_s if window_s is None else window_s
+        if window_s <= 0:
+            raise ValueError("window_s must be positive")
         period = self.store.get_station(station_id).report_period_s
         window = self.store.window(station_id, window_s)
         if window is None:
@@ -515,10 +508,7 @@ def _route_get(service: MonitorService, path: str, query: dict) -> tuple[int, di
             t1 = _int_param(query, "to", 2**62)
             return 200, service.history_payload(station_id, t0, t1)
         if leaf == "icca":
-            window = _int_param(query, "window_s", None)
-            if window is not None and window <= 0:
-                raise ValueError("window_s must be positive")
-            return 200, service.icca_payload(station_id, window)
+            return 200, service.icca_payload(station_id, _int_param(query, "window_s", None))
     return 404, {"error": "not_found"}
 
 

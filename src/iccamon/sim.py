@@ -10,25 +10,25 @@ levels rise in the morning and evening traffic peaks, fall at night, and
 drop to their lowest right after a rain, recovering gradually. Sensor
 noise is a uniform ±fraction per channel, and readings pass through the
 binary sensor codec so the values on the wire are exactly the quantized
-values a hardware node would report.
+values a hardware node would report. A fleet file is read with the store's
+load_config and check_keys, coercing nothing; each station must make a
+valid StationRecord, so a node emits only frames the wire takes.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, get_type_hints
 
 import requests
 
-from .rules import check_keys
 from .sensor import PmFrame, decode_pm_frame, decode_temp, encode_pm_frame, encode_temp
-from .store import StationRecord
+from .store import StationRecord, check_keys, load_config
 from .telemetry import TelemetryFrame, serialize
 
 logger = logging.getLogger(__name__)
@@ -406,10 +406,14 @@ def run_fleet(
 
 
 def iter_offline_frames(path: str | Path) -> Iterator[str]:
-    """Yield the frame lines of an offline capture file."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
+    """Yield the frame lines of an offline capture file, decoding each on its
+    own: a line that is not UTF-8 is a ValueError naming path:lineno."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if line:
                 yield line
 
@@ -424,41 +428,28 @@ def load_fleet_config(path: str | Path) -> tuple[list[FleetMember], int]:
     run start (start_offset_s) and resolved to absolute timestamps here.
     Every error, bad JSON included, is a ValueError naming the file.
     """
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-        check_keys(obj, "top level", "start_ts", "stations")
-        start_ts = int(obj.get("start_ts", 1700000000))
-        members = []
-        for entry in obj["stations"]:
-            check_keys(entry, "station", "station_id", "display_name", "lat", "lon", "token",
-                       "report_period_s", "scenario")
-            station = StationRecord(
-                station_id=entry["station_id"],
-                display_name=entry.get("display_name", entry["station_id"]),
-                lat=float(entry["lat"]),
-                lon=float(entry["lon"]),
-                token=entry["token"],
-                report_period_s=int(entry.get("report_period_s", 1200)),
-                created_at=start_ts,
-            )
-            sc = dict(entry["scenario"])
-            rain = []
-            for r in sc.pop("rain", ()):
-                check_keys(r, "rain event", "start_offset_s", "duration_s", "attenuation")
-                rain.append(RainEvent(
-                    start_ts=start_ts + int(r["start_offset_s"]),
-                    duration_s=int(r["duration_s"]),
-                    attenuation=float(r["attenuation"]),
-                ))
-            scenario = Scenario(rain=tuple(rain), **sc)
-            members.append(FleetMember(station=station, scenario=scenario))
-    except KeyError as exc:
-        raise ValueError(f"fleet scenario {path}: missing key {exc}") from exc
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"fleet scenario {path}: wrong type ({exc})") from exc
-    except ValueError as exc:
-        raise ValueError(f"fleet scenario {path}: {exc}") from exc
+    return load_config(path, "fleet scenario", _build_fleet)
+
+
+def _build_fleet(obj) -> tuple[list[FleetMember], int]:
+    check_keys(obj, "top level", start_ts=int, stations=list)
+    start_ts = obj.get("start_ts", 1700000000)
+    members = []
+    for entry in obj["stations"]:
+        check_keys(entry, "station", station_id=str, display_name=str, lat=float, lon=float,
+                   token=str, report_period_s=int, scenario=dict)
+        sc = entry.pop("scenario")
+        station = StationRecord(**{"display_name": entry["station_id"], **entry,
+                                   "created_at": start_ts})
+        # a scenario's keys and types are Scenario's fields, with rain a list
+        check_keys(sc, "scenario", **{**get_type_hints(Scenario), "rain": list})
+        rain = []
+        for r in sc.get("rain", ()):
+            check_keys(r, "rain event", start_offset_s=int, duration_s=int, attenuation=float)
+            rain.append(RainEvent(start_ts + r["start_offset_s"], r["duration_s"],
+                                  r["attenuation"]))
+        scenario = Scenario(**{**sc, "rain": tuple(rain)})
+        members.append(FleetMember(station=station, scenario=scenario))
     if not members:
-        raise ValueError(f"{path}: no stations defined")
+        raise ValueError("no stations defined")
     return members, start_ts

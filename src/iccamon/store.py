@@ -18,7 +18,9 @@ rebuilt on open; logs are small at desk scale. The store is the one place
 that sums a window's values (see _Station.window). Beside the index each
 station keeps exact running sums of its 24-hour window, built on the
 window's first use and slid forward by each newest record; a record older
-than the newest drops them, and the next use sums the window again.
+than the newest drops them, and the next use sums the window again. Every
+config file is read with load_config and its entries checked with
+check_keys; StationRecord alone decides what a valid station is.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -48,6 +51,8 @@ _PADDING = b" " * CHUNK_BYTES
 _NO_FLAGS: frozenset[str] = frozenset()
 _ts = attrgetter("ts")
 _station_id = attrgetter("station_id")
+# a station id, as the wire and the registry take it (whole string: fullmatch)
+STATION_ID_RE = re.compile(r"[a-z0-9_-]{1,64}")
 # what a line that is not the expected JSON object raises in parsing or conversion
 _BAD_LINE = (ValueError, KeyError, TypeError, AttributeError)
 
@@ -58,6 +63,35 @@ class StorageError(Exception):
 
 class UnknownStationError(LookupError):
     pass
+
+
+def load_config(path: str | Path, what: str, build):
+    """build(obj) for the JSON value in the file at path. Each KeyError,
+    TypeError, AttributeError and ValueError of the parse or the build (bad
+    JSON included) becomes a ValueError naming the file; OSError passes."""
+    try:
+        return build(json.loads(Path(path).read_bytes()))
+    except KeyError as exc:
+        raise ValueError(f"{what} {path}: missing key {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{what} {path}: wrong type ({exc})") from exc
+    except ValueError as exc:
+        raise ValueError(f"{what} {path}: {exc}") from exc
+
+
+def check_keys(obj, where: str, **types) -> None:
+    """Refuse a config entry that is not a JSON object, has a key not in
+    types, or a value not of its key's type (a type or tuple of types). A
+    JSON int passes for a float; true and false pass for no key."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{where} must be a JSON object, got {obj!r}")
+    unknown = obj.keys() - types.keys()
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+    for key, value in obj.items():
+        want = types[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
+            raise TypeError(f"{where}: {key} is {value!r}")
 
 
 class NdjsonLog:
@@ -213,21 +247,22 @@ class StationRecord:
     created_at: int = 0
 
     def __post_init__(self):
+        # the one judge of a station, for the registry and the fleet file. fullmatch
+        # raises TypeError on a non-str id; type() tells a bool from an int.
+        if not STATION_ID_RE.fullmatch(self.station_id):
+            raise ValueError(f"bad station_id: {self.station_id!r}")
+        if not (type(self.token) is str and self.token and type(self.display_name) is str
+                and type(self.report_period_s) is int and type(self.created_at) is int
+                and type(self.lat) in (int, float) and type(self.lon) in (int, float)):
+            raise TypeError(f"{self.station_id}: need a non-empty string token, a string "
+                            f"display_name, integer times and numeric lat/lon")
         if self.report_period_s <= 0:
             raise ValueError("report_period_s must be positive")
         if not -90.0 <= self.lat <= 90.0 or not -180.0 <= self.lon <= 180.0:
             raise ValueError(f"location out of bounds: ({self.lat}, {self.lon})")
 
     def to_json_obj(self) -> dict:
-        return {
-            "station_id": self.station_id,
-            "display_name": self.display_name,
-            "lat": self.lat,
-            "lon": self.lon,
-            "token": self.token,
-            "report_period_s": self.report_period_s,
-            "created_at": self.created_at,
-        }
+        return dict(vars(self))  # every field, in declaration order
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "StationRecord":
@@ -344,9 +379,10 @@ class TimeSeriesStore:
         if not path.exists():
             return
         try:
-            records = [StationRecord.from_json_obj(obj) for obj in json.loads(path.read_text())]
-        except (TypeError, KeyError, ValueError) as exc:
-            raise StorageError(f"corrupt registry {path}: {exc}") from exc
+            records = load_config(path, "corrupt registry",
+                                  lambda objs: [StationRecord.from_json_obj(obj) for obj in objs])
+        except ValueError as exc:
+            raise StorageError(str(exc)) from exc
         # _stations stays in station_id order, so listing the registry sorts
         # nothing; stable, so of two entries with one id the later still wins
         for record in sorted(records, key=_station_id):

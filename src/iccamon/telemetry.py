@@ -17,17 +17,15 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .store import BEYOND_SENSOR_RANGE, Measurement
+from .store import BEYOND_SENSOR_RANGE, STATION_ID_RE, Measurement
 
 FRAME_KEYS = ("station_id", "token", "seq", "ts", "pm25", "pm10", "temp_c")
 
 _FRAME_KEY_SET = frozenset(FRAME_KEYS)
-_STATION_ID_RE = re.compile(r"[a-z0-9_-]{1,64}")  # whole string: fullmatch
 _MAX_SEQ = 2**64 - 1
 
 
@@ -111,7 +109,7 @@ def _parse_fields(text: str) -> tuple[str, str, int, int, float, float, float]:
         raise ValueError(f"bad keys: unknown={sorted(unknown)} missing={sorted(missing)}")
 
     station_id = obj["station_id"]
-    if not isinstance(station_id, str) or not _STATION_ID_RE.fullmatch(station_id):
+    if not isinstance(station_id, str) or not STATION_ID_RE.fullmatch(station_id):
         raise ValueError(f"bad station_id: {station_id!r}")
     token = obj["token"]
     if not isinstance(token, str) or not token:

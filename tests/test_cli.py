@@ -99,8 +99,14 @@ class TestSimulateCommand:
         lambda obj: obj.update(report_perod_s=60),
         lambda obj: obj["stations"][0].update(report_perod_s=60),
         lambda obj: obj["stations"][0]["scenario"]["rain"][0].update(start_s=0),
+        lambda obj: obj["stations"][0].update(token=12345),
+        lambda obj: obj["stations"][0].update(lat=True),
+        lambda obj: obj["stations"][0].update(report_period_s=1200.9),
+        lambda obj: obj["stations"][0].update(station_id="San Salvador"),
+        lambda obj: obj["stations"][0]["scenario"].update(peak_morning_h="8"),
     ], ids=["null-lat", "unknown-scenario-key", "top-level-list", "unknown-top-level-key",
-            "unknown-station-key", "unknown-rain-key"])
+            "unknown-station-key", "unknown-rain-key", "numeric-token", "bool-lat",
+            "fractional-period", "id-off-the-wire", "string-scenario-number"])
     def test_bad_scenario_entry_exits_2(self, tmp_path, capsys, mutate):
         obj = json.loads((CONFIGS / "fleet_demo.json").read_text())
         obj = mutate(obj) or obj
@@ -110,6 +116,8 @@ class TestSimulateCommand:
                          "--offline", str(tmp_path / "o.ndjson")]) == 2
         err = capsys.readouterr().err
         assert "scenario error:" in err and "bad.json" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o.ndjson").exists()
 
     @pytest.mark.parametrize("hours", ["nan", "inf", "-1"])
     def test_duration_not_finite_or_negative_exits_2(self, tmp_path, capsys, hours):
@@ -285,6 +293,21 @@ class TestReplayCommand:
                          str(frames)]) == 2
         assert_one_error_line(capsys)
 
+    def test_bad_byte_names_the_line_and_prints_counts_so_far(self, tmp_path, capsys):
+        frames = tmp_path / "frames.ndjson"
+        assert cli.main(["simulate", "--scenario", str(CONFIGS / "fleet_demo.json"),
+                         "--duration", "2", "--seed", "7", "--offline", str(frames)]) == 0
+        capsys.readouterr()
+        lines = frames.read_bytes().splitlines(keepends=True)
+        frames.write_bytes(b"".join(lines[:20]) + b"\xff\n" + b"".join(lines[20:]))
+        config, data_dir = self.server_config(tmp_path)
+        assert cli.main(["replay", "--config", str(config), "--data-dir", str(data_dir),
+                         str(frames)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("frames error:") and err.count("\n") == 1
+        assert f"{frames}:21:" in err
+        assert json.loads(out) == {"202": 20}
+
     def test_bad_config_exits_2(self, tmp_path):
         bad = tmp_path / "server.json"
         bad.write_text("{nope")
@@ -351,6 +374,11 @@ class TestStorageErrorAtOpen:
         lambda d: (d / "stations.json").write_text('{"station_id": "santa-ana"}'),
         lambda d: (d / "stations.json").write_text(
             (d / "stations.json").read_text().replace('"lat"', '"latitude"', 1)),
+        lambda d: (d / "stations.json").write_text(
+            re.sub(r'"token": "[^"]*"', '"token": 12345', (d / "stations.json").read_text(),
+                   count=1)),
+        lambda d: (d / "stations.json").write_text(
+            (d / "stations.json").read_text().replace('"santa-ana"', '"santa ana"')),
         lambda d: (d / "series" / "santa-ana.ndjson").write_bytes(
             b"\n".join(line if i != 1 else b"{torn"
                        for i, line in enumerate(
@@ -359,7 +387,8 @@ class TestStorageErrorAtOpen:
             log_data(d / "series" / "santa-ana.ndjson") + b"[1]\n"),
         lambda d: [(d / "series" / "santa-ana.ndjson").unlink(),
                    (d / "series" / "santa-ana.ndjson").mkdir()],
-    ], ids=["registry-not-json", "registry-object", "registry-unknown-key", "corrupt-mid-record",
+    ], ids=["registry-not-json", "registry-object", "registry-unknown-key",
+            "registry-numeric-token", "registry-id-with-space", "corrupt-mid-record",
             "record-not-an-object", "log-unreadable"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, corrupt):
         # serve opens the data directory through the same _open_service

@@ -205,7 +205,9 @@ class TestRuleEngine:
 
         before = list_sizes()
         for i in range(5):
-            assert len(engine.observe(f"st-{i}", icca(153), ts=i)) == 1
+            events = engine.observe(f"st-{i}", icca(153), ts=i)
+            assert len(events) == 1
+            engine.notify(events)
         assert engine.failed_deliveries == 5
         assert list_sizes() == before
 
@@ -214,7 +216,11 @@ class TestRuleEngine:
         handler.entered, handler.release = threading.Event(), threading.Event()
         engine = RuleEngine([Rule("r1", 3, sink_ids=("w",))], {"w": WebhookSink("w", url, 1.0)})
         result = []
-        blocked = threading.Thread(target=lambda: result.append(engine.observe("a", icca(153), 1)))
+        def raise_and_notify():
+            result.append(engine.observe("a", icca(153), 1))
+            engine.notify(result[0])
+
+        blocked = threading.Thread(target=raise_and_notify)
         blocked.start()
         try:
             assert handler.entered.wait(2.0)
@@ -251,6 +257,9 @@ class TestRuleEngine:
                             alert_log=NdjsonLog(tmp_path / "alerts.ndjson"))
         (tmp_path / "alerts.ndjson").mkdir()  # the log can no longer be opened
         [event] = engine.observe("a", icca(153), ts=1)
+        assert engine.failed_deliveries == 1
+        assert handler.bodies == []  # observe calls no sink
+        engine.notify([event])
         assert engine.failed_deliveries == 1
         assert handler.bodies == [event.to_json_obj()]
         [record] = [r for r in caplog.records if r.name == "iccamon.rules"]
@@ -316,6 +325,7 @@ class TestRuleEngine:
         assert engine.sinks["hook"].timeout == 0.5
         assert engine.alert_log is None  # build_service passes the store's alert log
         [event] = engine.observe("utec-01", icca(170), ts=9)
+        engine.notify([event])
         assert handler.bodies == [event.to_json_obj()]
         assert engine.failed_deliveries == 0
 
@@ -351,6 +361,9 @@ class TestRuleEngine:
         {"rules": [{"rule_id": "r", "trigger_category_min": 3.0}]},
         {"rules": [{"rule_id": "r", "trigger_category_min": 3, "clear_consecutive": 2.5}]},
         {"rules": [{"rule_id": 5, "trigger_category_min": 3}]},
+        {"rules": [{"rule_id": "r", "trigger_category_min": 3},
+                   {"rule_id": "r", "trigger_category_min": 2}]},
+        {"rules": [], "sinks": {}},
         {"rules": [{"rule_id": "r", "trigger_category_min": 3, "sink_ids": "ab"}],
          "sinks": [{"sink_id": "a", "type": "webhook", "url": "http://x"},
                    {"sink_id": "b", "type": "webhook", "url": "http://x"}]},

@@ -21,7 +21,6 @@ from iccamon import service as service_mod
 from iccamon.rules import Rule, RuleEngine
 from iccamon.service import (
     MAX_BODY_BYTES,
-    ConfigError,
     HttpServer,
     MonitorService,
     ServerConfig,
@@ -504,6 +503,43 @@ class TestAlertWiring:
         assert service.rule_engine.failed_deliveries == 1  # the one raised event
         assert [r.levelname for r in caplog.records if r.name == "iccamon.rules"] == ["ERROR"]
 
+    def test_slow_sink_does_not_stall_reads(self, store):
+        entered, release = threading.Event(), threading.Event()
+
+        class BlockingSink:
+            sink_id = "slow"
+
+            def deliver(self, event):
+                entered.set()
+                release.wait(10.0)
+
+        engine = RuleEngine([Rule("r3", trigger_category_min=3, sink_ids=("slow",))],
+                            {"slow": BlockingSink()})
+        service = MonitorService(store, rule_engine=engine)
+        for k in range(53):
+            assert service.ingest(frame_text(seq=k + 1, ts=START + k * 1200, pm25=100.0))[0] == 202
+        # the 54th frame makes the window sufficient, which raises the alert
+        statuses, reads = [], []
+        ingest = threading.Thread(target=lambda: statuses.append(
+            service.ingest(frame_text(seq=54, ts=START + 53 * 1200, pm25=100.0))[0]))
+        reader = threading.Thread(target=lambda: reads.append(
+            (service.overview_payload(), service.icca_payload("utec-01"))))
+        ingest.start()
+        try:
+            assert entered.wait(5.0)
+            reader.start()
+            reader.join(5.0)
+            assert not reader.is_alive()  # the reads did not wait for the sink
+        finally:
+            release.set()
+            ingest.join(5.0)
+            if reader.is_alive():
+                reader.join(5.0)
+        [(overview, snap)] = reads
+        [entry] = [e for e in overview["stations"] if e["station_id"] == "utec-01"]
+        assert entry["latest"]["seq"] == 54 and snap["icca"]["value"] == 169
+        assert statuses == [202] and engine.failed_deliveries == 0
+
     def test_no_alerts_from_insufficient_windows(self, store):
         engine = RuleEngine([Rule("r1", trigger_category_min=1)])
         fired = []
@@ -599,6 +635,12 @@ class TestHttpEndpoints:
             resp = requests.get(f"{server.url}/v1/stations/utec-01/icca?window_s={window}")
             assert resp.status_code == 400
             assert resp.json() == {"error": "window_s must be positive"}
+
+    @pytest.mark.parametrize("window_s", [0, -5])
+    def test_icca_window_not_positive_refused_in_process(self, service, window_s):
+        service.ingest(frame_text())
+        with pytest.raises(ValueError, match="^window_s must be positive$"):
+            service.icca_payload("utec-01", window_s)
 
     def test_overview(self, server, service):
         for k in range(72):
@@ -1215,13 +1257,13 @@ class TestServerConfig:
     def test_rejects_bad_config(self, tmp_path, obj):
         path = tmp_path / "server.json"
         path.write_text(json.dumps(obj))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="server.json"):
             load_server_config(path)
 
     def test_rejects_garbage_file(self, tmp_path):
         path = tmp_path / "server.json"
         path.write_text("{nope")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="server.json"):
             load_server_config(path)
 
     def test_build_service_creates_data_dir(self, tmp_path):

@@ -345,6 +345,24 @@ class TestRegistry:
         with pytest.raises(ValueError):
             StationRecord("x", "x", 0.0, 0.0, "t", report_period_s=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"station_id": "San Salvador"},  # outside the wire's [a-z0-9_-]{1,64}
+        {"station_id": "x" * 65},
+        {"station_id": 7},
+        {"token": 12345},
+        {"token": ""},
+        {"display_name": None},
+        {"lat": True},
+        {"lon": False},
+        {"report_period_s": 1200.9},
+        {"report_period_s": True},
+        {"created_at": 1.5},
+    ])
+    def test_station_record_refuses_what_the_wire_cannot_carry(self, kwargs):
+        with pytest.raises((TypeError, ValueError)):
+            StationRecord(**{"station_id": "x", "display_name": "x", "lat": 0.0, "lon": 0.0,
+                             "token": "t", **kwargs})
+
     def test_registry_round_trip(self, tmp_path):
         s = TimeSeriesStore(register(tmp_path / "data", STATION))
         assert s.get_station("utec-01") == STATION
