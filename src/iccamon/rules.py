@@ -148,7 +148,7 @@ def _recover_states(log: NdjsonLog, rule_ids) -> dict[tuple[str, str], RuleState
     restart loses only a pending clear countdown, which starts from zero.
     """
     return {key: RuleState(active=active)
-            for key, active in log.read(_event_state, "alert event") if key[0] in rule_ids}
+            for key, active in log.read(_event_state, "alert event")[0] if key[0] in rule_ids}
 
 
 class RuleEngine:

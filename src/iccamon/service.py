@@ -7,6 +7,11 @@ authority on sequence numbers, so acceptance and window updates are
 race-free while distinct stations proceed in parallel. Alert sinks are
 called after the lock is released, so no read waits on one. Reads are public.
 
+A /history body is built from bytes encoded once: its records are the
+lines the store wrote to its log (see store.TimeSeriesStore.query_range),
+joined into the response, so no record is encoded per read. The registry
+is fixed at open, so /v1/stations is encoded once, at its first request.
+
 Every index, for a frame's alert rules, an /icca read or an /overview
 entry, is the rolling index over window sums from the store. The 24-hour
 window's sums are kept beside each station's records, so it costs constant
@@ -47,6 +52,7 @@ import threading
 import time
 from dataclasses import dataclass
 from email.utils import formatdate
+from functools import cached_property
 from http import HTTPStatus
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
@@ -218,6 +224,12 @@ class MonitorService:
             out.append(entry)
         return out
 
+    @cached_property
+    def stations_body(self) -> bytes:
+        """The /v1/stations body, encoded at its first use: the registry is
+        fixed at open."""
+        return _RESPONSE_ENCODER.encode(self.stations_payload()).encode("utf-8")
+
     def latest_payload(self, station_id: str) -> dict:
         m = self.store.latest(station_id)
         return {
@@ -226,13 +238,15 @@ class MonitorService:
         }
 
     def history_payload(self, station_id: str, t0: int, t1: int) -> dict:
-        records = self.store.query_range(station_id, t0, t1)
+        """The records with ts in [t0, t1]; "measurements" holds their stored
+        lines, each a record's compact JSON in UTF-8 bytes."""
+        lines = self.store.query_range(station_id, t0, t1)
         return {
             "station_id": station_id,
             "from": t0,
             "to": t1,
-            "count": len(records),
-            "measurements": [r.to_json_obj() for r in records],
+            "count": len(lines),
+            "measurements": lines,
         }
 
     def icca_payload(self, station_id: str, window_s: int | None = None) -> dict:
@@ -424,7 +438,7 @@ class _Connection:
             status, payload, connection = 500, {"error": "internal_error"}, _CLOSE
         return self._respond(method, target, status, payload, started, connection)
 
-    def _route(self, method: str, target: str, body: bytes) -> tuple[int, dict | list]:
+    def _route(self, method: str, target: str, body: bytes) -> tuple[int, dict | bytes]:
         split = urlsplit(target)
         service = self.server.service
         if method == "POST":
@@ -493,9 +507,9 @@ def _content_length(values: list[str]) -> int:
     return int(digits)
 
 
-def _route_get(service: MonitorService, path: str, query: dict) -> tuple[int, dict | list]:
+def _route_get(service: MonitorService, path: str, query: dict) -> tuple[int, dict | bytes]:
     if path == "/v1/stations":
-        return 200, service.stations_payload()
+        return 200, service.stations_body
     if path == "/v1/overview":
         return 200, service.overview_payload()
     parts = path.strip("/").split("/")
@@ -506,7 +520,7 @@ def _route_get(service: MonitorService, path: str, query: dict) -> tuple[int, di
         if leaf == "history":
             t0 = _int_param(query, "from", 0)
             t1 = _int_param(query, "to", 2**62)
-            return 200, service.history_payload(station_id, t0, t1)
+            return 200, _history_body(service.history_payload(station_id, t0, t1))
         if leaf == "icca":
             return 200, service.icca_payload(station_id, _int_param(query, "window_s", None))
     return 404, {"error": "not_found"}
@@ -522,9 +536,18 @@ def _int_param(query: dict, key: str, default: int | None) -> int | None:
         raise ValueError(f"{key} must be an integer") from None
 
 
+def _history_body(payload: dict) -> bytes:
+    """A history payload as JSON: its other fields encoded, then its stored
+    lines joined into the "measurements" array, which comes last."""
+    head = {key: value for key, value in payload.items() if key != "measurements"}
+    return b'%s, "measurements": [%s]}' % (
+        _RESPONSE_ENCODER.encode(head)[:-1].encode("utf-8"), b",".join(payload["measurements"]))
+
+
 def _response(status: int, body, date: bytes, connection: bytes) -> bytes:
-    """Status line, headers and JSON body as one buffer."""
-    payload = _RESPONSE_ENCODER.encode(body).encode("utf-8")
+    """Status line, headers and body as one buffer: body is JSON already
+    encoded (bytes), or a value to encode."""
+    payload = body if type(body) is bytes else _RESPONSE_ENCODER.encode(body).encode("utf-8")
     return b"%sDate: %s\r\nContent-Type: application/json; charset=utf-8\r\n" \
            b"Content-Length: %d\r\n%s\r\n%s" % (
                _STATUS_LINES[status], date, len(payload), connection, payload)

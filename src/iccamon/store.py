@@ -14,13 +14,19 @@ most that much more disk than its records). A crash mid-write leaves a
 torn last line, which the next open blanks with spaces. A record line
 mirrors the wire frame minus the token, plus quality flags. An in-memory
 index (records sorted by timestamp, last accepted sequence number) is
-rebuilt on open; logs are small at desk scale. The store is the one place
-that sums a window's values (see _Station.window). Beside the index each
-station keeps exact running sums of its 24-hour window, built on the
-window's first use and slid forward by each newest record; a record older
-than the newest drops them, and the next use sums the window again. Every
-config file is read with load_config and its entries checked with
-check_keys; StationRecord alone decides what a valid station is.
+rebuilt on open; logs are small at desk scale. Beside each record the index
+keeps its log line, the record's compact JSON encoded once: by the append
+that wrote it, or split from the log on open. A range query returns those
+lines, so a read never encodes a record again. A line on disk that is not
+as append writes it (edited by hand, say) is re-encoded from its record at
+open, so no key the store does not write is ever read back. The store is
+the one place that sums a window's values (see _Station.window). Beside
+the index each station keeps exact running sums of its 24-hour window,
+built on the window's first use and slid forward by each newest record; a
+record older than the newest drops them, and the next use sums the window
+again. Every config file is read with load_config and its entries checked
+with check_keys; StationRecord alone decides what a valid station is, and
+the registry may list a station_id only once.
 """
 
 from __future__ import annotations
@@ -49,8 +55,8 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
 CHUNK_BYTES = 64 * 1024
 _PADDING = b" " * CHUNK_BYTES
 _NO_FLAGS: frozenset[str] = frozenset()
-_ts = attrgetter("ts")
 _station_id = attrgetter("station_id")
+_new_object = object.__new__
 # a station id, as the wire and the registry take it (whole string: fullmatch)
 STATION_ID_RE = re.compile(r"[a-z0-9_-]{1,64}")
 # what a line that is not the expected JSON object raises in parsing or conversion
@@ -113,14 +119,16 @@ class NdjsonLog:
     Not thread-safe: callers serialise appends.
     """
 
-    def __init__(self, path: Path, fsync: bool = True):
+    def __init__(self, path: str | Path, fsync: bool = True):
         self.path = path
         self._fsync = fsync
         self._end: int | None = None  # offset past the last whole line; None until found
         self._size = 0  # file size; the bytes from _end to it are padding
 
-    def append(self, obj) -> None:
-        line = (_ENCODER.encode(obj) + "\n").encode("utf-8")
+    def append(self, obj) -> bytes:
+        """Write obj as one line and fsync; the line, without its newline."""
+        record = _ENCODER.encode(obj).encode("utf-8")
+        line = record + b"\n"
         try:
             if self._end is None:
                 self._load()
@@ -143,6 +151,7 @@ class NdjsonLog:
                 os.close(fd)
         except OSError as exc:
             raise StorageError(f"append to {self.path} failed: {exc}") from exc
+        return record
 
     def _load(self) -> bytes:
         """The file's bytes up to the data end, which it records; b"" without a file.
@@ -155,7 +164,8 @@ class NdjsonLog:
         disk). Single bytes decide; the padding is never scanned.
         """
         try:
-            raw = self.path.read_bytes()
+            with open(self.path, "rb") as fh:
+                raw = fh.read()
         except FileNotFoundError:
             raw = b""
         end = raw.rfind(b"\n") + 1
@@ -175,12 +185,16 @@ class NdjsonLog:
         self._end, self._size = end, len(raw)
         return raw[:end]
 
-    def read(self, convert, what: str) -> list:
-        """convert(obj) for each line, in file order; [] without a file.
+    def read(self, convert, what: str) -> tuple[list, list[bytes]]:
+        """(convert(obj) for each line, the lines without their newlines),
+        two lists in file order; ([], []) without a file.
 
         A torn last line is blanked first (see _load). A blank line is
-        skipped; a line that does not parse or convert is a StorageError
-        naming path:lineno.
+        skipped in both lists; a line that does not parse or convert is a
+        StorageError naming path:lineno. Lines are returned as they are when
+        the log parses as one array; otherwise (a blank line, say, or a
+        byte-order mark) each is returned compactly re-encoded, so every
+        line returned is UTF-8 JSON that can be joined into an array.
         """
         try:
             lines = self._load().splitlines()
@@ -192,18 +206,20 @@ class NdjsonLog:
             # line below, which names the first bad line
             objs = json.loads(b"[" + b",".join(lines) + b"]")
             if len(objs) == len(lines):
-                return [convert(obj) for obj in objs]
+                return [convert(obj) for obj in objs], lines
         except _BAD_LINE:
             pass
-        items = []
+        items, kept = [], []
         for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:
-                items.append(convert(json.loads(line)))
+                obj = json.loads(line)
+                items.append(convert(obj))
             except _BAD_LINE as exc:
                 raise StorageError(f"{self.path}:{lineno}: corrupt {what}: {exc}") from exc
-        return items
+            kept.append(_ENCODER.encode(obj).encode("utf-8"))
+        return items, kept
 
 
 @dataclass(frozen=True)
@@ -229,8 +245,7 @@ class Measurement:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Measurement":
-        # positional, and one shared empty flag set: recovery builds every
-        # stored record through here
+        # one shared empty flag set, as most records have no flags
         flags = obj.get("flags", ())
         return cls(obj["station_id"], obj["seq"], obj["ts"], float(obj["pm25"]), float(obj["pm10"]),
                    float(obj["temp_c"]), _NO_FLAGS if flags == [] else frozenset(flags))
@@ -269,14 +284,39 @@ class StationRecord:
         return cls(**obj)
 
 
+def _written_record(obj: dict) -> Measurement | None:
+    """The record of a parsed log line if the line is what append writes
+    for it: the seven keys of to_json_obj, float values and flags as it
+    lists them. None for any other line (edited by hand, say). A line that
+    is no record raises as from_json_obj does."""
+    pm25, pm10, temp_c, flags = obj["pm25"], obj["pm10"], obj["temp_c"], obj.get("flags")
+    # with flags (None when missing), these are all seven keys
+    as_written = (len(obj) == 7 and "station_id" in obj and "seq" in obj and "ts" in obj
+                  and type(pm25) is type(pm10) is type(temp_c) is float)
+    if as_written and flags == []:
+        # most lines: obj holds the record's fields as they are. Fill the
+        # new record's __dict__ from it in one step, as unpickling does: a
+        # third of the time of the frozen __init__'s seven object.__setattr__
+        # calls, and recovery builds every stored record
+        m = _new_object(Measurement)
+        fields = m.__dict__
+        fields.update(obj)
+        fields["flags"] = _NO_FLAGS
+        return m
+    m = Measurement.from_json_obj(obj)
+    return m if as_written and flags == sorted(m.flags) else None
+
+
 class _Station:
     """One station's registry record, series file and in-memory index."""
 
-    def __init__(self, record: StationRecord, series_dir: Path, fsync: bool):
+    def __init__(self, record: StationRecord, series_dir: str, fsync: bool):
         self.record = record
-        self.log = NdjsonLog(series_dir / f"{record.station_id}.ndjson", fsync)
+        # a str, not a Path: a registry of thousands opens a log object each
+        self.log = NdjsonLog(f"{series_dir}/{record.station_id}.ndjson", fsync)
         self.lock = threading.RLock()  # re-entrant: ingest holds it across append and reads
         self.records: list[Measurement] = []  # kept sorted by ts
+        self.lines: list[bytes] = []  # each record's log line, in the same order
         self.ts_index: list[int] = []
         self.last_seq: int | None = None  # None until a record is accepted; 0 is a valid seq
         # The 24-hour window, (latest ts - WINDOW_24H_S, latest ts], is
@@ -288,21 +328,34 @@ class _Station:
         self.sum25 = self.sum10 = 0
 
     def recover(self) -> None:
-        for m in self.log.read(Measurement.from_json_obj, "record"):
+        records, lines = self.log.read(_written_record, "record")
+        for m, line in zip(records, lines):
+            if m is None:
+                # served as to_json_obj renders it, so no key the store does
+                # not write is ever read back
+                m = Measurement.from_json_obj(json.loads(line))
+                line = _ENCODER.encode(m.to_json_obj()).encode("utf-8")
             # appends write increasing seqs; a repeat is left by a retried append
             if self.accepts(m.seq):
                 self.records.append(m)
+                self.lines.append(line)
                 self.last_seq = m.seq
-        # stable, so equal timestamps keep log order, as _index keeps them
-        self.records.sort(key=_ts)
-        self.ts_index = [m.ts for m in self.records]
+        ts = [m.ts for m in self.records]
+        if ts != sorted(ts):
+            # stable, so equal timestamps keep log order, as _index keeps them
+            order = sorted(range(len(ts)), key=ts.__getitem__)
+            self.records = [self.records[i] for i in order]
+            self.lines = [self.lines[i] for i in order]
+            ts = [ts[i] for i in order]
+        self.ts_index = ts
 
     def accepts(self, seq: int) -> bool:
         return self.last_seq is None or seq > self.last_seq
 
-    def _index(self, m: Measurement) -> None:
+    def _index(self, m: Measurement, line: bytes) -> None:
         pos = bisect_right(self.ts_index, m.ts)
         self.records.insert(pos, m)
+        self.lines.insert(pos, line)
         self.ts_index.insert(pos, m.ts)
         self.last_seq = m.seq
         if self.win_start is None:
@@ -366,10 +419,11 @@ class TimeSeriesStore:
         self.alert_log = NdjsonLog(self.data_dir / self.ALERT_LOG_FILE, fsync)
         self._stations: dict[str, _Station] = {}
         self._load_registry(fsync)
-        # one directory listing instead of a stat per registered station
-        logs = {entry.name for entry in os.scandir(self.series_dir)}
+        # one directory listing instead of a stat per registered station;
+        # an entry's path is the series directory, "/" and its name
+        logs = {entry.path for entry in os.scandir(str(self.series_dir))}
         for station in self._stations.values():
-            if station.log.path.name in logs:
+            if station.log.path in logs:
                 station.recover()
 
     # -- registry ----------------------------------------------------------
@@ -383,10 +437,14 @@ class TimeSeriesStore:
                                   lambda objs: [StationRecord.from_json_obj(obj) for obj in objs])
         except ValueError as exc:
             raise StorageError(str(exc)) from exc
-        # _stations stays in station_id order, so listing the registry sorts
-        # nothing; stable, so of two entries with one id the later still wins
+        series_dir = str(self.series_dir)
+        # _stations stays in station_id order, so listing the registry sorts nothing
         for record in sorted(records, key=_station_id):
-            self._stations[record.station_id] = _Station(record, self.series_dir, fsync)
+            if record.station_id in self._stations:
+                # the later entry's token would replace the earlier one's unseen
+                raise StorageError(f"corrupt registry {path}: station_id "
+                                   f"{record.station_id!r} appears twice")
+            self._stations[record.station_id] = _Station(record, series_dir, fsync)
 
     def _station(self, station_id: str) -> _Station:
         try:
@@ -427,20 +485,21 @@ class TimeSeriesStore:
         with station.lock:
             if not station.accepts(m.seq):
                 return None
-            station.log.append(m.to_json_obj())
+            line = station.log.append(m.to_json_obj())
             offset = len(station.records)
-            station._index(m)
+            station._index(m, line)
             return offset
 
-    def query_range(self, station_id: str, t0: float, t1: float) -> list[Measurement]:
-        """All records with ts in [t0, t1], ascending by ts."""
+    def query_range(self, station_id: str, t0: float, t1: float) -> list[bytes]:
+        """The stored lines of all records with ts in [t0, t1], ascending by
+        ts: each the record's compact JSON (its to_json_obj), in UTF-8."""
         if t0 > t1:
             raise ValueError(f"empty range: t0={t0} > t1={t1}")
         station = self._station(station_id)
         with station.lock:
             lo = bisect_left(station.ts_index, t0)
             hi = bisect_right(station.ts_index, t1)
-            return station.records[lo:hi]
+            return station.lines[lo:hi]
 
     def window(self, station_id: str, window_s: int) -> tuple[int, int, int, int] | None:
         """(window end, sample count, scaled pm2.5 sum, scaled pm10 sum) of the

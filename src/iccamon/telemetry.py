@@ -7,14 +7,16 @@ this order:
      "pm25":12.3,"pm10":20.0,"temp_c":28.5}
 
 Unknown keys are rejected outright (they signal firmware/schema drift),
-the token must match the station's registered credential, and the sequence
-number must exceed the last accepted one so retried sends are cheap to
-deduplicate. Validation is a pure function of its inputs; the caller
-supplies a lookup of each station's token and last accepted seq.
+the token must match the station's registered credential (compared in
+constant time), and the sequence number must exceed the last accepted one
+so retried sends are cheap to deduplicate. Validation is a pure function
+of its inputs; the caller supplies a lookup of each station's token and
+last accepted seq.
 """
 
 from __future__ import annotations
 
+import hmac
 import json
 import math
 from dataclasses import dataclass
@@ -147,7 +149,9 @@ def parse_and_validate(
     if station is None:
         return _reject(RejectReason.UNKNOWN_STATION)
     registered_token, last = station
-    if token != registered_token:
+    # in constant time; surrogatepass, as JSON can carry a lone surrogate
+    if not hmac.compare_digest(token.encode("utf-8", "surrogatepass"),
+                               registered_token.encode("utf-8", "surrogatepass")):
         return _reject(RejectReason.BAD_TOKEN)
 
     if last is not None:

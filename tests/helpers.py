@@ -3,7 +3,7 @@
 import json
 from pathlib import Path
 
-from iccamon.store import StationRecord, TimeSeriesStore
+from iccamon.store import Measurement, StationRecord, TimeSeriesStore
 
 
 def register(data_dir, *stations: StationRecord) -> Path:
@@ -21,3 +21,10 @@ def log_data(path) -> bytes:
     space padding the store keeps after them."""
     raw = Path(path).read_bytes()
     return raw[:raw.rfind(b"\n") + 1]
+
+
+def stored(store, station_id, t0=0, t1=2**62) -> list[Measurement]:
+    """The records TimeSeriesStore.query_range serves, parsed back from
+    their stored lines."""
+    return [Measurement.from_json_obj(json.loads(line))
+            for line in store.query_range(station_id, t0, t1)]

@@ -85,3 +85,34 @@ def byte_sum_checksum(data: bytes) -> int:
     for b in data:
         total += b
     return total % 65536
+
+
+def history_oracle(frames, t0, t1) -> list[dict]:
+    """The records a /history read over [t0, t1] serves, from the frames
+    one station submitted, in submission order (dicts with the wire keys,
+    each valid but maybe for its seq).
+
+    A frame is kept only when its seq is above every kept frame's. The kept
+    frames are ordered by ts, equal ts in submission order, and each is
+    served as its wire keys minus the token, the three values as floats,
+    plus the flag beyond_sensor_range when a PM value is above 500.
+    """
+    kept = []
+    for frame in frames:
+        if not kept or frame["seq"] > kept[-1]["seq"]:
+            kept.append(frame)
+    served = []
+    for frame in sorted(kept, key=lambda f: f["ts"]):  # sorted() is stable
+        if not t0 <= frame["ts"] <= t1:
+            continue
+        pm25, pm10 = float(frame["pm25"]), float(frame["pm10"])
+        served.append({
+            "station_id": frame["station_id"],
+            "seq": frame["seq"],
+            "ts": frame["ts"],
+            "pm25": pm25,
+            "pm10": pm10,
+            "temp_c": float(frame["temp_c"]),
+            "flags": ["beyond_sensor_range"] if pm25 > 500 or pm10 > 500 else [],
+        })
+    return served

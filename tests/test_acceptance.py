@@ -30,7 +30,7 @@ from iccamon.sim import (
 from iccamon.store import TimeSeriesStore
 from iccamon.telemetry import RejectReason, TelemetryFrame, parse_and_validate, parse_frame, serialize
 
-from .helpers import log_data, register
+from .helpers import log_data, register, stored
 from .oracles import ORACLE_PM10, ORACLE_PM25, icca_oracle, stats_oracle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -74,7 +74,7 @@ class _FleetRun:
         return [m.station.station_id for m in self.members]
 
     def records(self, sid):
-        return self.store.query_range(sid, 0, 2**62)
+        return stored(self.store, sid)
 
     def close(self):
         self.store.close()
@@ -280,7 +280,7 @@ def test_criterion_7_crash_safety(tmp_path):
         log.write_bytes(pristine[:cut])
         expect_whole = pristine[:cut].count(b"\n")
         store = TimeSeriesStore(data)
-        records = store.query_range("st-1", 0, 2**62)
+        records = stored(store, "st-1")
         assert len(records) == expect_whole, cut
         assert [m.seq for m in records] == list(range(1, expect_whole + 1)), cut
         log.write_bytes(pristine)

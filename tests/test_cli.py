@@ -379,6 +379,8 @@ class TestStorageErrorAtOpen:
                    count=1)),
         lambda d: (d / "stations.json").write_text(
             (d / "stations.json").read_text().replace('"santa-ana"', '"santa ana"')),
+        lambda d: (d / "stations.json").write_text(
+            json.dumps(2 * json.loads((d / "stations.json").read_text()))),
         lambda d: (d / "series" / "santa-ana.ndjson").write_bytes(
             b"\n".join(line if i != 1 else b"{torn"
                        for i, line in enumerate(
@@ -388,7 +390,8 @@ class TestStorageErrorAtOpen:
         lambda d: [(d / "series" / "santa-ana.ndjson").unlink(),
                    (d / "series" / "santa-ana.ndjson").mkdir()],
     ], ids=["registry-not-json", "registry-object", "registry-unknown-key",
-            "registry-numeric-token", "registry-id-with-space", "corrupt-mid-record",
+            "registry-numeric-token", "registry-id-with-space", "registry-repeated-id",
+            "corrupt-mid-record",
             "record-not-an-object", "log-unreadable"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, corrupt):
         # serve opens the data directory through the same _open_service

@@ -1,3 +1,4 @@
+import contextlib
 import email.utils
 import http.client
 import itertools
@@ -30,7 +31,8 @@ from iccamon.service import (
 from iccamon.store import StationRecord, TimeSeriesStore
 from iccamon.telemetry import TelemetryFrame, serialize
 
-from .helpers import log_data, register
+from .helpers import log_data, register, stored
+from .oracles import history_oracle
 
 START = 1700006400
 
@@ -56,10 +58,18 @@ def service(store):
 
 @pytest.fixture
 def server(service):
+    with serving(service) as srv:
+        yield srv
+
+
+@contextlib.contextmanager
+def serving(service):
     srv = HttpServer(service, port=0)
     srv.start()
-    yield srv
-    srv.shutdown()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
 
 
 class TestIngest:
@@ -106,12 +116,12 @@ class TestIngest:
 
     def test_non_202_means_no_state_change(self, service, store):
         service.ingest(frame_text(seq=1))
-        before = store.query_range("utec-01", 0, 2**62)
+        before = stored(store, "utec-01")
         for text in (frame_text(seq=1), frame_text(seq=9, token="x"),
                      frame_text(seq=9, temp_c=-4.0), "garbage"):
             status, _ = service.ingest(text)
             assert status != 202
-            assert store.query_range("utec-01", 0, 2**62) == before
+            assert stored(store, "utec-01") == before
 
     def test_storage_failure_500_not_acknowledged(self, service, store, monkeypatch):
         from iccamon.store import StorageError
@@ -182,7 +192,7 @@ class TestIngest:
             t.join()
         assert errors == []
         for sid in ("utec-01", "santa-ana"):
-            seqs = [m.seq for m in store.query_range(sid, 0, 2**62)]
+            seqs = [m.seq for m in stored(store, sid)]
             assert seqs == list(range(1, 51))
 
 
@@ -269,20 +279,20 @@ class TestStationStateOwnership:
         statuses = [status for r in results for _, status in r]
         assert set(statuses) <= {202, 409}
         accepted = sorted(seq for r in results for seq, status in r if status == 202)
-        stored = [m.seq for m in store.query_range("utec-01", 0, 2**62)]
+        kept = [m.seq for m in stored(store, "utec-01")]
         log = store.data_dir / "series" / "utec-01.ndjson"
         on_disk = [json.loads(line)["seq"] for line in log_data(log).splitlines()]
-        assert on_disk == stored
-        assert all(a < b for a, b in zip(stored, stored[1:]))
-        assert accepted == stored
-        assert stored[-1] == 120
+        assert on_disk == kept
+        assert all(a < b for a, b in zip(kept, kept[1:]))
+        assert accepted == kept
+        assert kept[-1] == 120
         # racing sends can leave gaps; 60 gapless frames after them make a
         # sufficient window certain
         for seq in range(121, 181):
             assert service.ingest(frame_text(seq=seq, ts=START + seq * 1200, pm25=100.0))[0] == 202
         # the rule sees the accepted frames in seq order and raises once, at the
         # first one whose 24-h window holds 54 of its 72 expected samples
-        ts = [START + m.seq * 1200 for m in store.query_range("utec-01", 0, 2**62)]
+        ts = [START + m.seq * 1200 for m in stored(store, "utec-01")]
         first = next(t for i, t in enumerate(ts) if sum(t - 86400 < u for u in ts[:i + 1]) >= 54)
         assert [(e.kind.value, e.ts) for e in emitted] == [("raised", first)]
 
@@ -296,7 +306,7 @@ class TestStationStateOwnership:
         svc = MonitorService(s)
         assert svc.ingest(frame_text(seq=0)) == (409, {"error": "duplicate_seq"})
         assert svc.ingest(frame_text(seq=1))[0] == 202
-        assert [m.seq for m in s.query_range("utec-01", 0, 2**62)] == [0, 1]
+        assert [m.seq for m in stored(s, "utec-01")] == [0, 1]
 
     def test_unknown_station_ids_create_no_state(self, service, store):
         assert service.ingest(frame_text(seq=1))[0] == 202
@@ -356,7 +366,7 @@ class TestIncrementalWindow:
 
     @staticmethod
     def recomputed(service, sid, window_s):
-        records = service.store.query_range(sid, 0, 2**62)
+        records = stored(service.store, sid)
         if not records:
             return None, None, None
         end = records[-1].ts
@@ -388,7 +398,7 @@ class TestIncrementalWindow:
         return rng.uniform(0, 999)
 
     def next_ts(self, rng, store, sid, period):
-        records = store.query_range(sid, 0, 2**62)
+        records = stored(store, sid)
         if not records:
             return START
         latest = records[-1].ts
@@ -655,7 +665,121 @@ class TestHttpEndpoints:
         empty = entries["santa-ana"]
         assert empty["latest"] is None and empty["icca"] is None
 
+    def test_stations_listing_is_one_prebuilt_body(self, server, service):
+        body = requests.get(f"{server.url}/v1/stations").content
+        assert body == service.stations_body
+        assert json.loads(body) == service.stations_payload()
 
+    def test_non_ascii_tokens_over_http(self, tmp_path):
+        data = register(tmp_path / "d", StationRecord("utec-01", "x", 0.0, 0.0, "clé-ñandú"))
+        with serving(MonitorService(TimeSeriesStore(data, fsync=False))) as srv:
+            for token, status in (("clave-ñandú", 401), ("\ud800", 401), ("clé-ñandú", 202)):
+                # ASCII JSON, which carries the lone surrogate as an escape
+                text = json.dumps(json.loads(frame_text(token=token)))
+                resp = requests.post(f"{srv.url}/v1/telemetry", data=text.encode())
+                assert resp.status_code == status, token
+
+
+class TestHistoryOracle:
+    """/history bodies, over HTTP and in process, against an independent
+    oracle over random frames, before and after the store is reopened."""
+
+    STATIONS = {"utec-01": "tok-a", "santa-ana": "tok-b"}
+
+    @staticmethod
+    def frames(rng, sid, token, n):
+        """n frames, valid but for some seqs: retried and stale seqs,
+        repeated and out-of-order timestamps, integer and flagged values."""
+        frames, seq, ts = [], 0, START
+        for _ in range(n):
+            pick = rng.random()
+            if pick < 0.1 and frames:
+                frames.append(dict(rng.choice(frames[-3:])))  # a retried send
+                continue
+            if pick < 0.15 and frames:
+                frames.append({**frames[-1], "seq": max(0, seq - rng.randint(1, 3)),
+                               "ts": ts + 7})  # stale
+                continue
+            seq += rng.randint(1, 3)
+            pick = rng.random()
+            if pick < 0.6:
+                ts += 1200
+            frame_ts = ts - rng.randrange(86400) if pick > 0.8 else ts  # older, or repeated
+            values = [rng.choice((rng.uniform(0, 999), round(rng.uniform(0, 600), 1),
+                                  rng.randint(0, 999), 500, 500.1, 0)) for _ in range(2)]
+            frames.append({"station_id": sid, "token": token, "seq": seq, "ts": frame_ts,
+                           "pm25": values[0], "pm10": values[1],
+                           "temp_c": rng.choice((rng.uniform(0, 150), 25, 0.0))})
+        return frames
+
+    @staticmethod
+    def canon(obj) -> str:
+        # json.dumps tells 12 from 12.0, where == does not
+        return json.dumps(obj, sort_keys=True)
+
+    def check(self, rng, service, frames, edited=None):
+        """Every station's history over random ranges and the whole range;
+        edited maps (station_id, seq) to the record its hand-edited line
+        must serve."""
+        with serving(service) as srv:
+            for sid, sent in frames.items():
+                last = max(f["ts"] for f in sent)
+                ranges = [(0, 2**62)] + [
+                    (t0, t0 + rng.randint(0, 3 * 86400))
+                    for t0 in (rng.randint(START - 90000, last + 100) for _ in range(25))]
+                for t0, t1 in ranges:
+                    expect = [(edited or {}).get((sid, r["seq"]), r)
+                              for r in history_oracle(sent, t0, t1)]
+                    body = requests.get(
+                        f"{srv.url}/v1/stations/{sid}/history?from={t0}&to={t1}").json()
+                    assert self.canon(body) == self.canon({
+                        "station_id": sid, "from": t0, "to": t1, "count": len(expect),
+                        "measurements": expect})
+                    payload = service.history_payload(sid, t0, t1)
+                    assert payload["count"] == len(expect)
+                    assert self.canon([json.loads(line) for line in payload["measurements"]]) \
+                        == self.canon(expect)
+
+    def test_bodies_match_oracle_before_and_after_restart(self, tmp_path):
+        rng = random.Random(16)
+        data = register(tmp_path / "d", *(StationRecord(sid, sid, 0.0, 0.0, token)
+                                          for sid, token in self.STATIONS.items()))
+        service = MonitorService(TimeSeriesStore(data, fsync=False))
+        frames = {sid: self.frames(rng, sid, token, 150) for sid, token in self.STATIONS.items()}
+        for sid, sent in frames.items():
+            for frame in sent:
+                assert service.ingest(json.dumps(frame))[0] in (202, 409)
+        self.check(rng, service, frames)
+
+        # a restart after a crash that tore the last write
+        log = data / "series" / "utec-01.ndjson"
+        log.write_bytes(log_data(log) + b'{"station_id":"utec-01","seq":9999,"ts":1')
+        self.check(rng, MonitorService(TimeSeriesStore(data, fsync=False)), frames)
+
+        # middle lines edited by hand; each is served as to_json_obj renders
+        # its record: the seven keys, floats, flags [] when they were missing
+        lines = log_data(log).splitlines(keepends=True)
+        served = {}
+        for k, edit in enumerate([
+                lambda o: {**{key: v for key, v in o.items() if key != "flags"},
+                           "pm25": 7, "token": "tok-a"},
+                lambda o: {**o, "pm10": 9},  # flags kept: an integer value alone
+                lambda o: {**o, "note": "recalibrated"}]):  # an extra key alone
+            i = len(lines) // 2 + k
+            obj = json.loads(lines[i])
+            lines[i] = (json.dumps(edit(obj)) + "\n").encode()
+            served["utec-01", obj["seq"]] = {
+                **obj, **{key: float(v) for key, v in edit(obj).items() if key in ("pm25", "pm10")},
+                "flags": obj["flags"] if k else []}
+        log.write_bytes(b"".join(lines))
+        service = MonitorService(TimeSeriesStore(data, fsync=False))
+        self.check(rng, service, frames, served)
+        # lines appended after the reopen are served beside the re-encoded ones
+        for frame in self.frames(rng, "utec-01", "tok-a", 20):
+            frame["seq"] += 10**6
+            frames["utec-01"].append(frame)
+            assert service.ingest(json.dumps(frame))[0] in (202, 409)
+        self.check(rng, service, frames, served)
 
 class TestOverviewCache:
     """Overview entries kept per station until its next accepted record,

@@ -23,7 +23,7 @@ from iccamon.sim import (
 )
 from iccamon.store import StationRecord
 
-from .helpers import register
+from .helpers import register, stored
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 START = 1700006400  # 00:00 UTC
@@ -305,7 +305,7 @@ class TestServiceIntegration:
             assert status == 202
         for m in members:
             sid = m.station.station_id
-            assert store_b.query_range(sid, 0, 2**62) == store_a.query_range(sid, 0, 2**62)
+            assert stored(store_b, sid) == stored(store_a, sid)
         store_a.close()
         store_b.close()
 
@@ -328,7 +328,7 @@ class TestServiceIntegration:
 
         run_fleet(members, 4 * 3600, DuplicatingTransport(), seed=5, start_ts=start_ts)
         sid = members[0].station.station_id
-        assert [m.seq for m in store.query_range(sid, 0, 2**62)] == list(range(1, 13))
+        assert [m.seq for m in stored(store, sid)] == list(range(1, 13))
         store.close()
 
 

@@ -14,7 +14,7 @@ from iccamon.store import (
     UnknownStationError,
 )
 
-from .helpers import log_data, register
+from .helpers import log_data, register, stored
 
 STATION = StationRecord(
     station_id="utec-01", display_name="San Salvador Centro", lat=13.70, lon=-89.20,
@@ -75,7 +75,7 @@ class TestQuery:
     def test_full_day_in_order(self, store):
         for seq in range(1, 73):
             store.append(m(seq))
-        records = store.query_range("utec-01", 0, 72 * 1200)
+        records = stored(store, "utec-01", 0, 72 * 1200)
         assert len(records) == 72
         assert [r.ts for r in records] == sorted(r.ts for r in records)
 
@@ -84,19 +84,19 @@ class TestQuery:
         all_ts = rng.sample(range(0, 100000), 60)
         for seq, ts in enumerate(sorted(all_ts), start=1):
             store.append(m(seq, ts=ts))
-        everything = store.query_range("utec-01", 0, 100000)
+        everything = stored(store, "utec-01", 0, 100000)
         for _ in range(100):
             t0 = rng.randint(-10, 100010)
             t1 = t0 + rng.randint(0, 50000)
             expect = [r for r in everything if t0 <= r.ts <= t1]
-            assert store.query_range("utec-01", t0, t1) == expect
+            assert stored(store, "utec-01", t0, t1) == expect
 
     def test_latest(self, store):
         assert store.latest("utec-01") is None
         for seq in range(1, 5):
             store.append(m(seq))
             assert store.latest("utec-01").seq == seq
-        tail = store.query_range("utec-01", 0, 10**9)[-1]
+        tail = stored(store, "utec-01", 0, 10**9)[-1]
         assert store.latest("utec-01") == tail
 
 
@@ -143,7 +143,7 @@ class TestRecovery:
             for torn in (raw[:cut], raw[:cut] + b" " * (len(raw) - cut)):
                 log.write_bytes(torn)
                 s = TimeSeriesStore(data)
-                records = s.query_range("utec-01", 0, 10**9)
+                records = stored(s, "utec-01", 0, 10**9)
                 assert len(records) == expect
                 assert [r.seq for r in records] == list(range(1, expect + 1))
             log.write_bytes(raw)
@@ -166,7 +166,7 @@ class TestRecovery:
         first = len(log_data(log).splitlines(keepends=True)[0])
         assert os.path.getsize(log) == first + CHUNK_BYTES
         s = TimeSeriesStore(data)
-        assert [r.seq for r in s.query_range("utec-01", 0, 10**9)] == [1, 2, 3]
+        assert [r.seq for r in stored(s, "utec-01", 0, 10**9)] == [1, 2, 3]
         assert s.last_seq("utec-01") == 3
 
     def test_seq_zero_is_a_real_first_seq(self, tmp_path):
@@ -203,10 +203,60 @@ class TestRecovery:
         lines = log.read_bytes().splitlines(keepends=True)
         log.write_bytes(lines[0] + b"\n" + lines[1] + lines[2])  # a blank line is skipped
         s = TimeSeriesStore(data)
-        assert [r.seq for r in s.query_range("utec-01", 0, 10**9)] == [1, 2, 3]
+        assert [r.seq for r in stored(s, "utec-01", 0, 10**9)] == [1, 2, 3]
         log.write_bytes(lines[0] + lines[1].rstrip(b"\n") + b"," + lines[2])
         with pytest.raises(StorageError, match=r"utec-01\.ndjson:2: corrupt record"):
             TimeSeriesStore(data)
+
+    def test_recovered_lines_are_the_log_lines(self, tmp_path):
+        data = register(tmp_path / "data", STATION)
+        s = TimeSeriesStore(data)
+        for seq in range(1, 6):
+            s.append(m(seq, ts=[5, 1, 3, 3, 2][seq - 1] * 1200, pm25=600.5 if seq == 2 else 10.0))
+        appended = s.query_range("utec-01", 0, 10**9)
+        lines = log_data(data / "series" / "utec-01.ndjson").splitlines()
+        assert sorted(appended) == sorted(lines)  # append's lines are the log's
+        reopened = TimeSeriesStore(data)
+        assert reopened.query_range("utec-01", 0, 10**9) == appended
+        # a record built from its line equals the one appended, hash included
+        assert reopened.latest("utec-01") == s.latest("utec-01") == m(1, ts=5 * 1200)
+        assert hash(reopened.latest("utec-01")) == hash(m(1, ts=5 * 1200))
+        # by ts, equal ts in log order
+        assert [json.loads(x)["seq"] for x in appended] == [2, 5, 3, 4, 1]
+
+    def test_hand_edited_flags_served_as_to_json_obj_lists_them(self, tmp_path):
+        data = register(tmp_path / "data", STATION)
+        TimeSeriesStore(data).append(m(1))
+        log = data / "series" / "utec-01.ndjson"
+        record = json.loads(log_data(log))
+        log.write_bytes(json.dumps({**record, "flags": ["z", "a", "z"]}).encode() + b"\n")
+        served = TimeSeriesStore(data).query_range("utec-01", 0, 10**9)
+        assert [json.loads(line) for line in served] == [{**record, "flags": ["a", "z"]}]
+
+    def test_record_key_swapped_for_another_is_corrupt(self, tmp_path):
+        # seven keys, floats and flags [], but token in the place of seq
+        data = register(tmp_path / "data", STATION)
+        TimeSeriesStore(data).append(m(1))
+        log = data / "series" / "utec-01.ndjson"
+        record = json.loads(log_data(log))
+        del record["seq"]
+        log.write_bytes(json.dumps({**record, "token": "tok-a"}).encode() + b"\n")
+        with pytest.raises(StorageError, match=r"utec-01\.ndjson:1: corrupt record"):
+            TimeSeriesStore(data)
+
+    def test_hand_edited_log_serves_joinable_records(self, tmp_path):
+        # an editor's byte-order mark, CRLF line ends, a blank line, spaces
+        data = register(tmp_path / "data", STATION)
+        s = TimeSeriesStore(data)
+        for seq in range(1, 4):
+            s.append(m(seq))
+        log = data / "series" / "utec-01.ndjson"
+        lines = log_data(log).splitlines()
+        log.write_bytes(b"\xef\xbb\xbf" + lines[0] + b"\r\n\r\n  " + lines[1] + b" \r\n"
+                        + lines[2] + b"\r\n")
+        served = TimeSeriesStore(data).query_range("utec-01", 0, 10**9)
+        assert served == lines
+        assert [r["seq"] for r in json.loads(b"[" + b",".join(served) + b"]")] == [1, 2, 3]
 
 
 class TestPaddedLog:
@@ -222,7 +272,7 @@ class TestPaddedLog:
     @staticmethod
     def seqs(data):
         s = TimeSeriesStore(data)
-        return [r.seq for r in s.query_range("utec-01", 0, 10**9)]
+        return [r.seq for r in stored(s, "utec-01", 0, 10**9)]
 
     def test_log_is_records_then_one_chunk_of_spaces(self, tmp_path):
         data, log = self.written(tmp_path, 3)
@@ -321,7 +371,9 @@ class TestPaddedLog:
         assert len(set(sizes)) == 2
         raw = path.read_bytes()
         assert raw == log_data(path) + b" " * (len(raw) - n * line)
-        assert [o["seq"] - 10**6 for o in NdjsonLog(path).read(dict, "record")] == list(range(n))
+        objs, lines = NdjsonLog(path).read(dict, "record")
+        assert [o["seq"] - 10**6 for o in objs] == list(range(n))
+        assert lines == log_data(path).splitlines()
 
     def test_short_write_is_overwritten_by_the_next_append(self, tmp_path, monkeypatch):
         data = register(tmp_path / "data", STATION)
@@ -371,13 +423,18 @@ class TestRegistry:
     def test_registry_kept_in_station_id_order(self, tmp_path):
         ids = ["zeta", "alpha", "mike", "bravo"]
         records = [StationRecord(sid, sid, 0.0, 0.0, "t") for sid in ids]
-        # a repeated id: the later entry wins
-        records.append(StationRecord("mike", "Mike 2", 0.0, 0.0, "t2"))
         s = TimeSeriesStore(register(tmp_path / "data", *records), fsync=False)
         assert s.station_ids() == ["alpha", "bravo", "mike", "zeta"]
         assert [r.station_id for r in s.stations()] == s.station_ids()
-        assert s.get_station("mike").display_name == "Mike 2"
         s.append(m(1, station="mike"))
         s.append(m(2, station="mike"))
         s.append(m(1, station="zeta"))
         assert s.record_counts() == [0, 0, 2, 1]
+
+    def test_repeated_station_id_refused(self, tmp_path):
+        # the later entry would silently replace the earlier one, token included
+        records = [StationRecord(sid, sid, 0.0, 0.0, "t") for sid in ("zeta", "mike", "alpha")]
+        records.append(StationRecord("mike", "Mike 2", 0.0, 0.0, "t2"))
+        data = register(tmp_path / "data", *records)
+        with pytest.raises(StorageError, match=r"stations\.json: station_id 'mike' appears twice"):
+            TimeSeriesStore(data)

@@ -111,6 +111,19 @@ class TestParseAndValidate:
         out = validate(serialize(frame(token="wrong")))
         assert out.reason is RejectReason.BAD_TOKEN
 
+    @pytest.mark.parametrize("token", ["tök-a", "tok-a\u00e9", "\ud800", "tok-\udfff"])
+    def test_non_ascii_wrong_token_is_bad_token(self, token):
+        # compared as UTF-8 bytes: a str compare_digest raises on non-ASCII
+        out = validate(serialize(frame(token=token)))
+        assert out.reason is RejectReason.BAD_TOKEN
+
+    @pytest.mark.parametrize("token", ["clé-ñandú", "\ud800"])
+    def test_non_ascii_registered_token_accepted(self, token):
+        text = serialize(frame(token=token))
+        assert parse_and_validate(text, lambda sid: (token, None)).accepted
+        assert parse_and_validate(text, lambda sid: (token + "x", None)).reason is \
+            RejectReason.BAD_TOKEN
+
     def test_duplicate_seq(self):
         out = validate(serialize(frame(seq=7)), last_seq={"utec-01": 7})
         assert out.reason is RejectReason.DUPLICATE_SEQ
