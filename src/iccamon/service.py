@@ -9,8 +9,7 @@ called after the lock is released, so no read waits on one. Reads are public.
 
 A /history body is built from bytes encoded once: its records are the
 lines the store wrote to its log (see store.TimeSeriesStore.query_range),
-joined into the response, so no record is encoded per read. The registry
-is fixed at open, so /v1/stations is encoded once, at its first request.
+joined into the response, so no record is encoded per read.
 
 Every index, for a frame's alert rules, an /icca read or an /overview
 entry, is the rolling index over window sums from the store. The 24-hour
@@ -52,7 +51,6 @@ import threading
 import time
 from dataclasses import dataclass
 from email.utils import formatdate
-from functools import cached_property
 from http import HTTPStatus
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
@@ -223,12 +221,6 @@ class MonitorService:
             del entry["token"]  # reads are public; never leak credentials
             out.append(entry)
         return out
-
-    @cached_property
-    def stations_body(self) -> bytes:
-        """The /v1/stations body, encoded at its first use: the registry is
-        fixed at open."""
-        return _RESPONSE_ENCODER.encode(self.stations_payload()).encode("utf-8")
 
     def latest_payload(self, station_id: str) -> dict:
         m = self.store.latest(station_id)
@@ -438,7 +430,7 @@ class _Connection:
             status, payload, connection = 500, {"error": "internal_error"}, _CLOSE
         return self._respond(method, target, status, payload, started, connection)
 
-    def _route(self, method: str, target: str, body: bytes) -> tuple[int, dict | bytes]:
+    def _route(self, method: str, target: str, body: bytes) -> tuple[int, dict | list | bytes]:
         split = urlsplit(target)
         service = self.server.service
         if method == "POST":
@@ -507,9 +499,9 @@ def _content_length(values: list[str]) -> int:
     return int(digits)
 
 
-def _route_get(service: MonitorService, path: str, query: dict) -> tuple[int, dict | bytes]:
+def _route_get(service: MonitorService, path: str, query: dict) -> tuple[int, dict | list | bytes]:
     if path == "/v1/stations":
-        return 200, service.stations_body
+        return 200, service.stations_payload()
     if path == "/v1/overview":
         return 200, service.overview_payload()
     parts = path.strip("/").split("/")

@@ -119,7 +119,7 @@ class NdjsonLog:
     Not thread-safe: callers serialise appends.
     """
 
-    def __init__(self, path: str | Path, fsync: bool = True):
+    def __init__(self, path: Path, fsync: bool = True):
         self.path = path
         self._fsync = fsync
         self._end: int | None = None  # offset past the last whole line; None until found
@@ -164,8 +164,7 @@ class NdjsonLog:
         disk). Single bytes decide; the padding is never scanned.
         """
         try:
-            with open(self.path, "rb") as fh:
-                raw = fh.read()
+            raw = self.path.read_bytes()
         except FileNotFoundError:
             raw = b""
         end = raw.rfind(b"\n") + 1
@@ -192,21 +191,26 @@ class NdjsonLog:
         A torn last line is blanked first (see _load). A blank line is
         skipped in both lists; a line that does not parse or convert is a
         StorageError naming path:lineno. Lines are returned as they are when
-        the log parses as one array; otherwise (a blank line, say, or a
-        byte-order mark) each is returned compactly re-encoded, so every
-        line returned is UTF-8 JSON that can be joined into an array.
+        each parses as exactly one JSON value in a one-parse read of the
+        whole log; otherwise (a blank line, say, or a byte-order mark) each
+        is returned compactly re-encoded, so every line returned is UTF-8
+        JSON that can be joined into an array.
         """
         try:
             lines = self._load().splitlines()
         except OSError as exc:
             raise StorageError(f"read of {self.path} failed: {exc}") from exc
         try:
-            # one parse for the whole log, much cheaper than one per line;
-            # a log it cannot read as one object per line is read line by
-            # line below, which names the first bad line
-            objs = json.loads(b"[" + b",".join(lines) + b"]")
+            # one parse for the whole log, much cheaper than one per line.
+            # Each line is wrapped in an array of its own, so a line that is
+            # not one value (blank, half a record, two records) fails to
+            # unpack, or, when it closes its array early, changes the count;
+            # the newline keeps a string from running on into the next line.
+            # Such a log is read line by line below, which names the first
+            # bad line
+            objs = json.loads(b"[[" + b"]\n,[".join(lines) + b"]]")
             if len(objs) == len(lines):
-                return [convert(obj) for obj in objs], lines
+                return [convert(obj) for (obj,) in objs], lines
         except _BAD_LINE:
             pass
         items, kept = [], []
@@ -245,10 +249,18 @@ class Measurement:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Measurement":
-        # one shared empty flag set, as most records have no flags
+        # Recovery builds every stored record through here, so the fields
+        # go into the new instance's __dict__ in one update, as unpickling
+        # does: about half the time of the frozen __init__'s seven
+        # object.__setattr__ calls. One shared empty flag set, as most
+        # records have none.
         flags = obj.get("flags", ())
-        return cls(obj["station_id"], obj["seq"], obj["ts"], float(obj["pm25"]), float(obj["pm10"]),
-                   float(obj["temp_c"]), _NO_FLAGS if flags == [] else frozenset(flags))
+        m = _new_object(cls)
+        m.__dict__.update(station_id=obj["station_id"], seq=obj["seq"], ts=obj["ts"],
+                          pm25=float(obj["pm25"]), pm10=float(obj["pm10"]),
+                          temp_c=float(obj["temp_c"]),
+                          flags=_NO_FLAGS if flags == [] else frozenset(flags))
+        return m
 
 
 @dataclass(frozen=True)
@@ -289,31 +301,20 @@ def _written_record(obj: dict) -> Measurement | None:
     for it: the seven keys of to_json_obj, float values and flags as it
     lists them. None for any other line (edited by hand, say). A line that
     is no record raises as from_json_obj does."""
-    pm25, pm10, temp_c, flags = obj["pm25"], obj["pm10"], obj["temp_c"], obj.get("flags")
-    # with flags (None when missing), these are all seven keys
-    as_written = (len(obj) == 7 and "station_id" in obj and "seq" in obj and "ts" in obj
-                  and type(pm25) is type(pm10) is type(temp_c) is float)
-    if as_written and flags == []:
-        # most lines: obj holds the record's fields as they are. Fill the
-        # new record's __dict__ from it in one step, as unpickling does: a
-        # third of the time of the frozen __init__'s seven object.__setattr__
-        # calls, and recovery builds every stored record
-        m = _new_object(Measurement)
-        fields = m.__dict__
-        fields.update(obj)
-        fields["flags"] = _NO_FLAGS
-        return m
     m = Measurement.from_json_obj(obj)
-    return m if as_written and flags == sorted(m.flags) else None
+    # from_json_obj read the other six keys, so with flags (None when
+    # missing) these are all seven
+    as_written = (len(obj) == 7 and obj.get("flags") == sorted(m.flags)
+                  and type(obj["pm25"]) is type(obj["pm10"]) is type(obj["temp_c"]) is float)
+    return m if as_written else None
 
 
 class _Station:
     """One station's registry record, series file and in-memory index."""
 
-    def __init__(self, record: StationRecord, series_dir: str, fsync: bool):
+    def __init__(self, record: StationRecord, series_dir: Path, fsync: bool):
         self.record = record
-        # a str, not a Path: a registry of thousands opens a log object each
-        self.log = NdjsonLog(f"{series_dir}/{record.station_id}.ndjson", fsync)
+        self.log = NdjsonLog(series_dir / f"{record.station_id}.ndjson", fsync)
         self.lock = threading.RLock()  # re-entrant: ingest holds it across append and reads
         self.records: list[Measurement] = []  # kept sorted by ts
         self.lines: list[bytes] = []  # each record's log line, in the same order
@@ -419,11 +420,10 @@ class TimeSeriesStore:
         self.alert_log = NdjsonLog(self.data_dir / self.ALERT_LOG_FILE, fsync)
         self._stations: dict[str, _Station] = {}
         self._load_registry(fsync)
-        # one directory listing instead of a stat per registered station;
-        # an entry's path is the series directory, "/" and its name
-        logs = {entry.path for entry in os.scandir(str(self.series_dir))}
+        # one directory listing instead of a stat per registered station
+        logs = {entry.name for entry in os.scandir(self.series_dir)}
         for station in self._stations.values():
-            if station.log.path in logs:
+            if station.log.path.name in logs:
                 station.recover()
 
     # -- registry ----------------------------------------------------------
@@ -437,14 +437,13 @@ class TimeSeriesStore:
                                   lambda objs: [StationRecord.from_json_obj(obj) for obj in objs])
         except ValueError as exc:
             raise StorageError(str(exc)) from exc
-        series_dir = str(self.series_dir)
         # _stations stays in station_id order, so listing the registry sorts nothing
         for record in sorted(records, key=_station_id):
             if record.station_id in self._stations:
                 # the later entry's token would replace the earlier one's unseen
                 raise StorageError(f"corrupt registry {path}: station_id "
                                    f"{record.station_id!r} appears twice")
-            self._stations[record.station_id] = _Station(record, series_dir, fsync)
+            self._stations[record.station_id] = _Station(record, self.series_dir, fsync)
 
     def _station(self, station_id: str) -> _Station:
         try:

@@ -665,11 +665,6 @@ class TestHttpEndpoints:
         empty = entries["santa-ana"]
         assert empty["latest"] is None and empty["icca"] is None
 
-    def test_stations_listing_is_one_prebuilt_body(self, server, service):
-        body = requests.get(f"{server.url}/v1/stations").content
-        assert body == service.stations_body
-        assert json.loads(body) == service.stations_payload()
-
     def test_non_ascii_tokens_over_http(self, tmp_path):
         data = register(tmp_path / "d", StationRecord("utec-01", "x", 0.0, 0.0, "clé-ñandú"))
         with serving(MonitorService(TimeSeriesStore(data, fsync=False))) as srv:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from iccamon.store import (
+    BEYOND_SENSOR_RANGE,
     CHUNK_BYTES,
     Measurement,
     NdjsonLog,
@@ -258,6 +259,28 @@ class TestRecovery:
         assert served == lines
         assert [r["seq"] for r in json.loads(b"[" + b",".join(served) + b"]")] == [1, 2, 3]
 
+    @pytest.mark.parametrize("join, cut, split", [
+        (b",", b',"ts"', b'\n"ts"'),  # a comma replaced by the line break
+        (b",", b"_sensor", b"\n_sensor"),
+        (b"],[", b"", b""),
+        (b"],[", b"_sensor", b"\n_sensor"),
+    ], ids=["comma", "cut-in-a-string", "brackets", "brackets-and-cut-in-a-string"])
+    def test_records_moved_across_lines_are_corrupt(self, tmp_path, join, cut, split):
+        # two records joined on one line and another split over two: the
+        # records still parse from the whole log, but those lines are not one
+        # record each, and a kept line would break every /history body
+        data = register(tmp_path / "data", STATION)
+        s = TimeSeriesStore(data)
+        for seq in range(1, 4):
+            s.append(m(seq))
+        s.append(Measurement("utec-01", 4, 4800, 600.0, 20.0, 25.0,
+                             frozenset({BEYOND_SENSOR_RANGE})))
+        log = data / "series" / "utec-01.ndjson"
+        lines = log_data(log).splitlines()
+        log.write_bytes(b"\n".join([lines[0], lines[1] + join + lines[2],
+                                    lines[3].replace(cut, split, 1)]) + b"\n")
+        with pytest.raises(StorageError, match=r"utec-01\.ndjson:2: corrupt record"):
+            TimeSeriesStore(data)
 
 class TestPaddedLog:
     @staticmethod
