@@ -147,8 +147,8 @@ def cmd_simulate(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not 0 <= args.duration < math.inf:  # also refuses nan
-        print(f"duration must be finite and >= 0, got {args.duration}", file=sys.stderr)
+    if not 0 <= args.duration * 3600 < math.inf:  # also refuses nan
+        print(f"duration must be >= 0 and finite in seconds, got {args.duration}", file=sys.stderr)
         return EXIT_USAGE
 
     if args.offline:

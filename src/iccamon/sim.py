@@ -17,6 +17,7 @@ valid StationRecord, so a node emits only frames the wire takes.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import random
@@ -87,21 +88,20 @@ def _bump(hour: float, center: float, width: float) -> float:
     return math.exp(-0.5 * (d / width) ** 2)
 
 
-_peak_norm_cache: dict[tuple[float, float, float], float] = {}
+@functools.cache
+def _peak_norm(morning: float, evening: float, width: float) -> float:
+    """The double-peak profile's maximum over the minutes of a day."""
+    return max(_bump(minute / 60.0, morning, width) + _bump(minute / 60.0, evening, width)
+               for minute in range(24 * 60))
 
 
 def _diurnal(scenario: Scenario, ts: float) -> float:
     """Double-peak traffic profile, normalized to unit maximum."""
-    key = (scenario.peak_morning_h, scenario.peak_evening_h, scenario.peak_width_h)
-    peak = _peak_norm_cache.get(key)
-    if peak is None:
-        peak = max(
-            _bump(minute / 60.0, key[0], key[2]) + _bump(minute / 60.0, key[1], key[2])
-            for minute in range(24 * 60)
-        )
-        _peak_norm_cache[key] = peak
+    morning, evening, width = (scenario.peak_morning_h, scenario.peak_evening_h,
+                               scenario.peak_width_h)
     hour = _hour_of_day(ts)
-    return (_bump(hour, key[0], key[2]) + _bump(hour, key[1], key[2])) / peak
+    return ((_bump(hour, morning, width) + _bump(hour, evening, width))
+            / _peak_norm(morning, evening, width))
 
 
 def _rain_factor(scenario: Scenario, ts: float) -> float:
@@ -378,7 +378,6 @@ def run_fleet(
     transport,
     seed: int = 0,
     start_ts: int = 1700000000,
-    buffer_cap: int | None = None,
 ) -> FleetReport:
     """Interleave all nodes on the simulated clock until the horizon.
 
@@ -388,10 +387,7 @@ def run_fleet(
     """
     if not members:
         raise ValueError("need at least one fleet member")
-    nodes = [
-        Node(m.station, m.scenario, seed=seed, start_ts=start_ts, buffer_cap=buffer_cap)
-        for m in members
-    ]
+    nodes = [Node(m.station, m.scenario, seed=seed, start_ts=start_ts) for m in members]
     end = start_ts + horizon_s
     while True:
         due = [n for n in nodes if n.clock < end]

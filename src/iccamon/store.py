@@ -17,16 +17,20 @@ index (records sorted by timestamp, last accepted sequence number) is
 rebuilt on open; logs are small at desk scale. Beside each record the index
 keeps its log line, the record's compact JSON encoded once: by the append
 that wrote it, or split from the log on open. A range query returns those
-lines, so a read never encodes a record again. A line on disk that is not
-as append writes it (edited by hand, say) is re-encoded from its record at
-open, so no key the store does not write is ever read back. The store is
-the one place that sums a window's values (see _Station.window). Beside
-the index each station keeps exact running sums of its 24-hour window,
-built on the window's first use and slid forward by each newest record; a
-record older than the newest drops them, and the next use sums the window
-again. Every config file is read with load_config and its entries checked
-with check_keys; StationRecord alone decides what a valid station is, and
-the registry may list a station_id only once.
+lines, so a read never encodes a record again. At open each log line is
+parsed once, into a Measurement built by the same constructor as on the
+wire path. A line that is not as append writes it (edited by hand, say),
+and every line of a log that NdjsonLog.read reads line by line, is
+re-encoded from that record in _Station.recover: besides append, the one
+place a stored line is encoded. So no key the store does not write is ever
+read back. The store is the one place that sums a window's values (see
+_Station.window). Beside the index each station keeps exact running sums
+of its 24-hour window, built on the window's first use and slid forward by
+each newest record; a record older than the newest drops them, and the
+next use sums the window again. Every config file is read with
+load_config and its entries checked with check_keys; StationRecord alone
+decides what a valid station is, and the registry may list a station_id
+only once.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .icca import WINDOW_24H_S, scaled
 
@@ -49,14 +54,13 @@ logger = logging.getLogger(__name__)
 BEYOND_SENSOR_RANGE = "beyond_sensor_range"
 
 # one encoder for every log line: json.dumps with options builds one per call
-_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+_encode_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 # A log grows by this much padding at a time (see NdjsonLog): one journal
 # commit of a new file size per chunk, not per line.
 CHUNK_BYTES = 64 * 1024
 _PADDING = b" " * CHUNK_BYTES
 _NO_FLAGS: frozenset[str] = frozenset()
 _station_id = attrgetter("station_id")
-_new_object = object.__new__
 # a station id, as the wire and the registry take it (whole string: fullmatch)
 STATION_ID_RE = re.compile(r"[a-z0-9_-]{1,64}")
 # what a line that is not the expected JSON object raises in parsing or conversion
@@ -69,6 +73,11 @@ class StorageError(Exception):
 
 class UnknownStationError(LookupError):
     pass
+
+
+def _encode(obj) -> bytes:
+    """obj's compact JSON in UTF-8: a log line without its newline."""
+    return _encode_json(obj).encode("utf-8")
 
 
 def load_config(path: str | Path, what: str, build):
@@ -127,7 +136,7 @@ class NdjsonLog:
 
     def append(self, obj) -> bytes:
         """Write obj as one line and fsync; the line, without its newline."""
-        record = _ENCODER.encode(obj).encode("utf-8")
+        record = _encode(obj)
         line = record + b"\n"
         try:
             if self._end is None:
@@ -184,17 +193,18 @@ class NdjsonLog:
         self._end, self._size = end, len(raw)
         return raw[:end]
 
-    def read(self, convert, what: str) -> tuple[list, list[bytes]]:
-        """(convert(obj) for each line, the lines without their newlines),
-        two lists in file order; ([], []) without a file.
+    def read(self, convert, what: str) -> tuple[list, list[bytes | None]]:
+        """(convert(obj) for each line, each line without its newline or
+        None), two lists in file order; ([], []) without a file.
 
         A torn last line is blanked first (see _load). A blank line is
         skipped in both lists; a line that does not parse or convert is a
         StorageError naming path:lineno. Lines are returned as they are when
         each parses as exactly one JSON value in a one-parse read of the
-        whole log; otherwise (a blank line, say, or a byte-order mark) each
-        is returned compactly re-encoded, so every line returned is UTF-8
-        JSON that can be joined into an array.
+        whole log, so each can be joined into an array. Otherwise (a blank
+        line, say, or a byte-order mark) the log is read line by line, no
+        line is vouched for, and each comes back as None: the caller encodes
+        what it serves from its converted value.
         """
         try:
             lines = self._load().splitlines()
@@ -213,21 +223,21 @@ class NdjsonLog:
                 return [convert(obj) for (obj,) in objs], lines
         except _BAD_LINE:
             pass
-        items, kept = [], []
+        items = []
         for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                items.append(convert(obj))
+                items.append(convert(json.loads(line)))
             except _BAD_LINE as exc:
                 raise StorageError(f"{self.path}:{lineno}: corrupt {what}: {exc}") from exc
-            kept.append(_ENCODER.encode(obj).encode("utf-8"))
-        return items, kept
+        return items, [None] * len(items)
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(NamedTuple):
+    """One stored reading. As a tuple it iterates and compares equal to a
+    plain tuple of its fields; its JSON form is to_json_obj, never itself."""
+
     station_id: str
     seq: int
     ts: int
@@ -249,18 +259,10 @@ class Measurement:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Measurement":
-        # Recovery builds every stored record through here, so the fields
-        # go into the new instance's __dict__ in one update, as unpickling
-        # does: about half the time of the frozen __init__'s seven
-        # object.__setattr__ calls. One shared empty flag set, as most
-        # records have none.
-        flags = obj.get("flags", ())
-        m = _new_object(cls)
-        m.__dict__.update(station_id=obj["station_id"], seq=obj["seq"], ts=obj["ts"],
-                          pm25=float(obj["pm25"]), pm10=float(obj["pm10"]),
-                          temp_c=float(obj["temp_c"]),
-                          flags=_NO_FLAGS if flags == [] else frozenset(flags))
-        return m
+        flags = obj.get("flags", ())  # one shared empty set, as most records have none
+        return cls(obj["station_id"], obj["seq"], obj["ts"], float(obj["pm25"]),
+                   float(obj["pm10"]), float(obj["temp_c"]),
+                   _NO_FLAGS if flags == [] else frozenset(flags))
 
 
 @dataclass(frozen=True)
@@ -296,17 +298,17 @@ class StationRecord:
         return cls(**obj)
 
 
-def _written_record(obj: dict) -> Measurement | None:
-    """The record of a parsed log line if the line is what append writes
-    for it: the seven keys of to_json_obj, float values and flags as it
-    lists them. None for any other line (edited by hand, say). A line that
-    is no record raises as from_json_obj does."""
+def _written_record(obj: dict) -> tuple[Measurement, bool]:
+    """(the record of a parsed log line, whether the line is what append
+    writes for it): as written, a line has the seven keys of to_json_obj,
+    float values and flags as it lists them; one edited by hand, say, may
+    not, and _Station.recover then encodes the line it serves from the
+    record. A line that is no record raises as from_json_obj does."""
     m = Measurement.from_json_obj(obj)
     # from_json_obj read the other six keys, so with flags (None when
     # missing) these are all seven
-    as_written = (len(obj) == 7 and obj.get("flags") == sorted(m.flags)
-                  and type(obj["pm25"]) is type(obj["pm10"]) is type(obj["temp_c"]) is float)
-    return m if as_written else None
+    return m, (len(obj) == 7 and obj.get("flags") == sorted(m.flags)
+               and type(obj["pm25"]) is type(obj["pm10"]) is type(obj["temp_c"]) is float)
 
 
 class _Station:
@@ -329,13 +331,12 @@ class _Station:
         self.sum25 = self.sum10 = 0
 
     def recover(self) -> None:
-        records, lines = self.log.read(_written_record, "record")
-        for m, line in zip(records, lines):
-            if m is None:
+        read, lines = self.log.read(_written_record, "record")
+        for (m, as_written), line in zip(read, lines):
+            if line is None or not as_written:
                 # served as to_json_obj renders it, so no key the store does
                 # not write is ever read back
-                m = Measurement.from_json_obj(json.loads(line))
-                line = _ENCODER.encode(m.to_json_obj()).encode("utf-8")
+                line = _encode(m.to_json_obj())
             # appends write increasing seqs; a repeat is left by a retried append
             if self.accepts(m.seq):
                 self.records.append(m)

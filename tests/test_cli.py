@@ -125,6 +125,16 @@ class TestSimulateCommand:
                          "--duration", hours, "--offline", str(tmp_path / "o.ndjson")]) == 2
         assert "duration must be" in capsys.readouterr().err
 
+    def test_duration_whose_seconds_overflow_exits_2(self, tmp_path, capsys):
+        # finite in hours, infinite in seconds: refused before the output opens
+        out = tmp_path / "o.ndjson"
+        assert cli.main(["simulate", "--scenario", str(CONFIGS / "fleet_demo.json"),
+                         "--duration", "1e306", "--offline", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "duration must be" in err and "1e+306" in err
+        assert not out.exists()
+
     def test_unreachable_server_still_exits_0(self, capsys):
         code = cli.main(["simulate", "--scenario", str(CONFIGS / "fleet_demo.json"),
                          "--duration", "1", "--seed", "1",

@@ -14,6 +14,7 @@ from iccamon.store import (
     TimeSeriesStore,
     UnknownStationError,
 )
+from iccamon.telemetry import parse_and_validate
 
 from .helpers import log_data, register, stored
 
@@ -224,6 +225,18 @@ class TestRecovery:
         assert hash(reopened.latest("utec-01")) == hash(m(1, ts=5 * 1200))
         # by ts, equal ts in log order
         assert [json.loads(x)["seq"] for x in appended] == [2, 5, 3, 4, 1]
+        # a record from the wire and the same record recovered from its line
+        # are alike: one constructor builds both
+        for seq, pm25, flagged in ((6, 10.0, False), (7, 600.5, True)):
+            frame = json.dumps({"station_id": "utec-01", "token": "tok-a", "seq": seq,
+                                "ts": 9000, "pm25": pm25, "pm10": 20.0, "temp_c": 25.0})
+            validated = parse_and_validate(frame, reopened.lookup).measurement
+            assert bool(validated.flags) is flagged
+            reopened.append(validated)
+            reopened = TimeSeriesStore(data)
+            recovered = reopened.latest("utec-01")
+            assert recovered == validated and type(recovered) is type(validated) is Measurement
+            assert hash(recovered) == hash(validated)
 
     def test_hand_edited_flags_served_as_to_json_obj_lists_them(self, tmp_path):
         data = register(tmp_path / "data", STATION)
@@ -258,6 +271,14 @@ class TestRecovery:
         served = TimeSeriesStore(data).query_range("utec-01", 0, 10**9)
         assert served == lines
         assert [r["seq"] for r in json.loads(b"[" + b",".join(served) + b"]")] == [1, 2, 3]
+        # a log read line by line that also holds a line with a key the store
+        # does not write: that line is served as to_json_obj renders its record
+        edited = json.dumps({**json.loads(lines[1]), "token": "tok-a"}).encode()
+        log.write_bytes(b"\xef\xbb\xbf" + b"\n".join([lines[0], edited, lines[2]]) + b"\n")
+        served = TimeSeriesStore(data).query_range("utec-01", 0, 10**9)
+        assert served == lines
+        assert served[1] == json.dumps(m(2).to_json_obj(), separators=(",", ":")).encode()
+        assert b"token" not in b"".join(served)
 
     @pytest.mark.parametrize("join, cut, split", [
         (b",", b',"ts"', b'\n"ts"'),  # a comma replaced by the line break
