@@ -20,14 +20,14 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import re
 import signal
 import sys
 import threading
+from http.client import HTTPException
 from pathlib import Path
-
-import requests
+from urllib.error import HTTPError
+from urllib.request import urlopen
 
 from . import icca, service as service_mod, sim
 from .icca import WindowAverage
@@ -39,6 +39,8 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
+
+MAX_DURATION_H = 87_660  # ten years: the demo fleet writes about 170 MB in about 85 s
 
 _WINDOW_RE = re.compile(r"^(\d+)([smh]?)$")
 _WINDOW_UNIT_S = {"": 1, "s": 1, "m": 60, "h": 3600}
@@ -147,8 +149,9 @@ def cmd_simulate(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not 0 <= args.duration * 3600 < math.inf:  # also refuses nan
-        print(f"duration must be >= 0 and finite in seconds, got {args.duration}", file=sys.stderr)
+    if not 0 <= args.duration <= MAX_DURATION_H:  # also refuses nan
+        print(f"error: duration must be in 0..{MAX_DURATION_H} hours, got {args.duration}",
+              file=sys.stderr)
         return EXIT_USAGE
 
     if args.offline:
@@ -179,7 +182,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_icca(args) -> int:
     if args.pm25 is None and args.pm10 is None:
-        print("need --pm25 and/or --pm10", file=sys.stderr)
+        print("error: need --pm25 and/or --pm10", file=sys.stderr)
         return EXIT_USAGE
 
     def one_shot(value):
@@ -221,10 +224,12 @@ def cmd_dump_frame(args) -> int:
 
 
 def _fetch_json(url: str, timeout: float = 10.0):
-    resp = requests.get(url, timeout=timeout)
-    if resp.status_code != 200:
-        raise RuntimeError(f"{url} -> {resp.status_code}: {resp.text.strip()}")
-    return resp.json()
+    try:
+        with urlopen(url, timeout=timeout) as resp:
+            return json.load(resp)
+    except HTTPError as exc:
+        with exc:  # the error holds the response, and with it the socket
+            raise RuntimeError(f"{url} -> {exc.code}: {exc.read().decode(errors='replace').strip()}")
 
 
 def cmd_report(args) -> int:
@@ -244,7 +249,8 @@ def cmd_report(args) -> int:
         for sid in station_ids:
             snap = _fetch_json(f"{base}/v1/stations/{sid}/icca?window_s={window_s}")
             rows.append(_report_row(sid, args.window, snap))
-    except (requests.RequestException, RuntimeError) as exc:
+    # OSError: no connection; ValueError: a URL without a scheme, a body not JSON
+    except (OSError, ValueError, HTTPException, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -11,14 +11,15 @@ load_config and check_keys, as every config file is.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-
-import requests
+from urllib.error import HTTPError
+from urllib.request import Request, urlopen
 
 from .icca import IccaResult
 from .store import NdjsonLog, StorageError, check_keys, load_config
@@ -106,7 +107,8 @@ def evaluate(
 
 
 class WebhookSink:
-    """POSTs the event as JSON to a configured URL."""
+    """POSTs the event as JSON to a configured URL. An error status, a
+    redirect a POST may not follow (307, 308) or a failed connection raises."""
 
     def __init__(self, sink_id: str, url: str, timeout: float = 5.0):
         self.sink_id = sink_id
@@ -114,8 +116,13 @@ class WebhookSink:
         self.timeout = timeout
 
     def deliver(self, event: AlertEvent) -> None:
-        resp = requests.post(self.url, json=event.to_json_obj(), timeout=self.timeout)
-        resp.raise_for_status()
+        request = Request(self.url, json.dumps(event.to_json_obj()).encode(),
+                          {"Content-Type": "application/json"})
+        try:
+            urlopen(request, timeout=self.timeout).close()
+        except HTTPError as exc:
+            exc.close()  # the error holds the response, and with it the socket
+            raise
 
 
 def dispatch(event: AlertEvent, sinks) -> int:
@@ -134,7 +141,8 @@ def dispatch(event: AlertEvent, sinks) -> int:
                 error = exc
         else:
             failed += 1
-            logger.warning("sink %s failed after 2 attempts: %s", sink.sink_id, error)
+            # a urllib error does not name the host, so the URL follows it
+            logger.warning("sink %s failed after 2 attempts: %s (%s)", sink.sink_id, error, sink.url)
     return failed
 
 

@@ -23,10 +23,11 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from http.client import HTTPException
 from pathlib import Path
 from typing import Callable, Iterator, get_type_hints
-
-import requests
+from urllib.error import HTTPError
+from urllib.request import Request, urlopen
 
 from .sensor import PmFrame, decode_pm_frame, decode_temp, encode_pm_frame, encode_temp
 from .store import StationRecord, check_keys, load_config
@@ -273,31 +274,34 @@ class OfflineFileTransport:
         return True
 
     def close(self) -> None:
-        self._fh.flush()
         self._fh.close()
 
 
 class HttpTransport:
-    """Delivers frames to a running ingestion server."""
+    """Delivers frames to a running ingestion server, one connection per
+    frame: a station sends once per report period, far apart from the
+    server's idle timeout."""
 
     def __init__(self, base_url: str, timeout: float = 5.0):
         self.url = base_url.rstrip("/") + "/v1/telemetry"
         self.timeout = timeout
-        self._session = requests.Session()
 
     def send(self, frame: TelemetryFrame, now: int) -> bool:
-        try:
-            resp = self._session.post(
-                self.url, data=serialize(frame).encode("utf-8"), timeout=self.timeout
-            )
-        except requests.RequestException:
-            return False
         # 409 means the platform already holds this seq (a retried send whose
         # ack was lost); the frame is safe to drop from the buffer
-        return resp.status_code in (202, 409)
+        try:
+            req = Request(self.url, serialize(frame).encode(), {"Content-Type": "application/json"})
+            with urlopen(req, timeout=self.timeout) as resp:
+                return resp.status == 202
+        except HTTPError as exc:
+            exc.close()  # the error holds the response, and with it the socket
+            return exc.code == 409
+        # ValueError: a URL without a scheme; OSError: no connection, a timeout, a reset
+        except (OSError, ValueError, HTTPException):
+            return False
 
     def close(self) -> None:
-        self._session.close()
+        pass
 
 
 class CallableTransport:

@@ -128,7 +128,7 @@ class NdjsonLog:
     Not thread-safe: callers serialise appends.
     """
 
-    def __init__(self, path: Path, fsync: bool = True):
+    def __init__(self, path: str | Path, fsync: bool = True):
         self.path = path
         self._fsync = fsync
         self._end: int | None = None  # offset past the last whole line; None until found
@@ -173,7 +173,8 @@ class NdjsonLog:
         disk). Single bytes decide; the padding is never scanned.
         """
         try:
-            raw = self.path.read_bytes()
+            with open(self.path, "rb") as fh:
+                raw = fh.read()
         except FileNotFoundError:
             raw = b""
         end = raw.rfind(b"\n") + 1
@@ -314,9 +315,9 @@ def _written_record(obj: dict) -> tuple[Measurement, bool]:
 class _Station:
     """One station's registry record, series file and in-memory index."""
 
-    def __init__(self, record: StationRecord, series_dir: Path, fsync: bool):
+    def __init__(self, record: StationRecord, series_dir: str, fsync: bool):
         self.record = record
-        self.log = NdjsonLog(series_dir / f"{record.station_id}.ndjson", fsync)
+        self.log = NdjsonLog(f"{series_dir}/{record.station_id}.ndjson", fsync)
         self.lock = threading.RLock()  # re-entrant: ingest holds it across append and reads
         self.records: list[Measurement] = []  # kept sorted by ts
         self.lines: list[bytes] = []  # each record's log line, in the same order
@@ -416,15 +417,15 @@ class TimeSeriesStore:
 
     def __init__(self, data_dir: str | Path, fsync: bool = True):
         self.data_dir = Path(data_dir)
-        self.series_dir = self.data_dir / self.SERIES_DIR
-        self.series_dir.mkdir(parents=True, exist_ok=True)
-        self.alert_log = NdjsonLog(self.data_dir / self.ALERT_LOG_FILE, fsync)
+        self.series_dir = f"{self.data_dir}/{self.SERIES_DIR}"
+        os.makedirs(self.series_dir, exist_ok=True)
+        self.alert_log = NdjsonLog(f"{self.data_dir}/{self.ALERT_LOG_FILE}", fsync)
         self._stations: dict[str, _Station] = {}
         self._load_registry(fsync)
         # one directory listing instead of a stat per registered station
-        logs = {entry.name for entry in os.scandir(self.series_dir)}
+        logs = {entry.path for entry in os.scandir(self.series_dir)}
         for station in self._stations.values():
-            if station.log.path.name in logs:
+            if station.log.path in logs:
                 station.recover()
 
     # -- registry ----------------------------------------------------------

@@ -4,7 +4,9 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
@@ -53,8 +55,9 @@ class TestIccaCommand:
     def test_negative_exits_2(self, capsys):
         assert cli.main(["icca", "--pm25", "-3"]) == 2
 
-    def test_no_values_exits_2(self):
+    def test_no_values_exits_2(self, capsys):
         assert cli.main(["icca"]) == 2
+        assert_one_error_line(capsys)
 
 
 class TestSimulateCommand:
@@ -119,11 +122,15 @@ class TestSimulateCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "o.ndjson").exists()
 
-    @pytest.mark.parametrize("hours", ["nan", "inf", "-1"])
+    # 1e12 hours is finite, but its frames would fill the disk before the run ends
+    @pytest.mark.parametrize("hours", ["nan", "inf", "-1", "1e12"])
     def test_duration_not_finite_or_negative_exits_2(self, tmp_path, capsys, hours):
+        out = tmp_path / "o.ndjson"
         assert cli.main(["simulate", "--scenario", str(CONFIGS / "fleet_demo.json"),
-                         "--duration", hours, "--offline", str(tmp_path / "o.ndjson")]) == 2
-        assert "duration must be" in capsys.readouterr().err
+                         "--duration", hours, "--offline", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "duration must be" in err and "error:" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_duration_whose_seconds_overflow_exits_2(self, tmp_path, capsys):
         # finite in hours, infinite in seconds: refused before the output opens
@@ -143,6 +150,42 @@ class TestSimulateCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["totals"]["delivered"] == 0
         assert report["totals"]["buffered"] == report["totals"]["generated"] == 15
+
+    def test_server_without_scheme_buffers_every_frame(self, capsys):
+        code = cli.main(["simulate", "--scenario", str(CONFIGS / "fleet_demo.json"),
+                         "--duration", "1", "--seed", "1", "--server", "localhost"])
+        assert code == 0
+        totals = json.loads(capsys.readouterr().out)["totals"]
+        assert totals["delivered"] == 0
+        assert totals["buffered"] == totals["generated"] == 15
+
+    def test_live_server_takes_every_frame_then_each_resend_as_duplicate(self, tmp_path, capsys):
+        members, _ = load_fleet_config(CONFIGS / "fleet_demo.json")
+        store = TimeSeriesStore(register(tmp_path / "data", *(m.station for m in members)),
+                                fsync=False)
+        service = MonitorService(store)
+        statuses = []
+        ingest = service.ingest
+
+        def recording_ingest(text):
+            result = ingest(text)
+            statuses.append(result[0])
+            return result
+
+        service.ingest = recording_ingest
+        server = HttpServer(service, port=0)
+        server.start()
+        try:
+            for expected in (202, 409):  # the second, identical run resends every frame
+                assert cli.main(["simulate", "--scenario", str(CONFIGS / "fleet_demo.json"),
+                                 "--duration", "1", "--seed", "1", "--server", server.url]) == 0
+                totals = json.loads(capsys.readouterr().out)["totals"]
+                assert totals["delivered"] == totals["generated"] == 15
+                assert statuses == [expected] * 15
+                statuses.clear()
+        finally:
+            server.shutdown()
+        assert store.record_counts() == [3] * 5
 
     def test_offline_file_in_missing_directory_exits_2(self, tmp_path, capsys):
         assert cli.main(["simulate", "--scenario", str(CONFIGS / "fleet_demo.json"),
@@ -204,6 +247,34 @@ class TestReportCommand:
 
     def test_unreachable_server_exits_1(self, capsys):
         assert cli.main(["report", "--server", "http://127.0.0.1:1"]) == 1
+
+    @pytest.mark.parametrize("server", ["localhost", "127.0.0.1:1"])
+    def test_server_without_scheme_exits_1(self, capsys, server):
+        assert cli.main(["report", "--server", server]) == 1
+        assert_one_error_line(capsys)
+
+    def test_reply_not_json_exits_1(self, capsys):
+        class Html(BaseHTTPRequestHandler):
+            def do_GET(self):
+                self.send_response(200)
+                self.send_header("Content-Length", "6")
+                self.end_headers()
+                self.wfile.write(b"<html>")
+
+            def log_message(self, *args):
+                pass
+
+        with HTTPServer(("127.0.0.1", 0), Html) as server:
+            thread = threading.Thread(target=server.serve_forever, args=(0.05,))
+            thread.start()
+            try:
+                code = cli.main(["report", "--server",
+                                 f"http://127.0.0.1:{server.server_address[1]}"])
+            finally:
+                server.shutdown()
+                thread.join()
+        assert code == 1
+        assert_one_error_line(capsys)
 
     def test_json_in_missing_directory_exits_2(self, live_server, tmp_path, capsys):
         assert cli.main(["report", "--server", live_server.url,

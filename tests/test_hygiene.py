@@ -4,9 +4,13 @@ at module level, and every private method, is referenced somewhere in it.
 A reference is a read of the name (a Name that is not assigned to) or an
 attribute of that name, in any module of the package; the definition
 itself does not count. Dunder names are the language's, not ours.
+
+The package needs only Python: it imports nothing outside the standard
+library.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "iccamon"
@@ -63,3 +67,33 @@ def test_the_check_finds_a_name_with_no_caller():
         "b.py": "from a import _kept\nprint(_kept, A()._helper())\n",
     }
     assert unreferenced(sources) == ["a.py:1 _new_object", "a.py:5 _unused"]
+
+
+def third_party_imports(sources: dict[str, str]) -> list[str]:
+    """"module:line name" of each absolute import in sources whose top-level
+    name is neither the standard library's nor the package's."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{module}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names | {"iccamon"}]
+    return found
+
+
+def test_package_imports_only_the_standard_library():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert third_party_imports(sources) == []
+
+
+def test_the_import_check_finds_a_third_party_module():
+    sources = {"a.py": "import json, urllib.request\nfrom . import b\nfrom iccamon.b import c\n"
+                       "def f():\n    import requests.adapters\n"
+                       "from certifi import where\n"}
+    assert sorted(third_party_imports(sources)) == ["a.py:5 requests.adapters", "a.py:6 certifi"]
