@@ -224,12 +224,17 @@ def cmd_dump_frame(args) -> int:
 
 
 def _fetch_json(url: str, timeout: float = 10.0):
+    """The JSON body of a 200 reply to GET url; any failure is a RuntimeError
+    that names the URL."""
     try:
         with urlopen(url, timeout=timeout) as resp:
             return json.load(resp)
     except HTTPError as exc:
         with exc:  # the error holds the response, and with it the socket
             raise RuntimeError(f"{url} -> {exc.code}: {exc.read().decode(errors='replace').strip()}")
+    # OSError: no connection; ValueError: a URL without a scheme, a body not JSON
+    except (OSError, ValueError, HTTPException) as exc:
+        raise RuntimeError(f"{url}: {exc}") from None
 
 
 def cmd_report(args) -> int:
@@ -249,8 +254,7 @@ def cmd_report(args) -> int:
         for sid in station_ids:
             snap = _fetch_json(f"{base}/v1/stations/{sid}/icca?window_s={window_s}")
             rows.append(_report_row(sid, args.window, snap))
-    # OSError: no connection; ValueError: a URL without a scheme, a body not JSON
-    except (OSError, ValueError, HTTPException, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

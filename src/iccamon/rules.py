@@ -121,8 +121,8 @@ class WebhookSink:
         try:
             urlopen(request, timeout=self.timeout).close()
         except HTTPError as exc:
-            exc.close()  # the error holds the response, and with it the socket
-            raise
+            with exc:  # the error holds the response, and with it the socket
+                raise
 
 
 def dispatch(event: AlertEvent, sinks) -> int:

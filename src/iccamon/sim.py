@@ -23,11 +23,10 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from http.client import HTTPException
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from pathlib import Path
 from typing import Callable, Iterator, get_type_hints
-from urllib.error import HTTPError
-from urllib.request import Request, urlopen
+from urllib.parse import urlsplit
 
 from .sensor import PmFrame, decode_pm_frame, decode_temp, encode_pm_frame, encode_temp
 from .store import StationRecord, check_keys, load_config
@@ -278,30 +277,39 @@ class OfflineFileTransport:
 
 
 class HttpTransport:
-    """Delivers frames to a running ingestion server, one connection per
-    frame: a station sends once per report period, far apart from the
-    server's idle timeout."""
+    """Delivers frames to a running ingestion server over one keep-alive
+    connection. The simulator sends frame after frame on its simulated
+    clock, with no wait between them, so one connection carries a whole
+    run. A failed send closes it. If it had carried an earlier frame (the
+    server may have closed it since), the send is tried once more on a new
+    connection; a resend of a frame the server took is a 409."""
 
     def __init__(self, base_url: str, timeout: float = 5.0):
-        self.url = base_url.rstrip("/") + "/v1/telemetry"
+        self.url = urlsplit(base_url.rstrip("/") + "/v1/telemetry")
         self.timeout = timeout
+        self._conn: HTTPConnection | None = None
 
     def send(self, frame: TelemetryFrame, now: int) -> bool:
+        body = serialize(frame).encode()
+        reused = self._conn is not None and self._conn.sock is not None
+        try:
+            if self._conn is None:  # KeyError: a URL without an http(s) scheme
+                connection = {"http": HTTPConnection, "https": HTTPSConnection}[self.url.scheme]
+                self._conn = connection(self.url.netloc, timeout=self.timeout)
+            self._conn.request("POST", self.url.path, body, {"Content-Type": "application/json"})
+            resp = self._conn.getresponse()
+            resp.read()  # the whole reply, so the connection can carry the next request
+        # OSError: no connection, a timeout, a reset; HTTPException: a reply that is not HTTP
+        except (KeyError, OSError, HTTPException):
+            self.close()  # the connection reopens on its next request
+            return reused and self.send(frame, now)
         # 409 means the platform already holds this seq (a retried send whose
         # ack was lost); the frame is safe to drop from the buffer
-        try:
-            req = Request(self.url, serialize(frame).encode(), {"Content-Type": "application/json"})
-            with urlopen(req, timeout=self.timeout) as resp:
-                return resp.status == 202
-        except HTTPError as exc:
-            exc.close()  # the error holds the response, and with it the socket
-            return exc.code == 409
-        # ValueError: a URL without a scheme; OSError: no connection, a timeout, a reset
-        except (OSError, ValueError, HTTPException):
-            return False
+        return resp.status in (202, 409)
 
     def close(self) -> None:
-        pass
+        if self._conn is not None:
+            self._conn.close()
 
 
 class CallableTransport:

@@ -133,7 +133,7 @@ class TestSimulateCommand:
         assert not out.exists()
 
     def test_duration_whose_seconds_overflow_exits_2(self, tmp_path, capsys):
-        # finite in hours, infinite in seconds: refused before the output opens
+        # 1e306 hours is above the ten-year cap: refused before the output opens
         out = tmp_path / "o.ndjson"
         assert cli.main(["simulate", "--scenario", str(CONFIGS / "fleet_demo.json"),
                          "--duration", "1e306", "--offline", str(out)]) == 2
@@ -174,6 +174,9 @@ class TestSimulateCommand:
 
         service.ingest = recording_ingest
         server = HttpServer(service, port=0)
+        connections = []
+        admit = server._admit
+        server._admit = lambda sock: (connections.append(sock), admit(sock))
         server.start()
         try:
             for expected in (202, 409):  # the second, identical run resends every frame
@@ -186,6 +189,7 @@ class TestSimulateCommand:
         finally:
             server.shutdown()
         assert store.record_counts() == [3] * 5
+        assert len(connections) == 2  # each run's frames share one keep-alive connection
 
     def test_offline_file_in_missing_directory_exits_2(self, tmp_path, capsys):
         assert cli.main(["simulate", "--scenario", str(CONFIGS / "fleet_demo.json"),
@@ -247,11 +251,14 @@ class TestReportCommand:
 
     def test_unreachable_server_exits_1(self, capsys):
         assert cli.main(["report", "--server", "http://127.0.0.1:1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "error: http://127.0.0.1:1/v1/stations: " in err
 
     @pytest.mark.parametrize("server", ["localhost", "127.0.0.1:1"])
     def test_server_without_scheme_exits_1(self, capsys, server):
         assert cli.main(["report", "--server", server]) == 1
-        assert_one_error_line(capsys)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"error: {server}/v1/stations: " in err
 
     def test_reply_not_json_exits_1(self, capsys):
         class Html(BaseHTTPRequestHandler):

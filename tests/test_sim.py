@@ -331,6 +331,34 @@ class TestServiceIntegration:
         assert [m.seq for m in stored(store, sid)] == list(range(1, 13))
         store.close()
 
+    def test_http_transport_reopens_after_the_server_drops_its_connection(self, tmp_path):
+        import socket
+
+        from iccamon.service import HttpServer
+        from iccamon.sim import HttpTransport
+        from iccamon.telemetry import TelemetryFrame
+
+        members, start_ts = load_fleet_config(CONFIGS / "fleet_demo.json")
+        st = members[0].station
+        service, store = self._fresh_service(tmp_path, "http", members[:1])
+        frames = [TelemetryFrame(st.station_id, st.token, seq, start_ts + seq * 1200,
+                                 20.0, 40.0, 25.0) for seq in (1, 2, 3)]
+        server = HttpServer(service, port=0)
+        server.start()
+        transport = HttpTransport(server.url)
+        try:
+            assert transport.send(frames[0], now=0)
+            with server._lock:
+                for sock in server._connections:
+                    sock.shutdown(socket.SHUT_RDWR)
+            # the dropped connection fails, and the frame goes out on a new one
+            assert transport.send(frames[1], now=0) and transport.send(frames[2], now=0)
+        finally:
+            transport.close()
+            server.shutdown()
+        assert [m.seq for m in stored(store, st.station_id)] == [1, 2, 3]
+        store.close()
+
 
 class TestFleetConfig:
     def test_demo_config_loads(self):
