@@ -40,6 +40,7 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
+REPORT_TIMEOUT_S = 10.0  # report's socket timeout per request
 MAX_DURATION_H = 87_660  # ten years: the demo fleet writes about 170 MB in about 85 s
 
 _WINDOW_RE = re.compile(r"^(\d+)([smh]?)$")
@@ -223,11 +224,11 @@ def cmd_dump_frame(args) -> int:
 # -- report --------------------------------------------------------------------
 
 
-def _fetch_json(url: str, timeout: float = 10.0):
+def _fetch_json(url: str):
     """The JSON body of a 200 reply to GET url; any failure is a RuntimeError
     that names the URL."""
     try:
-        with urlopen(url, timeout=timeout) as resp:
+        with urlopen(url, timeout=REPORT_TIMEOUT_S) as resp:
             return json.load(resp)
     except HTTPError as exc:
         with exc:  # the error holds the response, and with it the socket

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from urllib.error import HTTPError
+from urllib.parse import urlsplit
 from urllib.request import Request, urlopen
 
 from .icca import IccaResult
@@ -250,6 +251,9 @@ def _build_engine(obj, alert_log) -> RuleEngine:
         if s["type"] != "webhook":
             raise ValueError(f"unknown sink type: {s['type']!r}")
         check_keys(s, "webhook sink", sink_id=str, type=str, url=str, timeout=float)
+        url = urlsplit(s["url"])
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"webhook url must be http(s)://host..., got {s['url']!r}")
         timeout = s.get("timeout", 5.0)
         if not 0 < timeout < math.inf:
             raise ValueError(f"webhook timeout must be positive, got {timeout!r}")

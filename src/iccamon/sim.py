@@ -158,6 +158,7 @@ class NodeCounters:
     dropped: int = 0
 
 
+SEND_TIMEOUT_S = 5.0  # HttpTransport's per-connection socket timeout
 LOCAL_LOG_LEN = 72  # one day of readings at the default 20-minute period
 
 
@@ -284,9 +285,8 @@ class HttpTransport:
     server may have closed it since), the send is tried once more on a new
     connection; a resend of a frame the server took is a 409."""
 
-    def __init__(self, base_url: str, timeout: float = 5.0):
+    def __init__(self, base_url: str):
         self.url = urlsplit(base_url.rstrip("/") + "/v1/telemetry")
-        self.timeout = timeout
         self._conn: HTTPConnection | None = None
 
     def send(self, frame: TelemetryFrame, now: int) -> bool:
@@ -295,7 +295,7 @@ class HttpTransport:
         try:
             if self._conn is None:  # KeyError: a URL without an http(s) scheme
                 connection = {"http": HTTPConnection, "https": HTTPSConnection}[self.url.scheme]
-                self._conn = connection(self.url.netloc, timeout=self.timeout)
+                self._conn = connection(self.url.netloc, timeout=SEND_TIMEOUT_S)
             self._conn.request("POST", self.url.path, body, {"Content-Type": "application/json"})
             resp = self._conn.getresponse()
             resp.read()  # the whole reply, so the connection can carry the next request

@@ -14,16 +14,19 @@ most that much more disk than its records). A crash mid-write leaves a
 torn last line, which the next open blanks with spaces. A record line
 mirrors the wire frame minus the token, plus quality flags. An in-memory
 index (records sorted by timestamp, last accepted sequence number) is
-rebuilt on open; logs are small at desk scale. Beside each record the index
-keeps its log line, the record's compact JSON encoded once: by the append
-that wrote it, or split from the log on open. A range query returns those
-lines, so a read never encodes a record again. At open each log line is
-parsed once, into a Measurement built by the same constructor as on the
-wire path. A line that is not as append writes it (edited by hand, say),
-and every line of a log that NdjsonLog.read reads line by line, is
-re-encoded from that record in _Station.recover: besides append, the one
-place a stored line is encoded. So no key the store does not write is ever
-read back. The store is the one place that sums a window's values (see
+rebuilt on open: recovery replays each logged record through
+_Station._index, the insert append uses, so the index is built by the
+steps the live appends took (logs are small at desk scale). Beside each
+record the index keeps its log line, the record's compact JSON encoded
+once: by the append that wrote it, or split from the log on open. A
+range query returns those lines, so a read never encodes a record again.
+At open each log line is parsed once, into a Measurement built by the
+same constructor as on the wire path. A line that is not as append
+writes it (edited by hand, say), and every line of a log that
+NdjsonLog.read reads line by line, is re-encoded from that record in
+_Station.recover: besides append, the one place a stored line is
+encoded. So no key the store does not write is ever read back. The
+store is the one place that sums a window's values (see
 _Station.window). Beside the index each station keeps exact running sums
 of its 24-hour window, built on the window's first use and slid forward by
 each newest record; a record older than the newest drops them, and the
@@ -53,7 +56,8 @@ logger = logging.getLogger(__name__)
 
 BEYOND_SENSOR_RANGE = "beyond_sensor_range"
 
-# one encoder for every log line: json.dumps with options builds one per call
+# one encoder for every log line and wire frame (telemetry.serialize):
+# json.dumps with options builds one per call
 _encode_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 # A log grows by this much padding at a time (see NdjsonLog): one journal
 # commit of a new file size per chunk, not per line.
@@ -332,25 +336,16 @@ class _Station:
         self.sum25 = self.sum10 = 0
 
     def recover(self) -> None:
+        """Replay the log through _index, the insert append uses, so a
+        reopened station holds what the live appends left."""
         read, lines = self.log.read(_written_record, "record")
         for (m, as_written), line in zip(read, lines):
-            if line is None or not as_written:
-                # served as to_json_obj renders it, so no key the store does
-                # not write is ever read back
-                line = _encode(m.to_json_obj())
             # appends write increasing seqs; a repeat is left by a retried append
             if self.accepts(m.seq):
-                self.records.append(m)
-                self.lines.append(line)
-                self.last_seq = m.seq
-        ts = [m.ts for m in self.records]
-        if ts != sorted(ts):
-            # stable, so equal timestamps keep log order, as _index keeps them
-            order = sorted(range(len(ts)), key=ts.__getitem__)
-            self.records = [self.records[i] for i in order]
-            self.lines = [self.lines[i] for i in order]
-            ts = [ts[i] for i in order]
-        self.ts_index = ts
+                # a line not as written is served as to_json_obj renders it,
+                # so no key the store does not write is ever read back
+                self._index(m, line if line is not None and as_written
+                            else _encode(m.to_json_obj()))
 
     def accepts(self, seq: int) -> bool:
         return self.last_seq is None or seq > self.last_seq

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .store import BEYOND_SENSOR_RANGE, STATION_ID_RE, Measurement
+from .store import BEYOND_SENSOR_RANGE, STATION_ID_RE, Measurement, _encode_json
 
 FRAME_KEYS = ("station_id", "token", "seq", "ts", "pm25", "pm10", "temp_c")
 
@@ -86,7 +86,7 @@ def serialize(frame: TelemetryFrame) -> str:
     equal frames serialize to identical bytes (12.30 comes out as 12.3).
     """
     obj = {key: getattr(frame, key) for key in FRAME_KEYS}
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+    return _encode_json(obj)
 
 
 def parse_frame(text: str) -> TelemetryFrame:

@@ -6,12 +6,15 @@ attribute of that name, in any module of the package; the definition
 itself does not count. Dunder names are the language's, not ours.
 
 The package needs only Python: it imports nothing outside the standard
-library.
+library, and its syntax is that of the oldest Python pyproject.toml
+declares (requires-python).
 """
 
 import ast
 import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "iccamon"
 
@@ -97,3 +100,16 @@ def test_the_import_check_finds_a_third_party_module():
                        "def f():\n    import requests.adapters\n"
                        "from certifi import where\n"}
     assert sorted(third_party_imports(sources)) == ["a.py:5 requests.adapters", "a.py:6 certifi"]
+
+
+def test_package_parses_as_python_3_10():
+    # the grammar only: a library call new since 3.10 still passes
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_the_version_check_refuses_except_star():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(source)
+    with pytest.raises(SyntaxError, match="3.11"):
+        ast.parse(source, feature_version=(3, 10))

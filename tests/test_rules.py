@@ -367,6 +367,10 @@ class TestRuleEngine:
         {"rules": [{"rule_id": "r", "trigger_category_min": 3, "sink_ids": "ab"}],
          "sinks": [{"sink_id": "a", "type": "webhook", "url": "http://x"},
                    {"sink_id": "b", "type": "webhook", "url": "http://x"}]},
+        {"sinks": [{"sink_id": "w", "type": "webhook", "url": "localhost:9000/hook"}]},
+        {"sinks": [{"sink_id": "w", "type": "webhook", "url": "file:///etc/passwd"}]},
+        {"sinks": [{"sink_id": "w", "type": "webhook", "url": "ftp://x/hook"}]},
+        {"sinks": [{"sink_id": "w", "type": "webhook", "url": "http://"}]},
     ])
     def test_config_bad_entry_names_the_file(self, tmp_path, cfg):
         path = tmp_path / "rules.json"

@@ -115,6 +115,34 @@ class TestRecovery:
         assert s.append(m(7)) is None
         assert s.append(m(11)) == 10
 
+    def test_reopened_store_equals_the_live_one(self, tmp_path, monkeypatch):
+        # timestamps that run backwards, repeat and jump more than a day,
+        # and one seq written twice by a retried append
+        data = register(tmp_path / "data", STATION)
+        s = TimeSeriesStore(data)
+        s.window("utec-01", 86400)  # the live store keeps running 24-hour sums
+        steps = [10, 11, 12, 9, 9, 8, 12, 12, 200, 201, 150, 201, 5, 202, 300, 299, 298, 300]
+        for seq, step in enumerate(steps, 1):
+            record = m(seq, ts=step * 1200, pm25=round(seq * 37.3 % 600, 1))
+            if seq == 7:
+                with monkeypatch.context() as patch:
+                    patch.setattr("os.fsync", lambda fd: (_ for _ in ()).throw(OSError("EIO")))
+                    with pytest.raises(StorageError):
+                        s.append(record)
+            assert s.append(record) is not None
+            assert s.append(record) is None
+            if seq % 5 == 0:
+                s.window("utec-01", 86400)
+        log = log_data(data / "series" / "utec-01.ndjson").splitlines()
+        assert len(log) == len(steps) + 1
+        live = (s.query_range("utec-01", 0, 10**9), s.last_seq("utec-01"),
+                s.window("utec-01", 86400), s.window("utec-01", 3600))
+        # the log without its second seq 7 is not in ts order: recovery reorders it
+        assert live[0] != log[:6] + log[7:]
+        reopened = TimeSeriesStore(data)
+        assert (reopened.query_range("utec-01", 0, 10**9), reopened.last_seq("utec-01"),
+                reopened.window("utec-01", 86400), reopened.window("utec-01", 3600)) == live
+
     def test_torn_tail_discarded(self, tmp_path):
         data = register(tmp_path / "data", STATION)
         s = TimeSeriesStore(data)
