@@ -127,18 +127,18 @@ def cmd_replay(args) -> int:
     if opened is None:
         return EXIT_USAGE
     _, svc = opened
-    by_status: dict[str, int] = {}
+    by_status: dict[int, int] = {}
     try:
         for line in sim.iter_offline_frames(args.frames):
-            status = str(svc.ingest(line)[0])
+            status = svc.ingest(line)[0]
             by_status[status] = by_status.get(status, 0) + 1
     except (OSError, ValueError) as exc:  # ValueError: a line that is not UTF-8
         print(f"frames error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:  # after a bad line too: the frames before it are stored
         print(json.dumps(dict(sorted(by_status.items()))))
-    # 409 means the store already holds the frame, as for a station's resend
-    return EXIT_OK if set(by_status) <= {"202", "409"} else EXIT_RUNTIME
+    # delivered as a station counts it: a 409 means the store already holds the frame
+    return EXIT_OK if set(by_status).issubset(sim.DELIVERED) else EXIT_RUNTIME
 
 
 # -- simulate ------------------------------------------------------------------

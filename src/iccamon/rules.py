@@ -27,6 +27,8 @@ from .store import NdjsonLog, StorageError, check_keys, load_config
 
 logger = logging.getLogger(__name__)
 
+WEBHOOK_TIMEOUT_S = 5.0  # a webhook sink's default per-delivery timeout
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -111,7 +113,7 @@ class WebhookSink:
     """POSTs the event as JSON to a configured URL. An error status, a
     redirect a POST may not follow (307, 308) or a failed connection raises."""
 
-    def __init__(self, sink_id: str, url: str, timeout: float = 5.0):
+    def __init__(self, sink_id: str, url: str, timeout: float = WEBHOOK_TIMEOUT_S):
         self.sink_id = sink_id
         self.url = url
         self.timeout = timeout
@@ -254,7 +256,7 @@ def _build_engine(obj, alert_log) -> RuleEngine:
         url = urlsplit(s["url"])
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"webhook url must be http(s)://host..., got {s['url']!r}")
-        timeout = s.get("timeout", 5.0)
+        timeout = s.get("timeout", WEBHOOK_TIMEOUT_S)
         if not 0 < timeout < math.inf:
             raise ValueError(f"webhook timeout must be positive, got {timeout!r}")
         sinks[s["sink_id"]] = WebhookSink(s["sink_id"], s["url"], timeout)

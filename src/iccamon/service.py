@@ -190,7 +190,10 @@ class MonitorService:
         if self.rule_engine is not None:
             snapshot = self.rolling_icca(m.station_id)
             if snapshot.sufficient:
-                return self.rule_engine.observe(m.station_id, snapshot.result, m.ts)
+                # stamped with the end of the window the index is over: m.ts
+                # for an in-order frame, the newest record's ts for a late one
+                return self.rule_engine.observe(m.station_id, snapshot.result,
+                                                snapshot.window_end)
         return None
 
     # -- queries -----------------------------------------------------------
@@ -297,18 +300,6 @@ def _icca_fields(result: IccaResult | None) -> dict | None:
     }
 
 
-def _average_fields(avg: WindowAverage | None) -> dict | None:
-    if avg is None:
-        return None
-    return {
-        "mean": avg.mean,
-        "sample_count": avg.sample_count,
-        "expected_count": avg.expected_count,
-        "coverage": avg.coverage,
-        "sufficient": avg.sufficient,
-    }
-
-
 def _snapshot_payload(snap: IccaSnapshot) -> dict:
     return {
         "station_id": snap.station_id,
@@ -316,8 +307,9 @@ def _snapshot_payload(snap: IccaSnapshot) -> dict:
         "window_s": snap.window_s,
         "sufficient": snap.sufficient,
         "coverage": snap.coverage,
-        "pm25": _average_fields(snap.pm25),
-        "pm10": _average_fields(snap.pm10),
+        # every WindowAverage field, in declaration order
+        "pm25": dict(vars(snap.pm25)) if snap.pm25 else None,
+        "pm10": dict(vars(snap.pm10)) if snap.pm10 else None,
         "icca": _icca_fields(snap.result),
     }
 

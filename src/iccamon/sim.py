@@ -160,6 +160,9 @@ class NodeCounters:
 
 SEND_TIMEOUT_S = 5.0  # HttpTransport's per-connection socket timeout
 LOCAL_LOG_LEN = 72  # one day of readings at the default 20-minute period
+# a frame the platform took: 409 means it already holds this seq (a retried
+# send whose ack was lost), so the frame is safe to drop from the buffer
+DELIVERED = (202, 409)
 
 
 class Node:
@@ -303,9 +306,7 @@ class HttpTransport:
         except (KeyError, OSError, HTTPException):
             self.close()  # the connection reopens on its next request
             return reused and self.send(frame, now)
-        # 409 means the platform already holds this seq (a retried send whose
-        # ack was lost); the frame is safe to drop from the buffer
-        return resp.status in (202, 409)
+        return resp.status in DELIVERED
 
     def close(self) -> None:
         if self._conn is not None:
@@ -319,7 +320,7 @@ class CallableTransport:
         self._ingest = ingest
 
     def send(self, frame: TelemetryFrame, now: int) -> bool:
-        return self._ingest(serialize(frame)) in (202, 409)
+        return self._ingest(serialize(frame)) in DELIVERED
 
     def close(self) -> None:
         pass

@@ -28,12 +28,13 @@ _Station.recover: besides append, the one place a stored line is
 encoded. So no key the store does not write is ever read back. The
 store is the one place that sums a window's values (see
 _Station.window). Beside the index each station keeps exact running sums
-of its 24-hour window, built on the window's first use and slid forward by
-each newest record; a record older than the newest drops them, and the
-next use sums the window again. Every config file is read with
-load_config and its entries checked with check_keys; StationRecord alone
-decides what a valid station is, and the registry may list a station_id
-only once.
+of its 24-hour window, built on the window's first use and from then on
+kept by every record: a newest one slides the window forward, a late one
+inside the window joins its sums, and one before it only shifts the
+window's place in the index. So a late record never makes the window be
+summed again. Every config file is read with load_config and its
+entries checked with check_keys; StationRecord alone decides what a
+valid station is, and the registry may list a station_id only once.
 """
 
 from __future__ import annotations
@@ -329,9 +330,9 @@ class _Station:
         self.last_seq: int | None = None  # None until a record is accepted; 0 is a valid seq
         # The 24-hour window, (latest ts - WINDOW_24H_S, latest ts], is
         # records[win_start:]; sum25/sum10 are the exact scaled sums of its
-        # values (icca.scaled). win_start is None while no sums are kept:
-        # until the window's first use, so recovery does no window work, and
-        # again after a record older than the newest is inserted.
+        # values (icca.scaled). win_start is None until the window's first
+        # use, so recovery does no window work; from then on every record
+        # keeps the sums, a late one included.
         self.win_start: int | None = None
         self.sum25 = self.sum10 = 0
 
@@ -358,14 +359,14 @@ class _Station:
         self.last_seq = m.seq
         if self.win_start is None:
             return
-        if pos < len(self.records) - 1:
-            # older than the newest record: the next use sums the window again
-            self.win_start = None
+        lo = self.ts_index[-1] - WINDOW_24H_S
+        if m.ts <= lo:
+            # before the window: it moves the window's records up one place
+            self.win_start += 1
             return
-        # newest ts (or equal to it): the window end moves up to m.ts
+        # in the window; a newest record also moves the window's end up to m.ts
         self.sum25 += scaled(m.pm25)
         self.sum10 += scaled(m.pm10)
-        lo = m.ts - WINDOW_24H_S
         start = self.win_start
         while self.ts_index[start] <= lo:
             old = self.records[start]
@@ -380,8 +381,9 @@ class _Station:
         under the lock.
 
         The 24-hour window is summed in one pass at its first use, and from
-        then on _index keeps it up to date in O(1) amortised per newest
-        record. Any other width is summed in one pass at each call.
+        then on _index keeps it up to date for every record, a late one
+        included: O(1) amortised per newest record, O(1) per older one.
+        Any other width is summed in one pass at each call.
         """
         if not self.records:
             return None

@@ -461,6 +461,12 @@ class TestIncrementalWindow:
         service.icca_payload("utec-01")
         service.overview_payload()
         assert calls == []
+        # a late frame inside the window, then one before it, keeps the sums
+        for seq, ts in ((74, START + 30 * 1200 + 600), (75, START - 3600)):
+            assert service.ingest(frame_text(seq=seq, ts=ts))[0] == 202
+            service.icca_payload("utec-01")
+            service.overview_payload()
+            assert calls == []
         # another window is summed once per use
         service.icca_payload("utec-01", 3600)
         assert len(calls) == 1
@@ -479,6 +485,22 @@ class TestAlertWiring:
         # so exactly one Raised comes out over the whole day
         assert [e.kind.value for e in emitted] == ["raised"]
         assert emitted[0].station_id == "utec-01" and emitted[0].icca_value == 169
+
+    def test_late_frame_alert_is_stamped_with_the_window_end(self, store):
+        engine = RuleEngine([Rule("r1", trigger_category_min=1)])
+        emitted = []
+        original = engine.observe
+        engine.observe = lambda sid, icca, ts: emitted.extend(original(sid, icca, ts))  # type: ignore
+        service = MonitorService(store, rule_engine=engine)
+        for k in range(60):
+            assert service.ingest(frame_text(seq=k + 1, ts=START + k * 1200, pm25=10.0))[0] == 202
+        assert emitted == []  # a sufficient window, still Buena
+        # a late frame lifts the mean to Moderada; the index is over the
+        # window ending at the newest record, not at the late frame's ts
+        assert service.ingest(frame_text(seq=61, ts=START + 30 * 1200 + 600, pm25=400.0))[0] == 202
+        [event] = emitted
+        assert event.kind.value == "raised" and event.category == "Moderada"
+        assert event.ts == service.rolling_icca("utec-01").window_end == START + 59 * 1200
 
     def test_restart_with_active_alert_raises_it_once(self, tmp_path):
         rules = tmp_path / "rules.json"
