@@ -32,7 +32,7 @@ from urllib.request import urlopen
 from . import icca, service as service_mod, sim
 from .icca import WindowAverage
 from .sensor import dump_pm_frame
-from .store import StorageError
+from .store import BAD_JSON, StorageError
 
 logger = logging.getLogger(__name__)
 
@@ -233,8 +233,8 @@ def _fetch_json(url: str):
     except HTTPError as exc:
         with exc:  # the error holds the response, and with it the socket
             raise RuntimeError(f"{url} -> {exc.code}: {exc.read().decode(errors='replace').strip()}")
-    # OSError: no connection; ValueError: a URL without a scheme, a body not JSON
-    except (OSError, ValueError, HTTPException) as exc:
+    # OSError: no connection; ValueError: a URL without a scheme; BAD_JSON: a body not JSON
+    except (OSError, HTTPException, *BAD_JSON) as exc:
         raise RuntimeError(f"{url}: {exc}") from None
 
 

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from urllib.error import HTTPError
 from urllib.parse import urlsplit
-from urllib.request import Request, urlopen
+from urllib.request import HTTPRedirectHandler, Request, build_opener
 
 from .icca import IccaResult
 from .store import NdjsonLog, StorageError, check_keys, load_config
@@ -109,9 +108,21 @@ def evaluate(
     return [], RuleState(active=True, below_count=below)
 
 
+class _NoRedirect(HTTPRedirectHandler):
+    """Follows no redirect, so any 3xx raises HTTPError. urlopen would follow
+    a 301, 302 or 303 to a POST as a GET without the body, and count an
+    event as delivered that no endpoint received."""
+
+    def redirect_request(self, *args):
+        return None
+
+
+_open = build_opener(_NoRedirect).open
+
+
 class WebhookSink:
-    """POSTs the event as JSON to a configured URL. An error status, a
-    redirect a POST may not follow (307, 308) or a failed connection raises."""
+    """POSTs the event as JSON to a configured URL. An error status, any
+    redirect or a failed connection raises."""
 
     def __init__(self, sink_id: str, url: str, timeout: float = WEBHOOK_TIMEOUT_S):
         self.sink_id = sink_id
@@ -122,7 +133,7 @@ class WebhookSink:
         request = Request(self.url, json.dumps(event.to_json_obj()).encode(),
                           {"Content-Type": "application/json"})
         try:
-            urlopen(request, timeout=self.timeout).close()
+            _open(request, timeout=self.timeout).close()
         except HTTPError as exc:
             with exc:  # the error holds the response, and with it the socket
                 raise
@@ -257,7 +268,7 @@ def _build_engine(obj, alert_log) -> RuleEngine:
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"webhook url must be http(s)://host..., got {s['url']!r}")
         timeout = s.get("timeout", WEBHOOK_TIMEOUT_S)
-        if not 0 < timeout < math.inf:
+        if timeout <= 0:  # check_keys refused a timeout that is not finite
             raise ValueError(f"webhook timeout must be positive, got {timeout!r}")
         sinks[s["sink_id"]] = WebhookSink(s["sink_id"], s["url"], timeout)
     return RuleEngine(rules, sinks, alert_log)

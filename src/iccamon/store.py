@@ -33,8 +33,13 @@ kept by every record: a newest one slides the window forward, a late one
 inside the window joins its sums, and one before it only shifts the
 window's place in the index. So a late record never makes the window be
 summed again. Every config file is read with load_config and its
-entries checked with check_keys; StationRecord alone decides what a
-valid station is, and the registry may list a station_id only once.
+entries checked with check_keys, which also types the wire frame's keys
+(telemetry._parse_fields); StationRecord alone decides what a valid
+station is, and the registry may list a station_id only once. Every JSON
+reader of the package (log, config, frame, report reply) catches one
+exception set, BAD_JSON, so JSON that is nested too deep or holds a
+number no float holds is refused as any bad JSON is, and a record whose
+reading is not finite is a corrupt line, as no window could sum it.
 """
 
 from __future__ import annotations
@@ -43,10 +48,12 @@ import json
 import logging
 import os
 import re
+import sys
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
+from math import isfinite
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -68,8 +75,12 @@ _NO_FLAGS: frozenset[str] = frozenset()
 _station_id = attrgetter("station_id")
 # a station id, as the wire and the registry take it (whole string: fullmatch)
 STATION_ID_RE = re.compile(r"[a-z0-9_-]{1,64}")
-# what a line that is not the expected JSON object raises in parsing or conversion
-_BAD_LINE = (ValueError, KeyError, TypeError, AttributeError)
+# What outside JSON (a wire frame, a log line, a config file, a reply) that is
+# not the expected value raises in parsing or conversion: RecursionError for
+# nesting too deep, OverflowError for an integer no float holds. Every JSON
+# reader of the package catches this one set.
+BAD_JSON = (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError)
+_FLOAT_MAX = sys.float_info.max
 
 
 class StorageError(Exception):
@@ -86,31 +97,33 @@ def _encode(obj) -> bytes:
 
 
 def load_config(path: str | Path, what: str, build):
-    """build(obj) for the JSON value in the file at path. Each KeyError,
-    TypeError, AttributeError and ValueError of the parse or the build (bad
-    JSON included) becomes a ValueError naming the file; OSError passes."""
+    """build(obj) for the JSON value in the file at path. Each BAD_JSON
+    error of the parse or the build (bad JSON included) becomes a ValueError
+    naming the file; OSError passes."""
     try:
         return build(json.loads(Path(path).read_bytes()))
     except KeyError as exc:
         raise ValueError(f"{what} {path}: missing key {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"{what} {path}: wrong type ({exc})") from exc
-    except ValueError as exc:
+    except BAD_JSON as exc:
         raise ValueError(f"{what} {path}: {exc}") from exc
 
 
 def check_keys(obj, where: str, **types) -> None:
-    """Refuse a config entry that is not a JSON object, has a key not in
-    types, or a value not of its key's type (a type or tuple of types). A
-    JSON int passes for a float; true and false pass for no key."""
+    """Refuse an outside JSON object (a config entry or a wire frame) that is
+    not a JSON object, has a key not in types, or a value not of its key's
+    type (a type or tuple of types). A float is finite, and a JSON int passes
+    for one if a float holds it; true and false pass for no key."""
     if not isinstance(obj, dict):
         raise TypeError(f"{where} must be a JSON object, got {obj!r}")
-    unknown = obj.keys() - types.keys()
-    if unknown:
-        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
     for key, value in obj.items():
-        want = types[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
+        want = types.get(key)
+        if want is None:
+            raise ValueError(f"{where}: unknown keys {sorted(obj.keys() - types.keys())}")
+        # NaN, inf and an int beyond the largest float fail the float test
+        if not (type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+                if want is float else isinstance(value, want) and type(value) is not bool):
             raise TypeError(f"{where}: {key} is {value!r}")
 
 
@@ -227,7 +240,7 @@ class NdjsonLog:
             objs = json.loads(b"[[" + b"]\n,[".join(lines) + b"]]")
             if len(objs) == len(lines):
                 return [convert(obj) for (obj,) in objs], lines
-        except _BAD_LINE:
+        except BAD_JSON:
             pass
         items = []
         for lineno, line in enumerate(lines, 1):
@@ -235,7 +248,7 @@ class NdjsonLog:
                 continue
             try:
                 items.append(convert(json.loads(line)))
-            except _BAD_LINE as exc:
+            except BAD_JSON as exc:
                 raise StorageError(f"{self.path}:{lineno}: corrupt {what}: {exc}") from exc
         return items, [None] * len(items)
 
@@ -309,8 +322,12 @@ def _written_record(obj: dict) -> tuple[Measurement, bool]:
     writes for it): as written, a line has the seven keys of to_json_obj,
     float values and flags as it lists them; one edited by hand, say, may
     not, and _Station.recover then encodes the line it serves from the
-    record. A line that is no record raises as from_json_obj does."""
+    record. A line that is no record raises as from_json_obj does, and one
+    with a value that is not finite (NaN, Infinity, 1e400) a ValueError:
+    no window could sum it."""
     m = Measurement.from_json_obj(obj)
+    if not (isfinite(m.pm25) and isfinite(m.pm10) and isfinite(m.temp_c)):
+        raise ValueError(f"a value is not finite: {m}")
     # from_json_obj read the other six keys, so with flags (None when
     # missing) these are all seven
     return m, (len(obj) == 7 and obj.get("flags") == sorted(m.flags)

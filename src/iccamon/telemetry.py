@@ -6,10 +6,14 @@ this order:
     {"station_id":"utec-01","token":"s3cret","seq":1,"ts":1700000000,
      "pm25":12.3,"pm10":20.0,"temp_c":28.5}
 
-Unknown keys are rejected outright (they signal firmware/schema drift),
-the token must match the station's registered credential (compared in
-constant time), and the sequence number must exceed the last accepted one
-so retried sends are cheap to deduplicate. Validation is a pure function
+Unknown keys are rejected outright (they signal firmware/schema drift).
+store.check_keys types the keys, as it types every config entry, so the
+three readings are finite numbers. A body that is not such an object, or
+that raises any of store.BAD_JSON in the parse (nesting too deep, say),
+is malformed, never an error of the server. The token must match the
+station's registered credential (compared in constant time), and the
+sequence number must exceed the last accepted one so retried sends are
+cheap to deduplicate. Validation is a pure function
 of its inputs; the caller supplies a lookup of each station's token and
 last accepted seq.
 """
@@ -18,16 +22,18 @@ from __future__ import annotations
 
 import hmac
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Callable
 
-from .store import BEYOND_SENSOR_RANGE, STATION_ID_RE, Measurement, _encode_json
+from .store import (BAD_JSON, BEYOND_SENSOR_RANGE, STATION_ID_RE, Measurement, _encode_json,
+                    check_keys)
 
 FRAME_KEYS = ("station_id", "token", "seq", "ts", "pm25", "pm10", "temp_c")
 
-_FRAME_KEY_SET = frozenset(FRAME_KEYS)
+# a frame's values in FRAME_KEYS order; KeyError names a missing key
+_frame_values = itemgetter(*FRAME_KEYS)
 _MAX_SEQ = 2**64 - 1
 
 
@@ -98,37 +104,24 @@ def parse_frame(text: str) -> TelemetryFrame:
 
 
 def _parse_fields(text: str) -> tuple[str, str, int, int, float, float, float]:
-    """A frame's values in FRAME_KEYS order; ValueError as parse_frame."""
+    """A frame's values in FRAME_KEYS order; ValueError as parse_frame.
+    Past check_keys, only the wire's own rules for the values are left."""
     try:
         obj = json.loads(text)
-    except ValueError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ValueError("frame must be a JSON object")
-    if obj.keys() != _FRAME_KEY_SET:
-        unknown = set(obj) - _FRAME_KEY_SET
-        missing = _FRAME_KEY_SET - set(obj)
-        raise ValueError(f"bad keys: unknown={sorted(unknown)} missing={sorted(missing)}")
-
-    station_id = obj["station_id"]
-    if not isinstance(station_id, str) or not STATION_ID_RE.fullmatch(station_id):
+        check_keys(obj, "frame", station_id=str, token=str, seq=int, ts=int, pm25=float,
+                   pm10=float, temp_c=float)
+        station_id, token, seq, ts, pm25, pm10, temp_c = _frame_values(obj)
+    except BAD_JSON as exc:
+        raise ValueError(f"malformed frame: {exc!r}") from exc
+    if not STATION_ID_RE.fullmatch(station_id):
         raise ValueError(f"bad station_id: {station_id!r}")
-    token = obj["token"]
-    if not isinstance(token, str) or not token:
-        raise ValueError("token must be a non-empty string")
-    seq = obj["seq"]
-    if isinstance(seq, bool) or not isinstance(seq, int) or not 0 <= seq <= _MAX_SEQ:
-        raise ValueError(f"seq must be an unsigned 64-bit integer, got {seq!r}")
-    ts = obj["ts"]
-    if isinstance(ts, bool) or not isinstance(ts, int) or ts < 0:
-        raise ValueError(f"ts must be a non-negative integer, got {ts!r}")
-    values = []
-    for key in ("pm25", "pm10", "temp_c"):
-        v = obj[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ValueError(f"{key} must be a finite number, got {v!r}")
-        values.append(float(v))
-    return (station_id, token, seq, ts, *values)
+    if not token:
+        raise ValueError("token must not be empty")
+    if not 0 <= seq <= _MAX_SEQ:
+        raise ValueError(f"seq must be an unsigned 64-bit integer, got {seq}")
+    if ts < 0:
+        raise ValueError(f"ts must not be negative, got {ts}")
+    return station_id, token, seq, ts, float(pm25), float(pm10), float(temp_c)
 
 
 def parse_and_validate(

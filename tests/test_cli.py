@@ -1,4 +1,8 @@
+import contextlib
+import http.client
 import json
+import math
+import random
 import re
 import signal
 import socket
@@ -8,6 +12,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 import requests
@@ -16,9 +21,9 @@ from iccamon import cli
 from iccamon.rules import load_rules_config
 from iccamon.service import HttpServer, MonitorService, load_server_config
 from iccamon.sim import CallableTransport, load_fleet_config, run_fleet
-from iccamon.store import Measurement, StationRecord, TimeSeriesStore
+from iccamon.store import Measurement, NdjsonLog, StationRecord, TimeSeriesStore
 
-from .helpers import log_data, register
+from .helpers import log_data, register, stored
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -107,9 +112,13 @@ class TestSimulateCommand:
         lambda obj: obj["stations"][0].update(report_period_s=1200.9),
         lambda obj: obj["stations"][0].update(station_id="San Salvador"),
         lambda obj: obj["stations"][0]["scenario"].update(peak_morning_h="8"),
+        lambda obj: obj["stations"][0]["scenario"].update(base_pm25=math.nan),
+        lambda obj: obj["stations"][0]["scenario"].update(base_pm25=math.inf),
+        lambda obj: obj["stations"][0]["scenario"].update(base_pm25=10**400),
     ], ids=["null-lat", "unknown-scenario-key", "top-level-list", "unknown-top-level-key",
             "unknown-station-key", "unknown-rain-key", "numeric-token", "bool-lat",
-            "fractional-period", "id-off-the-wire", "string-scenario-number"])
+            "fractional-period", "id-off-the-wire", "string-scenario-number",
+            "nan-scenario-number", "infinite-scenario-number", "huge-scenario-number"])
     def test_bad_scenario_entry_exits_2(self, tmp_path, capsys, mutate):
         obj = json.loads((CONFIGS / "fleet_demo.json").read_text())
         obj = mutate(obj) or obj
@@ -373,6 +382,30 @@ class TestReplayCommand:
                          str(frames)]) == 1
         assert json.loads(capsys.readouterr().out) == {"401": 1}
 
+    @pytest.mark.parametrize("frame", [
+        "[" * 4000 + "]" * 4000,
+        '{"station_id":"santa-ana","token":"7d05b6c4aa2e9f13","seq":1,"ts":1700006400,'
+        '"pm25":' + "9" * 400 + ',"pm10":20.0,"temp_c":28.5}',
+    ], ids=["nested-too-deep", "400-digit-pm25"])
+    def test_frame_the_parser_refuses_is_malformed(self, tmp_path, capsys, caplog, frame):
+        frames = tmp_path / "frames.ndjson"
+        frames.write_text(frame + "\n")
+        config, data_dir = self.server_config(tmp_path)
+        assert cli.main(["replay", "--config", str(config), "--data-dir", str(data_dir),
+                         str(frames)]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out) == {"422": 1}
+        assert "Traceback" not in err
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
+
+    def test_config_nested_too_deep_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "server.json"
+        config.write_text('{"data_dir": ' + "[" * 4000 + "]" * 4000 + "}")
+        assert cli.main(["replay", "--config", str(config), str(tmp_path / "f.ndjson")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(config) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_non_utf8_frames_file_exits_2(self, tmp_path, capsys):
         frames = tmp_path / "frames.ndjson"
         frames.write_bytes(b"\xff\xfe{}\n")
@@ -477,10 +510,23 @@ class TestStorageErrorAtOpen:
             log_data(d / "series" / "santa-ana.ndjson") + b"[1]\n"),
         lambda d: [(d / "series" / "santa-ana.ndjson").unlink(),
                    (d / "series" / "santa-ana.ndjson").mkdir()],
+        lambda d: (d / "stations.json").write_text("[" * 4000 + "]" * 4000),
+        lambda d: (d / "series" / "santa-ana.ndjson").write_bytes(
+            log_data(d / "series" / "santa-ana.ndjson") + b"[" * 4000 + b"]" * 4000 + b"\n"),
+        lambda d: (d / "series" / "santa-ana.ndjson").write_bytes(
+            log_data(d / "series" / "santa-ana.ndjson").replace(
+                b'"pm25":12.3', b'"pm25":NaN', 1)),
+        lambda d: (d / "series" / "santa-ana.ndjson").write_bytes(
+            log_data(d / "series" / "santa-ana.ndjson").replace(
+                b'"pm10":20.0', b'"pm10":1e400', 1)),
+        lambda d: (d / "series" / "santa-ana.ndjson").write_bytes(
+            log_data(d / "series" / "santa-ana.ndjson").replace(
+                b'"pm25":12.3', b'"pm25":' + b"9" * 400, 1)),
     ], ids=["registry-not-json", "registry-object", "registry-unknown-key",
             "registry-numeric-token", "registry-id-with-space", "registry-repeated-id",
             "corrupt-mid-record",
-            "record-not-an-object", "log-unreadable"])
+            "record-not-an-object", "log-unreadable", "registry-nested-too-deep",
+            "record-nested-too-deep", "record-nan", "record-infinite", "record-400-digit-pm25"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, corrupt):
         # serve opens the data directory through the same _open_service
         config, data_dir = self.data_dir(tmp_path)
@@ -554,3 +600,94 @@ class TestServeCommand:
                 proc.kill()
                 proc.wait()
             proc.stdout.close()
+
+
+class TestServeKilled:
+    """A real serve, killed with SIGKILL at random moments and restarted,
+    loses no acknowledged frame and logs no alert twice."""
+
+    STATION = StationRecord("utec-01", "San Salvador", 13.70, -89.19, "tok-a",
+                            report_period_s=3600)
+
+    @staticmethod
+    def frame(seq: int) -> str:
+        # hourly frames: 30 h of heavy air, then 30 h of clean air, so the
+        # rule raises and clears again and again
+        pm25 = 150.0 if seq // 30 % 2 == 0 else 5.0
+        return json.dumps({"station_id": "utec-01", "token": "tok-a", "seq": seq,
+                           "ts": 1700006400 + seq * 3600, "pm25": pm25, "pm10": 20.0,
+                           "temp_c": 28.5})
+
+    @staticmethod
+    @contextlib.contextmanager
+    def serving(config, log):
+        """(process, connection) of a child serve, killed on exit if alive."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "iccamon.cli", "serve", "--config", str(config)],
+            stdout=subprocess.PIPE, stderr=log, text=True)
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("serving on "), line
+            url = urlsplit(line.split()[2])
+            conn = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+            try:
+                yield proc, conn
+            finally:
+                conn.close()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+            proc.stdout.close()
+
+    def test_acknowledged_frames_and_alerts_survive_sigkill(self, tmp_path):
+        rng = random.Random(5)
+        data_dir = register(tmp_path / "data", self.STATION)
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps(
+            {"rules": [{"rule_id": "r", "trigger_category_min": 3, "clear_consecutive": 2}]}))
+        config = tmp_path / "server.json"
+        config.write_text(json.dumps({"host": "127.0.0.1", "port": 0, "data_dir": str(data_dir),
+                                      "rules_path": str(rules)}))
+        sent, acked = [], set()
+        with open(tmp_path / "serve.log", "w") as log:
+            for _ in range(5):
+                with self.serving(config, log) as (proc, conn):
+                    killer = threading.Timer(rng.uniform(0.1, 0.6), proc.kill)
+                    killer.start()
+                    try:
+                        while True:  # back to back, until the kill cuts the connection
+                            sent.append(len(sent) + 1)
+                            conn.request("POST", "/v1/telemetry", self.frame(sent[-1]))
+                            with conn.getresponse() as resp:
+                                resp.read()
+                            assert resp.status == 202
+                            acked.add(sent[-1])
+                    except (OSError, http.client.HTTPException):
+                        pass
+                    finally:
+                        killer.join()
+                    assert proc.wait() == -signal.SIGKILL
+
+            store = TimeSeriesStore(data_dir, fsync=False)
+            kept = {m.seq for m in stored(store, "utec-01")}
+            assert acked <= kept <= set(sent)
+
+            # a station resends what got no answer: each is stored once or refused
+            with self.serving(config, log) as (proc, conn):
+                for seq in sorted(set(sent) - acked):
+                    conn.request("POST", "/v1/telemetry", self.frame(seq))
+                    with conn.getresponse() as resp:
+                        resp.read()
+                    assert resp.status in (202, 409)
+        logged = NdjsonLog(data_dir / "series" / "utec-01.ndjson").read(
+            lambda obj: obj["seq"], "record")[0]
+        assert len(logged) == len(set(logged)) and set(logged) >= kept
+
+        events = NdjsonLog(data_dir / "alerts.ndjson").read(
+            lambda obj: ((obj["rule_id"], obj["station_id"]), obj["kind"]), "event")[0]
+        assert len(events) >= 2  # the rule raised and cleared at least once
+        last = {}
+        for key, kind in events:
+            assert last.get(key) != kind, events
+            last[key] = kind

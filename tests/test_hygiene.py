@@ -8,6 +8,10 @@ itself does not count. Dunder names are the language's, not ours.
 The package needs only Python: it imports nothing outside the standard
 library, and its syntax is that of the oldest Python pyproject.toml
 declares (requires-python).
+
+Every JSON read of outside input catches one exception set: each
+json.load and json.loads call sits in the body of a try with a handler
+that names store.BAD_JSON.
 """
 
 import ast
@@ -113,3 +117,54 @@ def test_the_version_check_refuses_except_star():
     ast.parse(source)
     with pytest.raises(SyntaxError, match="3.11"):
         ast.parse(source, feature_version=(3, 10))
+
+
+def json_reads(sources: dict[str, str], guard: str = "BAD_JSON") -> dict[str, bool]:
+    """"module:line" of each json.load and json.loads call in sources, to
+    whether the body of an enclosing try, within the same function, holds
+    it with a handler that names guard (alone, in a tuple, or starred)."""
+    reads = {}
+
+    def visit(module, node, guarded):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            guarded = False  # a function runs after the try it is defined in
+        elif isinstance(node, ast.Try):
+            named = {getattr(name, "id", getattr(name, "attr", None))
+                     for handler in node.handlers if handler.type is not None
+                     for name in ast.walk(handler.type)}
+            for child in node.body:
+                visit(module, child, guarded or guard in named)
+            for child in node.handlers + node.orelse + node.finalbody:
+                visit(module, child, guarded)
+            return
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("load", "loads")
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"):
+            reads[f"{module}:{node.lineno}"] = guarded
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, guarded)
+
+    for module, text in sources.items():
+        visit(module, ast.parse(text), False)
+    return reads
+
+
+def test_every_json_read_catches_the_one_exception_set():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    reads = json_reads(sources)
+    assert reads and [where for where, guarded in reads.items() if not guarded] == []
+
+
+def test_the_json_check_finds_a_read_guarded_by_less():
+    source = (
+        "import json\n"
+        "json.loads(a)\n"  # bare
+        "try:\n    json.loads(b)\nexcept ValueError:\n    json.load(c)\n"
+        "try:\n    x = json.loads(d)\n    f = lambda: json.loads(e)\n"
+        "except (OSError, *store.BAD_JSON):\n    pass\n"
+        "try:\n    json.load(g)\nexcept BAD_JSON as exc:\n    raise ValueError(exc)\n"
+    )
+    assert json_reads({"a.py": source}) == {
+        "a.py:2": False, "a.py:4": False, "a.py:6": False, "a.py:8": True, "a.py:9": False,
+        "a.py:13": True}

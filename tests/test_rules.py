@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import threading
 import time
@@ -108,7 +109,9 @@ class TestEvaluate:
 class _Receiver(BaseHTTPRequestHandler):
     bodies = []
     posts = 0  # requests received, failed ones included
+    gets = 0
     fail = False
+    redirect = None  # a URL, when set by a test: every POST is answered 302 to it
     entered = None  # an Event, when set by a test: set on each POST
     release = None  # an Event, when set by a test: awaited (2 s at most) before replying
 
@@ -118,11 +121,21 @@ class _Receiver(BaseHTTPRequestHandler):
         if type(self).entered is not None:
             type(self).entered.set()
             type(self).release.wait(2.0)
-        if type(self).fail:
+        if type(self).redirect is not None:
+            self.send_response(302)
+            self.send_header("Location", type(self).redirect)
+            self.send_header("Content-Length", "0")
+        elif type(self).fail:
             self.send_response(500)
         else:
             type(self).bodies.append(json.loads(body))
             self.send_response(200)
+        self.end_headers()
+
+    def do_GET(self):
+        type(self).gets += 1
+        self.send_response(200)
+        self.send_header("Content-Length", "0")
         self.end_headers()
 
     def log_message(self, *args):
@@ -137,7 +150,7 @@ def receivers():
     def start():
         class Handler(_Receiver):
             bodies = []
-            posts = 0
+            posts = gets = 0
             fail = False
 
         server = HTTPServer(("127.0.0.1", 0), Handler)
@@ -192,6 +205,16 @@ class TestSinks:
         assert dispatch(EVENT, sinks) == 1
         assert failing.posts == 2
         assert working.bodies == [EVENT.to_json_obj()]
+
+    def test_redirect_is_a_failure_not_followed(self, receivers):
+        # urlopen would follow a 302 to a POST as a bodiless GET, and count
+        # the event as delivered although no endpoint received it
+        moved, moved_url = receivers()
+        target, target_url = receivers()
+        moved.redirect = target_url
+        assert dispatch(EVENT, [WebhookSink("w", moved_url)]) == 1
+        assert moved.posts == 2
+        assert target.posts == target.gets == 0
 
 
 class TestRuleEngine:
@@ -371,6 +394,11 @@ class TestRuleEngine:
         {"sinks": [{"sink_id": "w", "type": "webhook", "url": "file:///etc/passwd"}]},
         {"sinks": [{"sink_id": "w", "type": "webhook", "url": "ftp://x/hook"}]},
         {"sinks": [{"sink_id": "w", "type": "webhook", "url": "http://"}]},
+        pytest.param('{"rules": ' + "[" * 4000 + "]" * 4000 + "}", id="nested-too-deep"),
+        pytest.param('{"sinks": [{"sink_id": "w", "type": "webhook", "url": "http://x", '
+                     '"timeout": ' + "9" * 400 + "}]}", id="400-digit-timeout"),
+        pytest.param({"sinks": [{"sink_id": "w", "type": "webhook", "url": "http://x",
+                                 "timeout": math.inf}]}, id="infinite-timeout"),
     ])
     def test_config_bad_entry_names_the_file(self, tmp_path, cfg):
         path = tmp_path / "rules.json"

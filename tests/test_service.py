@@ -1308,6 +1308,17 @@ class TestFrontEndFaults:
         errors = [r for r in caplog.records if r.name == "iccamon.service"]
         assert len(errors) == 1 and errors[0].exc_info[0] is RuntimeError
 
+    @pytest.mark.parametrize("body", [
+        b"[" * 4000,  # within MAX_BODY_BYTES, and deeper than the parser goes
+        frame_text().replace('"pm25":12.3', '"pm25":' + "9" * 400).encode(),
+    ], ids=["nested-too-deep", "400-digit-pm25"])
+    def test_body_the_parser_refuses_is_422_not_an_error(self, server, caplog, body):
+        # the body is parsed before the station lookup: no token is needed
+        reply = raw_request(server, f"Content-Length: {len(body)}\r\nConnection: close", body)
+        assert reply.startswith(b"HTTP/1.1 422 "), reply[:200]
+        assert reply.endswith(b'{"error": "malformed"}')
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
     def test_shutdown_closes_idle_keep_alive_connections(self, service):
         srv = HttpServer(service, port=0)
         srv.start()

@@ -377,10 +377,8 @@ class TestFleetConfig:
             load_fleet_config(path)
 
     def test_demo_registry_matches_demo_fleet(self):
-        # the shipped registry must carry the same credentials the fleet uses
+        # the Quick demo serves the shipped registry to the demo fleet: every
+        # station, token, place, period and created_at must be the fleet's
         members, _ = load_fleet_config(CONFIGS / "fleet_demo.json")
         registry = json.loads((CONFIGS / "stations_demo.json").read_text())
-        by_id = {r["station_id"]: r for r in registry}
-        assert set(by_id) == {m.station.station_id for m in members}
-        for m in members:
-            assert by_id[m.station.station_id]["token"] == m.station.token
+        assert [StationRecord.from_json_obj(r) for r in registry] == [m.station for m in members]

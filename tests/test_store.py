@@ -331,6 +331,26 @@ class TestRecovery:
         with pytest.raises(StorageError, match=r"utec-01\.ndjson:2: corrupt record"):
             TimeSeriesStore(data)
 
+    @pytest.mark.parametrize("old, new", [
+        (b'"pm25":10.0', b'"pm25":NaN'),
+        (b'"pm10":20.0', b'"pm10":Infinity'),
+        (b'"temp_c":25.0', b'"temp_c":-1e400'),  # JSON's parser reads -inf
+        (b'"pm25":10.0', b'"pm25":' + b"9" * 400),  # no float holds it
+        (b'"flags":[]', b'"flags":' + b"[" * 4000 + b"]" * 4000),  # too deep to parse
+    ], ids=["nan", "infinity", "overflowing-float", "400-digit-int", "nested-too-deep"])
+    def test_record_no_window_can_sum_is_corrupt(self, tmp_path, old, new):
+        # a value that is not finite would break every later window of the
+        # station, and so /icca and /v1/overview: it is refused at open
+        data = register(tmp_path / "data", STATION)
+        TimeSeriesStore(data).append(m(1))
+        log = data / "series" / "utec-01.ndjson"
+        line = log_data(log)
+        assert old in line
+        log.write_bytes(line.replace(old, new))
+        with pytest.raises(StorageError, match=r"utec-01\.ndjson:1: corrupt record"):
+            TimeSeriesStore(data)
+
+
 class TestPaddedLog:
     @staticmethod
     def written(tmp_path, n):

@@ -98,6 +98,12 @@ class TestParseAndValidate:
             '{"station_id":"utec-01","token":"tok-a","seq":1,"ts":1,"pm25":"x","pm10":1,"temp_c":1}',
             '{"station_id":"utec-01","token":"tok-a","seq":1,"ts":1,"pm25":NaN,"pm10":1,"temp_c":1}',
             '{"station_id":"utec-01","token":"tok-a","seq":-1,"ts":1,"pm25":1,"pm10":1,"temp_c":1}',
+            # the parser's own refusals: nesting too deep, an int no float holds
+            pytest.param("[" * 4000 + "]" * 4000, id="nested-too-deep"),
+            pytest.param('{"station_id":"utec-01","token":"tok-a","seq":1,"ts":1,"pm25":'
+                         + "9" * 400 + ',"pm10":1,"temp_c":1}', id="400-digit-pm25"),
+            pytest.param('{"station_id":"utec-01","token":"tok-a","seq":1,"ts":1,"pm25":1,'
+                         '"pm10":Infinity,"temp_c":1}', id="infinite-pm10"),
         ],
     )
     def test_malformed_inputs(self, text):
