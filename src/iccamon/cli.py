@@ -238,6 +238,16 @@ def _fetch_json(url: str):
         raise RuntimeError(f"{url}: {exc}") from None
 
 
+def _read_reply(url: str, read):
+    """read(the JSON body of GET url); a body of another shape is a
+    RuntimeError that names the URL, as a failed fetch is."""
+    body = _fetch_json(url)
+    try:
+        return read(body)
+    except BAD_JSON as exc:
+        raise RuntimeError(f"{url}: unexpected reply: {exc!r}") from None
+
+
 def cmd_report(args) -> int:
     base = args.server.rstrip("/")
     try:
@@ -250,11 +260,11 @@ def cmd_report(args) -> int:
         if args.station:
             station_ids = [args.station]
         else:
-            station_ids = [s["station_id"] for s in _fetch_json(f"{base}/v1/stations")]
-        rows = []
-        for sid in station_ids:
-            snap = _fetch_json(f"{base}/v1/stations/{sid}/icca?window_s={window_s}")
-            rows.append(_report_row(sid, args.window, snap))
+            station_ids = _read_reply(f"{base}/v1/stations",
+                                      lambda body: [s["station_id"] for s in body])
+        rows = [_read_reply(f"{base}/v1/stations/{sid}/icca?window_s={window_s}",
+                            lambda snap: _report_row(sid, args.window, snap))
+                for sid in station_ids]
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

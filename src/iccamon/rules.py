@@ -11,7 +11,6 @@ load_config and check_keys, as every config file is.
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from urllib.parse import urlsplit
 from urllib.request import HTTPRedirectHandler, Request, build_opener
 
 from .icca import IccaResult
-from .store import NdjsonLog, StorageError, check_keys, load_config
+from .store import NdjsonLog, StorageError, _encode, check_keys, load_config
 
 logger = logging.getLogger(__name__)
 
@@ -121,8 +120,8 @@ _open = build_opener(_NoRedirect).open
 
 
 class WebhookSink:
-    """POSTs the event as JSON to a configured URL. An error status, any
-    redirect or a failed connection raises."""
+    """POSTs the event's alert-log line, compact UTF-8 JSON, to a configured
+    URL. An error status, any redirect or a failed connection raises."""
 
     def __init__(self, sink_id: str, url: str, timeout: float = WEBHOOK_TIMEOUT_S):
         self.sink_id = sink_id
@@ -130,7 +129,7 @@ class WebhookSink:
         self.timeout = timeout
 
     def deliver(self, event: AlertEvent) -> None:
-        request = Request(self.url, json.dumps(event.to_json_obj()).encode(),
+        request = Request(self.url, _encode(event.to_json_obj()),
                           {"Content-Type": "application/json"})
         try:
             _open(request, timeout=self.timeout).close()

@@ -3,15 +3,17 @@
 The particulate sensor speaks a fixed 32-byte binary frame: a 2-byte
 header, a big-endian u16 payload length (always 28), thirteen big-endian
 u16 data words, and a 16-bit byte-sum checksum over everything before it.
-The temperature sensor exposes a signed 16-bit register in sixteenths of a
-degree Celsius. Both codecs are bit-exact contracts shared by the node
-simulator and any future hardware bridge.
+PmFrame is those thirteen words, in wire order, as a tuple; the codec
+packs and unpacks it with one struct call each way. The temperature
+sensor exposes a signed 16-bit register in sixteenths of a degree Celsius.
+Both codecs are bit-exact contracts shared by the node simulator and any
+future hardware bridge.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 FRAME_HEADER = b"\x42\x4d"
 FRAME_LEN = 32
@@ -34,9 +36,8 @@ class BadChecksum(FrameError):
     pass
 
 
-@dataclass(frozen=True)
-class PmFrame:
-    """One particulate reading as carried on the wire (all fields u16)."""
+class PmFrame(NamedTuple):
+    """One particulate reading: the frame's 13 u16 data words, in wire order."""
 
     pm1_0_std: int = 0
     pm2_5_std: int = 0
@@ -55,13 +56,10 @@ class PmFrame:
 
 def encode_pm_frame(frame: PmFrame) -> bytes:
     """Serialize a frame to its exact 32-byte wire form."""
-    words = []
-    for f in fields(frame):
-        word = getattr(frame, f.name)
+    for name, word in zip(frame._fields, frame):
         if not isinstance(word, int) or isinstance(word, bool) or not 0 <= word <= 0xFFFF:
-            raise ValueError(f"{f.name} must be an unsigned 16-bit integer, got {word!r}")
-        words.append(word)
-    body = FRAME_HEADER + struct.pack(">H13H", _PAYLOAD_LEN, *words)
+            raise ValueError(f"{name} must be an unsigned 16-bit integer, got {word!r}")
+    body = FRAME_HEADER + struct.pack(">H13H", _PAYLOAD_LEN, *frame)
     checksum = sum(body) & 0xFFFF
     return body + struct.pack(">H", checksum)
 
@@ -81,12 +79,11 @@ def decode_pm_frame(data: bytes) -> PmFrame:
         raise BadLength(f"expected payload length {_PAYLOAD_LEN}, got {length}")
     if len(data) < FRAME_LEN:
         raise BadLength(f"frame truncated: {len(data)} of {FRAME_LEN} bytes")
-    words = struct.unpack_from(">13H", data, 4)
     (stored,) = struct.unpack_from(">H", data, FRAME_LEN - 2)
     computed = sum(data[: FRAME_LEN - 2]) & 0xFFFF
     if stored != computed:
         raise BadChecksum(f"checksum 0x{stored:04x} != computed 0x{computed:04x}")
-    return PmFrame(*words)
+    return PmFrame._make(struct.unpack_from(">13H", data, 4))
 
 
 def encode_temp(celsius: float) -> int:
@@ -119,6 +116,6 @@ def dump_pm_frame(data: bytes) -> str:
     except FrameError as exc:
         lines.append(f"  decode failed: {exc}")
     else:
-        for f in fields(frame):
-            lines.append(f"  {f.name:>13} = {getattr(frame, f.name)}")
+        for name, word in zip(frame._fields, frame):
+            lines.append(f"  {name:>13} = {word}")
     return "\n".join(lines)

@@ -62,7 +62,7 @@ from .store import (
     Measurement, StationRecord, StorageError, TimeSeriesStore, UnknownStationError, check_keys,
     load_config,
 )
-from .telemetry import RejectReason, parse_and_validate
+from .telemetry import MAX_TS, RejectReason, parse_and_validate
 
 logger = logging.getLogger(__name__)
 request_logger = logging.getLogger("iccamon.http")
@@ -503,7 +503,7 @@ def _route_get(service: MonitorService, path: str, query: dict) -> tuple[int, di
             return 200, service.latest_payload(station_id)
         if leaf == "history":
             t0 = _int_param(query, "from", 0)
-            t1 = _int_param(query, "to", 2**62)
+            t1 = _int_param(query, "to", MAX_TS)
             return 200, _history_body(service.history_payload(station_id, t0, t1))
         if leaf == "icca":
             return 200, service.icca_payload(station_id, _int_param(query, "window_s", None))

@@ -35,6 +35,7 @@ FRAME_KEYS = ("station_id", "token", "seq", "ts", "pm25", "pm10", "temp_c")
 # a frame's values in FRAME_KEYS order; KeyError names a missing key
 _frame_values = itemgetter(*FRAME_KEYS)
 _MAX_SEQ = 2**64 - 1
+MAX_TS = 2**63 - 1  # a signed 64-bit epoch, like the station's time_t
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,7 @@ def serialize(frame: TelemetryFrame) -> str:
     Key order is fixed and numbers use the shortest exact rendering, so
     equal frames serialize to identical bytes (12.30 comes out as 12.3).
     """
-    obj = {key: getattr(frame, key) for key in FRAME_KEYS}
-    return _encode_json(obj)
+    return _encode_json(vars(frame))  # fields in declaration order: FRAME_KEYS
 
 
 def parse_frame(text: str) -> TelemetryFrame:
@@ -119,8 +119,8 @@ def _parse_fields(text: str) -> tuple[str, str, int, int, float, float, float]:
         raise ValueError("token must not be empty")
     if not 0 <= seq <= _MAX_SEQ:
         raise ValueError(f"seq must be an unsigned 64-bit integer, got {seq}")
-    if ts < 0:
-        raise ValueError(f"ts must not be negative, got {ts}")
+    if not 0 <= ts <= MAX_TS:
+        raise ValueError(f"ts must be in 0..{MAX_TS}, got {ts}")
     return station_id, token, seq, ts, float(pm25), float(pm10), float(temp_c)
 
 

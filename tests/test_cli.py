@@ -292,6 +292,35 @@ class TestReportCommand:
         assert code == 1
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("argv, body, path", [
+        ([], b'{"stations": ["x"]}', "/v1/stations"),
+        (["--station", "a"], b"[]", "/v1/stations/a/icca?window_s=86400"),
+    ], ids=["stations-of-strings", "icca-a-list"])
+    def test_reply_of_another_shape_exits_1(self, capsys, argv, body, path):
+        class Reply(BaseHTTPRequestHandler):
+            def do_GET(self):
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        with HTTPServer(("127.0.0.1", 0), Reply) as server:
+            thread = threading.Thread(target=server.serve_forever, args=(0.05,))
+            thread.start()
+            base = f"http://127.0.0.1:{server.server_address[1]}"
+            try:
+                code = cli.main(["report", "--server", base, *argv])
+            finally:
+                server.shutdown()
+                thread.join()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"error: {base}{path}: unexpected reply")
+
     def test_json_in_missing_directory_exits_2(self, live_server, tmp_path, capsys):
         assert cli.main(["report", "--server", live_server.url,
                          "--json", str(tmp_path / "no" / "r.json")]) == 2

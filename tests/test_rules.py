@@ -108,6 +108,7 @@ class TestEvaluate:
 
 class _Receiver(BaseHTTPRequestHandler):
     bodies = []
+    raw = []  # the same bodies, as the bytes received
     posts = 0  # requests received, failed ones included
     gets = 0
     fail = False
@@ -129,6 +130,7 @@ class _Receiver(BaseHTTPRequestHandler):
             self.send_response(500)
         else:
             type(self).bodies.append(json.loads(body))
+            type(self).raw.append(body)
             self.send_response(200)
         self.end_headers()
 
@@ -150,6 +152,7 @@ def receivers():
     def start():
         class Handler(_Receiver):
             bodies = []
+            raw = []
             posts = gets = 0
             fail = False
 
@@ -183,6 +186,16 @@ class TestSinks:
         assert dispatch(EVENT, [WebhookSink("w", url)]) == 0
         assert handler.posts == 1
         assert handler.bodies == [EVENT.to_json_obj()]
+
+    def test_webhook_body_is_the_alert_log_line(self, tmp_path, receiver, alert_log):
+        # compact UTF-8, so "ñ" goes out as its two bytes, not as "\u00f1"
+        handler, url = receiver
+        engine = RuleEngine([Rule("r1", 3, sink_ids=("w",))], {"w": WebhookSink("w", url)},
+                            alert_log=alert_log)
+        events = engine.observe("utec-01", icca(153), ts=1)
+        assert "ñ" in events[0].category
+        engine.notify(events)
+        assert handler.raw == log_data(tmp_path / "alerts.ndjson").splitlines()
 
     def test_unreachable_webhook_recorded_not_raised(self, caplog):
         failed = dispatch(EVENT, [WebhookSink("w", "http://127.0.0.1:1/none", timeout=0.2)])

@@ -43,11 +43,24 @@ class TestEncode:
             stored = int.from_bytes(data[-2:], "big")
             assert stored == byte_sum_checksum(data[:-2])
 
-    def test_rejects_out_of_range_fields(self):
-        with pytest.raises(ValueError):
-            encode_pm_frame(PmFrame(pm2_5_std=0x10000))
-        with pytest.raises(ValueError):
-            encode_pm_frame(PmFrame(pm10_std=-1))
+    @pytest.mark.parametrize("word, value", [
+        ("pm2_5_std", 0x10000),
+        ("pm10_std", -1),
+        ("pm1_0_atm", True),
+        ("counts_0_5um", 1.0),
+        ("counts_5_0um", "1"),
+        ("reserved", None),
+    ])
+    def test_rejects_out_of_range_fields(self, word, value):
+        with pytest.raises(ValueError, match=f"^{word} must be an unsigned 16-bit integer"):
+            encode_pm_frame(PmFrame(**{word: value}))
+
+    def test_fields_are_the_wire_words_in_order(self):
+        assert PmFrame._fields == (
+            "pm1_0_std", "pm2_5_std", "pm10_std", "pm1_0_atm", "pm2_5_atm", "pm10_atm",
+            "counts_0_3um", "counts_0_5um", "counts_1_0um", "counts_2_5um", "counts_5_0um",
+            "counts_10um", "reserved")
+        assert PmFrame() == (0,) * 13
 
 
 class TestDecode:

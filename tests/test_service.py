@@ -29,7 +29,7 @@ from iccamon.service import (
     load_server_config,
 )
 from iccamon.store import StationRecord, TimeSeriesStore
-from iccamon.telemetry import TelemetryFrame, serialize
+from iccamon.telemetry import MAX_TS, TelemetryFrame, serialize
 
 from .helpers import log_data, register, stored
 from .oracles import history_oracle
@@ -628,6 +628,14 @@ class TestHttpEndpoints:
         assert [m["seq"] for m in body["measurements"]] == [1, 2, 3]
         # bounds optional: full history without params
         assert requests.get(url).json()["count"] == 5
+
+    def test_history_default_range_reaches_max_ts(self, server):
+        url = f"{server.url}/v1/telemetry"
+        assert requests.post(url, data=frame_text(seq=1).encode()).status_code == 202
+        assert requests.post(url, data=frame_text(seq=2, ts=MAX_TS).encode()).status_code == 202
+        assert requests.post(url, data=frame_text(seq=3, ts=MAX_TS + 1).encode()).status_code == 422
+        body = requests.get(f"{server.url}/v1/stations/utec-01/history").json()
+        assert [(m["seq"], m["ts"]) for m in body["measurements"]] == [(1, START), (2, MAX_TS)]
 
     def test_history_invalid_ranges(self, server):
         url = f"{server.url}/v1/stations/utec-01/history"

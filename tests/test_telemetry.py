@@ -104,6 +104,11 @@ class TestParseAndValidate:
                          + "9" * 400 + ',"pm10":1,"temp_c":1}', id="400-digit-pm25"),
             pytest.param('{"station_id":"utec-01","token":"tok-a","seq":1,"ts":1,"pm25":1,'
                          '"pm10":Infinity,"temp_c":1}', id="infinite-pm10"),
+            # ts is a signed 64-bit epoch: one past MAX_TS, and far beyond
+            pytest.param('{"station_id":"utec-01","token":"tok-a","seq":1,"ts":' + str(2**63)
+                         + ',"pm25":1,"pm10":1,"temp_c":1}', id="ts-2**63"),
+            pytest.param('{"station_id":"utec-01","token":"tok-a","seq":1,"ts":' + str(10**50)
+                         + ',"pm25":1,"pm10":1,"temp_c":1}', id="ts-10**50"),
         ],
     )
     def test_malformed_inputs(self, text):
