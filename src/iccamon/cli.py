@@ -41,6 +41,7 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 REPORT_TIMEOUT_S = 10.0  # report's socket timeout per request
+_NUMBER = (int, float)  # a JSON number in a report reply
 MAX_DURATION_H = 87_660  # ten years: the demo fleet writes about 170 MB in about 85 s
 
 _WINDOW_RE = re.compile(r"^(\d+)([smh]?)$")
@@ -275,10 +276,19 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _typed(value, want, nullable: bool = True):
+    """value, if it is of type want (a type or tuple of types; a bool is no
+    int) or, when nullable, None; else a TypeError, which _read_reply reports."""
+    if not (value is None and nullable or isinstance(value, want) and type(value) is not bool):
+        raise TypeError(f"{value!r} is not {want}")
+    return value
+
+
 def _report_row(station_id: str, window: str, snap: dict) -> dict:
+    """The row _print_report formats, each value typed for its format."""
     def mean_of(side):
         avg = snap.get(side)
-        return avg["mean"] if avg else None
+        return _typed(avg["mean"], _NUMBER) if avg else None
 
     entry = snap.get("icca")
     return {
@@ -286,10 +296,10 @@ def _report_row(station_id: str, window: str, snap: dict) -> dict:
         "window": window,
         "pm25_mean": mean_of("pm25"),
         "pm10_mean": mean_of("pm10"),
-        "icca": entry["value"] if entry else None,
-        "category": entry["category"] if entry else None,
-        "color": entry["color"] if entry else None,
-        "coverage": snap.get("coverage", 0.0),
+        "icca": _typed(entry["value"], _NUMBER) if entry else None,
+        "category": _typed(entry["category"], str) if entry else None,
+        "color": _typed(entry["color"], str) if entry else None,
+        "coverage": _typed(snap.get("coverage", 0.0), _NUMBER, nullable=False),
     }
 
 

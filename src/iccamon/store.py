@@ -16,12 +16,15 @@ mirrors the wire frame minus the token, plus quality flags. An in-memory
 index (records sorted by timestamp, last accepted sequence number) is
 rebuilt on open: recovery replays each logged record through
 _Station._index, the insert append uses, so the index is built by the
-steps the live appends took (logs are small at desk scale). Beside each
-record the index keeps its log line, the record's compact JSON encoded
-once: by the append that wrote it, or split from the log on open. A
-range query returns those lines, so a read never encodes a record again.
-At open each log line is parsed once, into a Measurement built by the
-same constructor as on the wire path. A line that is not as append
+steps the live appends took (logs are small at desk scale). The index
+holds each record once, as its log line, the record's compact JSON
+encoded once: by the append that wrote it, or split from the log on
+open. Beside the lines it keeps only the three numbers a window or a
+range reads, ts, pm25 and pm10, in array columns, and the newest record
+(latest) whole. A range query returns the lines, so a read never encodes
+a record again. At open each log line is parsed once, into a Measurement
+built by the same constructor as on the wire path, which is dropped once
+the line and its three numbers are indexed. A line that is not as append
 writes it (edited by hand, say), and every line of a log that
 NdjsonLog.read reads line by line, is re-encoded from that record in
 _Station.recover: besides append, the one place a stored line is
@@ -39,7 +42,9 @@ station is, and the registry may list a station_id only once. Every JSON
 reader of the package (log, config, frame, report reply) catches one
 exception set, BAD_JSON, so JSON that is nested too deep or holds a
 number no float holds is refused as any bad JSON is, and a record whose
-reading is not finite is a corrupt line, as no window could sum it.
+reading is not finite is a corrupt line, as no window could sum it; so
+is one whose seq or ts is not an int in the wire's range (_MAX_SEQ,
+MAX_TS), as no frame could have carried it.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ import os
 import re
 import sys
 import threading
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
@@ -81,6 +87,10 @@ STATION_ID_RE = re.compile(r"[a-z0-9_-]{1,64}")
 # reader of the package catches this one set.
 BAD_JSON = (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError)
 _FLOAT_MAX = sys.float_info.max
+# the wire's ranges of a frame's seq and ts (telemetry checks a frame against
+# them, recovery a stored record); a ts fits the index's 64-bit column
+_MAX_SEQ = 2**64 - 1
+MAX_TS = 2**63 - 1  # a signed 64-bit epoch, like the station's time_t
 
 
 class StorageError(Exception):
@@ -322,12 +332,17 @@ def _written_record(obj: dict) -> tuple[Measurement, bool]:
     writes for it): as written, a line has the seven keys of to_json_obj,
     float values and flags as it lists them; one edited by hand, say, may
     not, and _Station.recover then encodes the line it serves from the
-    record. A line that is no record raises as from_json_obj does, and one
-    with a value that is not finite (NaN, Infinity, 1e400) a ValueError:
-    no window could sum it."""
+    record. A line that is no record raises as from_json_obj does, one
+    with a value that is not finite (NaN, Infinity, 1e400) a ValueError, as
+    no window could sum it, and so does one whose seq or ts is not an int
+    in the wire's range: no frame could have carried it."""
     m = Measurement.from_json_obj(obj)
     if not (isfinite(m.pm25) and isfinite(m.pm10) and isfinite(m.temp_c)):
         raise ValueError(f"a value is not finite: {m}")
+    seq, ts = m.seq, m.ts
+    # type() tells a bool from an int
+    if not (type(seq) is int and type(ts) is int and 0 <= seq <= _MAX_SEQ and 0 <= ts <= MAX_TS):
+        raise ValueError(f"seq or ts out of the wire's range: {m}")
     # from_json_obj read the other six keys, so with flags (None when
     # missing) these are all seven
     return m, (len(obj) == 7 and obj.get("flags") == sorted(m.flags)
@@ -341,15 +356,20 @@ class _Station:
         self.record = record
         self.log = NdjsonLog(f"{series_dir}/{record.station_id}.ndjson", fsync)
         self.lock = threading.RLock()  # re-entrant: ingest holds it across append and reads
-        self.records: list[Measurement] = []  # kept sorted by ts
-        self.lines: list[bytes] = []  # each record's log line, in the same order
-        self.ts_index: list[int] = []
+        # Each record is held as its log line, sorted by ts (an equal ts after
+        # the ones before it), and as the three numbers the index reads, in
+        # columns in the same order: 8 bytes each, no object per record.
+        self.lines: list[bytes] = []
+        self.ts_index = array("q")
+        self.pm25 = array("d")
+        self.pm10 = array("d")
+        self.newest: Measurement | None = None  # the last record in that order: latest()
         self.last_seq: int | None = None  # None until a record is accepted; 0 is a valid seq
-        # The 24-hour window, (latest ts - WINDOW_24H_S, latest ts], is
-        # records[win_start:]; sum25/sum10 are the exact scaled sums of its
-        # values (icca.scaled). win_start is None until the window's first
-        # use, so recovery does no window work; from then on every record
-        # keeps the sums, a late one included.
+        # The 24-hour window, (latest ts - WINDOW_24H_S, latest ts], is the
+        # records from index win_start on; sum25/sum10 are the exact scaled
+        # sums of their values (icca.scaled). win_start is None until the
+        # window's first use, so recovery does no window work; from then on
+        # every record keeps the sums, a late one included.
         self.win_start: int | None = None
         self.sum25 = self.sum10 = 0
 
@@ -369,14 +389,26 @@ class _Station:
         return self.last_seq is None or seq > self.last_seq
 
     def _index(self, m: Measurement, line: bytes) -> None:
-        pos = bisect_right(self.ts_index, m.ts)
-        self.records.insert(pos, m)
-        self.lines.insert(pos, line)
-        self.ts_index.insert(pos, m.ts)
+        ts_index = self.ts_index
+        newest = self.newest  # its ts is ts_index[-1], read without making an int
+        if newest is None or m.ts >= newest.ts:
+            # in ts order, as nearly every frame and log line is: no bisection,
+            # which on an array makes an int object of each element it reads
+            self.lines.append(line)
+            ts_index.append(m.ts)
+            self.pm25.append(m.pm25)
+            self.pm10.append(m.pm10)
+            self.newest = m
+        else:
+            pos = bisect_right(ts_index, m.ts)
+            self.lines.insert(pos, line)
+            ts_index.insert(pos, m.ts)
+            self.pm25.insert(pos, m.pm25)
+            self.pm10.insert(pos, m.pm10)
         self.last_seq = m.seq
         if self.win_start is None:
             return
-        lo = self.ts_index[-1] - WINDOW_24H_S
+        lo = self.newest.ts - WINDOW_24H_S
         if m.ts <= lo:
             # before the window: it moves the window's records up one place
             self.win_start += 1
@@ -385,10 +417,9 @@ class _Station:
         self.sum25 += scaled(m.pm25)
         self.sum10 += scaled(m.pm10)
         start = self.win_start
-        while self.ts_index[start] <= lo:
-            old = self.records[start]
-            self.sum25 -= scaled(old.pm25)
-            self.sum10 -= scaled(old.pm10)
+        while ts_index[start] <= lo:
+            self.sum25 -= scaled(self.pm25[start])
+            self.sum10 -= scaled(self.pm10[start])
             start += 1
         self.win_start = start
 
@@ -402,19 +433,20 @@ class _Station:
         included: O(1) amortised per newest record, O(1) per older one.
         Any other width is summed in one pass at each call.
         """
-        if not self.records:
+        count = len(self.lines)
+        if not count:
             return None
         end = self.ts_index[-1]
         if window_s == WINDOW_24H_S and self.win_start is not None:
-            return end, len(self.records) - self.win_start, self.sum25, self.sum10
+            return end, count - self.win_start, self.sum25, self.sum10
         start = bisect_right(self.ts_index, end - window_s)
         sum25 = sum10 = 0
-        for m in islice(self.records, start, None):
-            sum25 += scaled(m.pm25)
-            sum10 += scaled(m.pm10)
+        for pm25, pm10 in islice(zip(self.pm25, self.pm10), start, None):
+            sum25 += scaled(pm25)
+            sum10 += scaled(pm10)
         if window_s == WINDOW_24H_S:
             self.win_start, self.sum25, self.sum10 = start, sum25, sum10
-        return end, len(self.records) - start, sum25, sum10
+        return end, count - start, sum25, sum10
 
 
 class TimeSeriesStore:
@@ -501,7 +533,7 @@ class TimeSeriesStore:
             if not station.accepts(m.seq):
                 return None
             line = station.log.append(m.to_json_obj())
-            offset = len(station.records)
+            offset = len(station.lines)
             station._index(m, line)
             return offset
 
@@ -527,10 +559,10 @@ class TimeSeriesStore:
     def latest(self, station_id: str) -> Measurement | None:
         station = self._station(station_id)
         with station.lock:
-            return station.records[-1] if station.records else None
+            return station.newest
 
     def count(self, station_id: str) -> int:
-        return len(self._station(station_id).records)
+        return len(self._station(station_id).lines)
 
     def record_counts(self) -> list[int]:
         """Each station's record count, in station_id order.
@@ -538,7 +570,7 @@ class TimeSeriesStore:
         Read without the locks: a station's records only grow, one append
         at a time, so each count is exact at some moment during the call.
         """
-        return [len(station.records) for station in self._stations.values()]
+        return [len(station.lines) for station in self._stations.values()]
 
     def last_seq(self, station_id: str) -> int | None:
         return self._station(station_id).last_seq

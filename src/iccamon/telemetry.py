@@ -27,15 +27,13 @@ from enum import Enum
 from operator import itemgetter
 from typing import Callable
 
-from .store import (BAD_JSON, BEYOND_SENSOR_RANGE, STATION_ID_RE, Measurement, _encode_json,
-                    check_keys)
+from .store import (_MAX_SEQ, BAD_JSON, BEYOND_SENSOR_RANGE, MAX_TS, STATION_ID_RE, Measurement,
+                    _encode_json, check_keys)
 
 FRAME_KEYS = ("station_id", "token", "seq", "ts", "pm25", "pm10", "temp_c")
 
 # a frame's values in FRAME_KEYS order; KeyError names a missing key
 _frame_values = itemgetter(*FRAME_KEYS)
-_MAX_SEQ = 2**64 - 1
-MAX_TS = 2**63 - 1  # a signed 64-bit epoch, like the station's time_t
 
 
 @dataclass(frozen=True)

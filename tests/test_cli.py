@@ -295,7 +295,9 @@ class TestReportCommand:
     @pytest.mark.parametrize("argv, body, path", [
         ([], b'{"stations": ["x"]}', "/v1/stations"),
         (["--station", "a"], b"[]", "/v1/stations/a/icca?window_s=86400"),
-    ], ids=["stations-of-strings", "icca-a-list"])
+        (["--station", "a"], b'{"icca": null, "pm25": null, "pm10": null, "coverage": "x"}',
+         "/v1/stations/a/icca?window_s=86400"),
+    ], ids=["stations-of-strings", "icca-a-list", "coverage-a-string"])
     def test_reply_of_another_shape_exits_1(self, capsys, argv, body, path):
         class Reply(BaseHTTPRequestHandler):
             def do_GET(self):

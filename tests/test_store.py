@@ -1,6 +1,8 @@
+import gc
 import json
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -100,6 +102,19 @@ class TestQuery:
             assert store.latest("utec-01").seq == seq
         tail = stored(store, "utec-01", 0, 10**9)[-1]
         assert store.latest("utec-01") == tail
+
+    def test_latest_is_the_newest_by_ts(self, tmp_path):
+        # a late record is not the latest; one with an equal ts comes after
+        data = register(tmp_path / "data", STATION)
+        s = TimeSeriesStore(data)
+        first, late, equal = m(1, ts=100), m(2, ts=50), m(3, ts=100, pm25=30.0)
+        s.append(first)
+        s.append(late)
+        assert s.latest("utec-01") == first
+        assert TimeSeriesStore(data).latest("utec-01") == first
+        s.append(equal)
+        assert s.latest("utec-01") == equal
+        assert TimeSeriesStore(data).latest("utec-01") == equal
 
 
 class TestRecovery:
@@ -349,6 +364,51 @@ class TestRecovery:
         log.write_bytes(line.replace(old, new))
         with pytest.raises(StorageError, match=r"utec-01\.ndjson:1: corrupt record"):
             TimeSeriesStore(data)
+
+    @pytest.mark.parametrize("key, value", [
+        ("ts", b'"x"'), ("ts", b"null"), ("ts", b"1.5"), ("ts", b"true"), ("ts", b"-1"),
+        ("ts", str(2**63).encode()),
+        ("seq", b'"x"'), ("seq", b"null"), ("seq", b"true"), ("seq", str(2**64).encode()),
+    ], ids=["ts-string", "ts-null", "ts-float", "ts-true", "ts-negative", "ts-past-int64",
+            "seq-string", "seq-null", "seq-true", "seq-past-uint64"])
+    def test_record_no_frame_could_carry_is_corrupt(self, tmp_path, key, value):
+        # a seq or ts outside the wire's range: a seq of 2**64 would refuse
+        # every later frame as stale, and no ts column holds 2**63
+        data = register(tmp_path / "data", STATION)
+        s = TimeSeriesStore(data)
+        s.append(m(1))
+        s.append(m(2))
+        log = data / "series" / "utec-01.ndjson"
+        old = b'"%s":%d,' % (key.encode(), {"seq": 2, "ts": 2400}[key])
+        first, second = log_data(log).splitlines()
+        assert old in second
+        log.write_bytes(first + b"\n" + second.replace(old, b'"%s":%s,' % (key.encode(), value))
+                        + b"\n")
+        with pytest.raises(StorageError, match=r"utec-01\.ndjson:2: corrupt record"):
+            TimeSeriesStore(data)
+
+    def test_reopened_station_holds_a_line_and_three_numbers_per_record(self, tmp_path):
+        # a record is its log line (98 bytes here) and 8 bytes in each of
+        # three columns, about 165 bytes with no object the collector tracks;
+        # a Measurement held beside the line made it 445 and one object more
+        n = 10_800
+        data = register(tmp_path / "data", STATION)
+        s = TimeSeriesStore(data, fsync=False)
+        for seq in range(1, n + 1):
+            s.append(m(seq, pm25=seq % 5000 / 10))
+        del s
+        gc.collect()
+        objects = len(gc.get_objects())
+        tracemalloc.start()
+        try:
+            reopened = TimeSeriesStore(data, fsync=False)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert reopened.count("utec-01") == n
+        assert held / n < 250
+        assert len(gc.get_objects()) - objects < 100
 
 
 class TestPaddedLog:
