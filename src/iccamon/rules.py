@@ -160,7 +160,11 @@ def dispatch(event: AlertEvent, sinks) -> int:
 
 
 def _event_state(obj: dict) -> tuple[tuple[str, str], bool]:
-    return (obj["rule_id"], obj["station_id"]), AlertKind(obj["kind"]) is AlertKind.RAISED
+    key = obj["rule_id"], obj["station_id"]
+    # here, where read names the line: a list would fail to hash in _recover_states
+    if type(key[0]) is not str or type(key[1]) is not str:
+        raise TypeError(f"rule_id and station_id must be strings, got {key!r}")
+    return key, AlertKind(obj["kind"]) is AlertKind.RAISED
 
 
 def _recover_states(log: NdjsonLog, rule_ids) -> dict[tuple[str, str], RuleState]:
@@ -169,7 +173,7 @@ def _recover_states(log: NdjsonLog, rule_ids) -> dict[tuple[str, str], RuleState
     restart loses only a pending clear countdown, which starts from zero.
     """
     return {key: RuleState(active=active)
-            for key, active in log.read(_event_state, "alert event")[0] if key[0] in rule_ids}
+            for (key, active), _ in log.read(_event_state, "alert event") if key[0] in rule_ids}
 
 
 class RuleEngine:
@@ -269,5 +273,7 @@ def _build_engine(obj, alert_log) -> RuleEngine:
         timeout = s.get("timeout", WEBHOOK_TIMEOUT_S)
         if timeout <= 0:  # check_keys refused a timeout that is not finite
             raise ValueError(f"webhook timeout must be positive, got {timeout!r}")
+        if s["sink_id"] in sinks:  # the later entry would replace the earlier one unseen
+            raise ValueError(f"sink_id {s['sink_id']!r} appears twice")
         sinks[s["sink_id"]] = WebhookSink(s["sink_id"], s["url"], timeout)
     return RuleEngine(rules, sinks, alert_log)

@@ -435,7 +435,7 @@ def load_fleet_config(path: str | Path) -> tuple[list[FleetMember], int]:
 def _build_fleet(obj) -> tuple[list[FleetMember], int]:
     check_keys(obj, "top level", start_ts=int, stations=list)
     start_ts = obj.get("start_ts", 1700000000)
-    members = []
+    members = {}
     for entry in obj["stations"]:
         check_keys(entry, "station", station_id=str, display_name=str, lat=float, lon=float,
                    token=str, report_period_s=int, scenario=dict)
@@ -450,7 +450,9 @@ def _build_fleet(obj) -> tuple[list[FleetMember], int]:
             rain.append(RainEvent(start_ts + r["start_offset_s"], r["duration_s"],
                                   r["attenuation"]))
         scenario = Scenario(**{**sc, "rain": tuple(rain)})
-        members.append(FleetMember(station=station, scenario=scenario))
+        if station.station_id in members:  # two nodes would share one RNG and seq space
+            raise ValueError(f"station_id {station.station_id!r} appears twice")
+        members[station.station_id] = FleetMember(station=station, scenario=scenario)
     if not members:
         raise ValueError("no stations defined")
-    return members, start_ts
+    return list(members.values()), start_ts

@@ -22,11 +22,11 @@ encoded once: by the append that wrote it, or split from the log on
 open. Beside the lines it keeps only the three numbers a window or a
 range reads, ts, pm25 and pm10, in array columns, and the newest record
 (latest) whole. A range query returns the lines, so a read never encodes
-a record again. At open each log line is parsed once, into a Measurement
-built by the same constructor as on the wire path, which is dropped once
-the line and its three numbers are indexed. A line that is not as append
-writes it (edited by hand, say), and every line of a log that
-NdjsonLog.read reads line by line, is re-encoded from that record in
+a record again. At open NdjsonLog.read parses each log line once, as it
+reaches it, into a Measurement built by the same constructor as on the
+wire path, which is dropped once the line and its three numbers are
+indexed: no log is ever held parsed in full. A line that is not as append
+writes it (edited by hand, say) is re-encoded from that record in
 _Station.recover: besides append, the one place a stored line is
 encoded. So no key the store does not write is ever read back. The
 store is the one place that sums a window's values (see
@@ -73,6 +73,7 @@ BEYOND_SENSOR_RANGE = "beyond_sensor_range"
 # one encoder for every log line and wire frame (telemetry.serialize):
 # json.dumps with options builds one per call
 _encode_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+_raw_decode = json.JSONDecoder().raw_decode
 # A log grows by this much padding at a time (see NdjsonLog): one journal
 # commit of a new file size per chunk, not per line.
 CHUNK_BYTES = 64 * 1024
@@ -222,45 +223,33 @@ class NdjsonLog:
         self._end, self._size = end, len(raw)
         return raw[:end]
 
-    def read(self, convert, what: str) -> tuple[list, list[bytes | None]]:
-        """(convert(obj) for each line, each line without its newline or
-        None), two lists in file order; ([], []) without a file.
-
-        A torn last line is blanked first (see _load). A blank line is
-        skipped in both lists; a line that does not parse or convert is a
-        StorageError naming path:lineno. Lines are returned as they are when
-        each parses as exactly one JSON value in a one-parse read of the
-        whole log, so each can be joined into an array. Otherwise (a blank
-        line, say, or a byte-order mark) the log is read line by line, no
-        line is vouched for, and each comes back as None: the caller encodes
-        what it serves from its converted value.
-        """
+    def read(self, convert, what: str):
+        """Yield (convert(obj), line) for each non-blank line, in file order:
+        line without its newline if it is one JSON value with nothing around
+        it (so it can be joined into an array), else None. A torn last line
+        is blanked first (see _load); a line that does not parse or convert
+        is a StorageError naming path:lineno."""
         try:
             lines = self._load().splitlines()
         except OSError as exc:
             raise StorageError(f"read of {self.path} failed: {exc}") from exc
-        try:
-            # one parse for the whole log, much cheaper than one per line.
-            # Each line is wrapped in an array of its own, so a line that is
-            # not one value (blank, half a record, two records) fails to
-            # unpack, or, when it closes its array early, changes the count;
-            # the newline keeps a string from running on into the next line.
-            # Such a log is read line by line below, which names the first
-            # bad line
-            objs = json.loads(b"[[" + b"]\n,[".join(lines) + b"]]")
-            if len(objs) == len(lines):
-                return [convert(obj) for (obj,) in objs], lines
-        except BAD_JSON:
-            pass
-        items = []
         for lineno, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
             try:
-                items.append(convert(json.loads(line)))
+                text = line.decode()
+                try:
+                    obj, end = _raw_decode(text)
+                except ValueError:
+                    end = -1
+                if end != len(text):
+                    # blanks and a byte-order mark (splitlines ends a line at a CR)
+                    text = text.strip(" \t\ufeff")
+                    if not text:
+                        continue
+                    obj, line = json.loads(text), None
+                item = convert(obj)
             except BAD_JSON as exc:
                 raise StorageError(f"{self.path}:{lineno}: corrupt {what}: {exc}") from exc
-        return items, [None] * len(items)
+            yield item, line
 
 
 class Measurement(NamedTuple):
@@ -376,8 +365,7 @@ class _Station:
     def recover(self) -> None:
         """Replay the log through _index, the insert append uses, so a
         reopened station holds what the live appends left."""
-        read, lines = self.log.read(_written_record, "record")
-        for (m, as_written), line in zip(read, lines):
+        for (m, as_written), line in self.log.read(_written_record, "record"):
             # appends write increasing seqs; a repeat is left by a retried append
             if self.accepts(m.seq):
                 # a line not as written is served as to_json_obj renders it,

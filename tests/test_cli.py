@@ -115,10 +115,14 @@ class TestSimulateCommand:
         lambda obj: obj["stations"][0]["scenario"].update(base_pm25=math.nan),
         lambda obj: obj["stations"][0]["scenario"].update(base_pm25=math.inf),
         lambda obj: obj["stations"][0]["scenario"].update(base_pm25=10**400),
+        # two nodes of one id share an RNG stream and a seq space: every frame
+        # of the copy would be a duplicate, and its 409 count as delivered
+        lambda obj: obj["stations"].append({**obj["stations"][0], "display_name": "copy"}),
     ], ids=["null-lat", "unknown-scenario-key", "top-level-list", "unknown-top-level-key",
             "unknown-station-key", "unknown-rain-key", "numeric-token", "bool-lat",
             "fractional-period", "id-off-the-wire", "string-scenario-number",
-            "nan-scenario-number", "infinite-scenario-number", "huge-scenario-number"])
+            "nan-scenario-number", "infinite-scenario-number", "huge-scenario-number",
+            "repeated-station-id"])
     def test_bad_scenario_entry_exits_2(self, tmp_path, capsys, mutate):
         obj = json.loads((CONFIGS / "fleet_demo.json").read_text())
         obj = mutate(obj) or obj
@@ -577,6 +581,23 @@ class TestStorageErrorAtOpen:
         err = capsys.readouterr().err
         assert err.startswith("storage error:") and "alerts.ndjson:1" in err
 
+    @pytest.mark.parametrize("key, value", [("rule_id", ["unhealthy"]), ("station_id", 7)],
+                             ids=["list-rule-id", "int-station-id"])
+    def test_alert_log_key_of_another_type_is_blamed_on_the_log(self, tmp_path, capsys,
+                                                                key, value):
+        # a list rule_id once failed to hash in the rules' filter, outside
+        # the log's reader, and was reported as an error of the rules file
+        config, data_dir = self.data_dir(tmp_path)
+        config.write_text(json.dumps({"rules_path": str(CONFIGS / "rules_demo.json")}))
+        event = {"rule_id": "unhealthy", "station_id": "utec-01", "kind": "raised",
+                 "icca_value": 153, "category": "Dañina", "ts": 1, key: value}
+        (data_dir / "alerts.ndjson").write_text(json.dumps(event) + "\n")
+        assert cli.main(["replay", "--config", str(config), "--data-dir", str(data_dir),
+                         str(tmp_path / "f.ndjson")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("storage error:") and err.count("\n") == 1
+        assert "alerts.ndjson:1: corrupt alert event" in err
+
 
 class TestServeCommand:
     def test_bad_config_exits_2(self, tmp_path):
@@ -711,12 +732,12 @@ class TestServeKilled:
                     with conn.getresponse() as resp:
                         resp.read()
                     assert resp.status in (202, 409)
-        logged = NdjsonLog(data_dir / "series" / "utec-01.ndjson").read(
-            lambda obj: obj["seq"], "record")[0]
+        logged = [seq for seq, _ in NdjsonLog(data_dir / "series" / "utec-01.ndjson").read(
+            lambda obj: obj["seq"], "record")]
         assert len(logged) == len(set(logged)) and set(logged) >= kept
 
-        events = NdjsonLog(data_dir / "alerts.ndjson").read(
-            lambda obj: ((obj["rule_id"], obj["station_id"]), obj["kind"]), "event")[0]
+        events = [event for event, _ in NdjsonLog(data_dir / "alerts.ndjson").read(
+            lambda obj: ((obj["rule_id"], obj["station_id"]), obj["kind"]), "event")]
         assert len(events) >= 2  # the rule raised and cleared at least once
         last = {}
         for key, kind in events:

@@ -412,6 +412,11 @@ class TestRuleEngine:
                      '"timeout": ' + "9" * 400 + "}]}", id="400-digit-timeout"),
         pytest.param({"sinks": [{"sink_id": "w", "type": "webhook", "url": "http://x",
                                  "timeout": math.inf}]}, id="infinite-timeout"),
+        # the later sink would replace the earlier one, and take its deliveries
+        pytest.param({"rules": [{"rule_id": "r", "trigger_category_min": 3, "sink_ids": ["w"]}],
+                      "sinks": [{"sink_id": "w", "type": "webhook", "url": "http://a/hook"},
+                                {"sink_id": "w", "type": "webhook", "url": "http://b/hook"}]},
+                     id="repeated-sink-id"),
     ])
     def test_config_bad_entry_names_the_file(self, tmp_path, cfg):
         path = tmp_path / "rules.json"

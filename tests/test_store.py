@@ -410,6 +410,26 @@ class TestRecovery:
         assert held / n < 250
         assert len(gc.get_objects()) - objects < 100
 
+    def test_reopen_peaks_at_most_twice_what_it_holds(self, tmp_path):
+        # the log is parsed a line at a time: a reopen holds the file's bytes,
+        # its lines and the index, never every record parsed at once (which
+        # peaked at about five times what the station holds)
+        n = 10_800
+        data = register(tmp_path / "data", STATION)
+        s = TimeSeriesStore(data, fsync=False)
+        for seq in range(1, n + 1):
+            s.append(m(seq, pm25=seq % 5000 / 10))
+        del s
+        gc.collect()
+        tracemalloc.start()
+        try:
+            reopened = TimeSeriesStore(data, fsync=False)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reopened.count("utec-01") == n
+        assert peak <= 2 * held, (held / n, peak / n)
+
 
 class TestPaddedLog:
     @staticmethod
@@ -523,9 +543,9 @@ class TestPaddedLog:
         assert len(set(sizes)) == 2
         raw = path.read_bytes()
         assert raw == log_data(path) + b" " * (len(raw) - n * line)
-        objs, lines = NdjsonLog(path).read(dict, "record")
+        objs, lines = zip(*NdjsonLog(path).read(dict, "record"))
         assert [o["seq"] - 10**6 for o in objs] == list(range(n))
-        assert lines == log_data(path).splitlines()
+        assert list(lines) == log_data(path).splitlines()
 
     def test_short_write_is_overwritten_by_the_next_append(self, tmp_path, monkeypatch):
         data = register(tmp_path / "data", STATION)
