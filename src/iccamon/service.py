@@ -18,9 +18,12 @@ work; /icca with another window_s has the store sum that window once. Both
 give the same exact, correctly rounded means.
 
 /overview keeps one built entry per registered station and rebuilds it
-only after that station's next accepted record: records are append-only
-and the registry is fixed at open, so a station's record count versions
-its entry. The registry's order (by station_id) is also fixed at open.
+only after that station's next accepted record: the store hands the
+service a set (TimeSeriesStore.watch) to which every append adds its
+station's id, and an overview drains it, so a read costs the work of the
+stations that took a record since the last one plus one copy of the list
+of entries, whatever the size of the registry. The registry and its
+order (by station_id) are fixed at open.
 
 Status mapping: BadToken→401, UnknownStation→404, DuplicateSeq/StaleSeq→409,
 OutOfRange/Malformed→422; acceptance → 202 after the record is durable.
@@ -59,8 +62,7 @@ from . import icca
 from .icca import IccaResult, InsufficientDataError, WindowAverage
 from .rules import AlertEvent, RuleEngine, load_rules_config
 from .store import (
-    Measurement, StationRecord, StorageError, TimeSeriesStore, UnknownStationError, check_keys,
-    load_config,
+    Measurement, StorageError, TimeSeriesStore, UnknownStationError, check_keys, load_config,
 )
 from .telemetry import MAX_TS, RejectReason, parse_and_validate
 
@@ -157,10 +159,15 @@ class MonitorService:
     def __init__(self, store: TimeSeriesStore, rule_engine: RuleEngine | None = None):
         self.store = store
         self.rule_engine = rule_engine
-        self._registry = store.stations()  # fixed at open, in station_id order
-        # per registered station, (record count, overview entry) built at
-        # that count; -1 matches no count, so the first overview builds all
-        self._overview: list[tuple[int, dict | None]] = [(-1, None)] * len(self._registry)
+        # /overview: one entry per registered station, in the registry's
+        # order (fixed at open); the ids of the stations that took a record
+        # since their entry was built, every one at first; and the lock that
+        # drains that set, so no overview returns while an entry it should
+        # show is still being rebuilt by another
+        self._position = {sid: i for i, sid in enumerate(store.station_ids())}
+        self._entries: list[dict | None] = [None] * len(self._position)
+        self._changed = store.watch()
+        self._overview_lock = threading.Lock()
 
     # -- ingestion ---------------------------------------------------------
 
@@ -250,33 +257,29 @@ class MonitorService:
     def overview_payload(self) -> dict:
         """One entry per registered station, in station_id order.
 
-        An entry is rebuilt only when its station's record count has moved
-        since it was built, so a station without a new record costs a
-        length read and a compare. Entries are shared between calls (and
-        between threads): an in-process caller must not mutate them.
+        Only the entries of stations that took a record since the last
+        overview are rebuilt; the rest cost nothing, so a read costs that
+        work plus one copy of the list of entries. Entries are shared
+        between calls (and between threads): an in-process caller must not
+        mutate them. Lock order: this service's overview lock, then a
+        station lock; ingest never takes the overview lock.
         """
-        cache = self._overview
-        entries = []
-        for i, count in enumerate(self.store.record_counts()):
-            built = cache[i]
-            if built[0] != count:
-                # one list slot holds the count and its entry together, so a
-                # concurrent reader that stores an older pair leaves a count
-                # that no longer matches, and the next read rebuilds it
-                built = cache[i] = self._overview_entry(self._registry[i])
-            entries.append(built[1])
-        return {"stations": entries}
+        changed, entries = self._changed, self._entries
+        with self._overview_lock:
+            while changed:
+                sid = changed.pop()
+                entries[self._position[sid]] = self._overview_entry(sid)
+            return {"stations": list(entries)}
 
-    def _overview_entry(self, rec: StationRecord) -> tuple[int, dict]:
-        """(record count, entry) read under one hold of the station lock, so
-        latest, last_seen and the index come from the same records."""
-        sid = rec.station_id
+    def _overview_entry(self, sid: str) -> dict:
+        """The station's entry, read under one hold of its lock, so latest,
+        last_seen and the index come from the same records."""
+        rec = self.store.get_station(sid)
         with self.store.station_lock(sid):
-            count = self.store.count(sid)
             latest = self.store.latest(sid)
             # a station with no records has no window to read
             snap = self.rolling_icca(sid) if latest else None
-        return count, {
+        return {
             "station_id": sid,
             "display_name": rec.display_name,
             "location": {"lat": rec.lat, "lon": rec.lon},

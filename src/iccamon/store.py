@@ -35,16 +35,19 @@ of its 24-hour window, built on the window's first use and from then on
 kept by every record: a newest one slides the window forward, a late one
 inside the window joins its sums, and one before it only shifts the
 window's place in the index. So a late record never makes the window be
-summed again. Every config file is read with load_config and its
-entries checked with check_keys, which also types the wire frame's keys
-(telemetry._parse_fields); StationRecord alone decides what a valid
-station is, and the registry may list a station_id only once. Every JSON
-reader of the package (log, config, frame, report reply) catches one
-exception set, BAD_JSON, so JSON that is nested too deep or holds a
-number no float holds is refused as any bad JSON is, and a record whose
-reading is not finite is a corrupt line, as no window could sum it; so
-is one whose seq or ts is not an int in the wire's range (_MAX_SEQ,
-MAX_TS), as no frame could have carried it.
+summed again. A reader that keeps derived state per station (the
+service's /overview entries) takes a set from watch(): every append adds
+its station's id to each such set, so the reader rebuilds only what
+changed, without walking the registry. Every config file is read with
+load_config and its entries checked with check_keys, which also types
+the wire frame's keys (telemetry._parse_fields); StationRecord alone
+decides what a valid station is, and the registry may list a station_id
+only once. Every JSON reader of the package (log, config, frame, report
+reply) catches one exception set, BAD_JSON, so JSON that is nested too
+deep or holds a number no float holds is refused as any bad JSON is, and
+a record whose reading is not finite is a corrupt line, as no window
+could sum it; so is one whose seq or ts is not an int in the wire's
+range (_MAX_SEQ, MAX_TS), as no frame could have carried it.
 """
 
 from __future__ import annotations
@@ -455,6 +458,7 @@ class TimeSeriesStore:
         os.makedirs(self.series_dir, exist_ok=True)
         self.alert_log = NdjsonLog(f"{self.data_dir}/{self.ALERT_LOG_FILE}", fsync)
         self._stations: dict[str, _Station] = {}
+        self._watchers: list[set[str]] = []  # each set watch() handed out
         self._load_registry(fsync)
         # one directory listing instead of a stat per registered station
         logs = {entry.path for entry in os.scandir(self.series_dir)}
@@ -494,7 +498,7 @@ class TimeSeriesStore:
         return list(self._stations)
 
     def stations(self) -> list[StationRecord]:
-        """The registry, in station_id order (as are station_ids and record_counts)."""
+        """The registry, in station_id order (as is station_ids)."""
         return [station.record for station in self._stations.values()]
 
     def token_registry(self) -> dict[str, str]:
@@ -523,7 +527,22 @@ class TimeSeriesStore:
             line = station.log.append(m.to_json_obj())
             offset = len(station.lines)
             station._index(m, line)
+            for changed in self._watchers:
+                changed.add(m.station_id)
             return offset
+
+    def watch(self) -> set[str]:
+        """A new set of station ids, holding every registered station at
+        first. From then on each append adds its station's id, after the
+        record is indexed and under the station's lock, so a reader that
+        pops an id and then reads the station sees that record or a newer
+        one. A set holds at most one id per station, whatever the number
+        of records; the caller drains it. Each caller gets its own set,
+        kept for the store's life, so one caller's pops hide nothing from
+        another's."""
+        changed = set(self._stations)
+        self._watchers.append(changed)
+        return changed
 
     def query_range(self, station_id: str, t0: float, t1: float) -> list[bytes]:
         """The stored lines of all records with ts in [t0, t1], ascending by
@@ -532,9 +551,14 @@ class TimeSeriesStore:
             raise ValueError(f"empty range: t0={t0} > t1={t1}")
         station = self._station(station_id)
         with station.lock:
-            lo = bisect_left(station.ts_index, t0)
-            hi = bisect_right(station.ts_index, t1)
-            return station.lines[lo:hi]
+            lines, ts_index, newest = station.lines, station.ts_index, station.newest
+            if newest is None:
+                return []
+            # a bound past an end of the index needs no bisection, which on
+            # an array makes an int object of each element it reads
+            lo = 0 if t0 <= ts_index[0] else bisect_left(ts_index, t0)
+            hi = len(lines) if t1 >= newest.ts else bisect_right(ts_index, t1)
+            return lines[lo:hi]
 
     def window(self, station_id: str, window_s: int) -> tuple[int, int, int, int] | None:
         """(window end, sample count, scaled pm2.5 sum, scaled pm10 sum) of the
@@ -551,14 +575,6 @@ class TimeSeriesStore:
 
     def count(self, station_id: str) -> int:
         return len(self._station(station_id).lines)
-
-    def record_counts(self) -> list[int]:
-        """Each station's record count, in station_id order.
-
-        Read without the locks: a station's records only grow, one append
-        at a time, so each count is exact at some moment during the call.
-        """
-        return [len(station.lines) for station in self._stations.values()]
 
     def last_seq(self, station_id: str) -> int | None:
         return self._station(station_id).last_seq

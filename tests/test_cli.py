@@ -201,7 +201,7 @@ class TestSimulateCommand:
                 statuses.clear()
         finally:
             server.shutdown()
-        assert store.record_counts() == [3] * 5
+        assert [store.count(sid) for sid in store.station_ids()] == [3] * 5
         assert len(connections) == 2  # each run's frames share one keep-alive connection
 
     def test_offline_file_in_missing_directory_exits_2(self, tmp_path, capsys):

@@ -28,7 +28,7 @@ from iccamon.service import (
     build_service,
     load_server_config,
 )
-from iccamon.store import StationRecord, TimeSeriesStore
+from iccamon.store import Measurement, StationRecord, TimeSeriesStore
 from iccamon.telemetry import MAX_TS, TelemetryFrame, serialize
 
 from .helpers import log_data, register, stored
@@ -844,18 +844,22 @@ class TestOverviewCache:
                     StationRecord("alpha", "Alpha", 13.7, -89.2, self.TOKENS["alpha"], 3600)]
         store = TimeSeriesStore(register(tmp_path / "data", *stations), fsync=False)
         service = MonitorService(store)
+
+        def record_counts():
+            return [store.count(sid) for sid in store.station_ids()]
+
         try:
             prev = service.overview_payload()["stations"]
-            prev_counts = store.record_counts()
+            prev_counts = record_counts()
             for text, status in self.steps():
                 assert service.ingest(text)[0] == status, text
                 got = service.overview_payload()
                 want = MonitorService(store).overview_payload()
                 assert got == want, text
                 assert self.encoded(got) == self.encoded(want)
-                counts = store.record_counts()
+                counts = record_counts()
                 for old, entry, before, now in zip(prev, got["stations"], prev_counts, counts):
-                    # an entry is rebuilt exactly when its station's count moved
+                    # an entry is rebuilt exactly when its station took a record
                     assert (entry is old) == (before == now), (text, entry["station_id"])
                     sid = entry["station_id"]
                     body = service.icca_payload(sid)
@@ -880,11 +884,13 @@ class TestOverviewCache:
         # only one thread writes each station, so nothing comes in between
         after = {}
         errors = []
+        stale = []
         reads = []
         writing = threading.Event()
         writing.set()
 
         def ingest(sid):
+            pos = sids.index(sid)
             for seq in range(1, 121):
                 status, _ = service.ingest(frame_text(sid, "tok", seq, START + seq * 3600,
                                                       pm25=5.0 + seq))
@@ -892,6 +898,11 @@ class TestOverviewCache:
                     errors.append((sid, seq, status))
                 body = service.icca_payload(sid)
                 after[(sid, seq)] = (body["icca"], body["coverage"])
+                # an overview that starts after the 202 shows the record,
+                # also while the reader thread is rebuilding this entry
+                latest = service.overview_payload()["stations"][pos]["latest"]
+                if latest is None or latest["seq"] < seq:
+                    stale.append((sid, seq, latest))
 
         def read():
             while writing.is_set():
@@ -915,6 +926,7 @@ class TestOverviewCache:
         try:
             assert not any(t.is_alive() for t in writers + [reader])
             assert errors == []
+            assert stale == []
             assert len(reads) > 1
             for entries in reads:
                 assert [e["station_id"] for e in entries] == sids
@@ -930,6 +942,37 @@ class TestOverviewCache:
                 body = service.icca_payload(e["station_id"])
                 assert (e["icca"], e["coverage"]) == (body["icca"], body["coverage"])
                 assert e["latest"]["seq"] == 120
+        finally:
+            store.close()
+
+
+    def test_two_services_over_one_store_each_see_every_record(self, tmp_path):
+        stations = [StationRecord(sid, sid, 13.7, -89.2, tok, 3600)
+                    for sid, tok in self.TOKENS.items()]
+        store = TimeSeriesStore(register(tmp_path / "data", *stations), fsync=False)
+        services = [MonitorService(store), MonitorService(store)]
+        rng = random.Random(11)
+        seqs = dict.fromkeys(self.TOKENS, 0)
+        try:
+            for step in range(120):
+                sid = rng.choice(["alpha", "alpha", "bravo"])  # quiet never reports
+                seqs[sid] += 1
+                ts = START + seqs[sid] * 3600
+                route = rng.randrange(3)
+                if route < 2:  # through either service's ingest
+                    text = frame_text(sid, self.TOKENS[sid], seqs[sid], ts, pm25=5.0 + step)
+                    assert services[route].ingest(text)[0] == 202
+                else:  # straight into the store
+                    store.append(Measurement(sid, seqs[sid], ts, 5.0 + step, 20.0, 25.0))
+                # each service reads at its own times, so records pile up
+                # unread for one while the other drains its own set
+                for service in services:
+                    if step == 119 or rng.random() < 0.4:
+                        got = service.overview_payload()
+                        assert got == MonitorService(store).overview_payload(), step
+                        for entry in got["stations"]:
+                            latest = entry["latest"]
+                            assert (latest["seq"] if latest else 0) == seqs[entry["station_id"]]
         finally:
             store.close()
 

@@ -9,6 +9,7 @@ import pytest
 from iccamon.store import (
     BEYOND_SENSOR_RANGE,
     CHUNK_BYTES,
+    MAX_TS,
     Measurement,
     NdjsonLog,
     StationRecord,
@@ -52,6 +53,22 @@ class TestAppend:
         with pytest.raises(UnknownStationError):
             store.append(m(1, station="ghost"))
 
+    def test_watch_sets_take_each_appended_station(self, tmp_path):
+        other = StationRecord("utec-02", "Other", 13.7, -89.2, "tok-b")
+        s = TimeSeriesStore(register(tmp_path / "data", STATION, other), fsync=False)
+        first, second = s.watch(), s.watch()
+        assert first == second == {"utec-01", "utec-02"} and first is not second
+        first.clear()
+        s.append(m(1))
+        s.append(m(2))
+        assert s.append(m(2)) is None  # not appended, so not watched
+        assert first == {"utec-01"}
+        first.clear()
+        s.append(m(1, station="utec-02"))
+        assert first == {"utec-02"}
+        # a set one caller drains leaves another's as it was
+        assert second == {"utec-01", "utec-02"}
+
     def test_five_stations_72_each(self, tmp_path):
         ids = [f"st-{i}" for i in range(5)]
         s = TimeSeriesStore(register(tmp_path / "data", *(
@@ -83,17 +100,32 @@ class TestQuery:
         assert len(records) == 72
         assert [r.ts for r in records] == sorted(r.ts for r in records)
 
-    def test_matches_linear_scan_oracle(self, store):
+    def test_matches_linear_scan_oracle(self, tmp_path):
+        empty = StationRecord("utec-02", "Empty", 13.7, -89.2, "tok-b")
+        store = TimeSeriesStore(register(tmp_path / "data", STATION, empty), fsync=False)
         rng = random.Random(4)
-        all_ts = rng.sample(range(0, 100000), 60)
-        for seq, ts in enumerate(sorted(all_ts), start=1):
-            store.append(m(seq, ts=ts))
-        everything = stored(store, "utec-01", 0, 100000)
+        all_ts = sorted(rng.sample(range(1000, 100000), 60))
+        first, last = all_ts[0], all_ts[-1]
+        # equal ts at both ends, then late records: one inside, one equal to
+        # the first ts (it goes after the records it equals)
+        all_ts = [first, *all_ts, last, rng.randint(first + 1, last - 1), first]
+        appended = [m(seq, ts=ts, pm25=float(seq)) for seq, ts in enumerate(all_ts, start=1)]
+        for rec in appended:
+            store.append(rec)
+        # sorted is stable: records of equal ts stay in the order they came
+        oracle = sorted(appended, key=lambda r: r.ts)
+        # each end exactly, one step off it and half a step off it
+        edges = [t + d for t in (first, last) for d in (-1, -0.5, 0, 0.5, 1)]
+        ranges = [(t0, t1) for t0 in edges for t1 in edges if t0 <= t1]
+        ranges += [(0, MAX_TS), (-10, 0), (last + 1, MAX_TS)]
         for _ in range(100):
             t0 = rng.randint(-10, 100010)
-            t1 = t0 + rng.randint(0, 50000)
-            expect = [r for r in everything if t0 <= r.ts <= t1]
-            assert stored(store, "utec-01", t0, t1) == expect
+            ranges.append((t0, t0 + rng.randint(0, 50000)))
+        for t0, t1 in ranges:
+            expect = [r for r in oracle if t0 <= r.ts <= t1]
+            assert stored(store, "utec-01", t0, t1) == expect, (t0, t1)
+            assert store.query_range("utec-02", t0, t1) == []
+        assert len(stored(store, "utec-01", first, first)) == 3
 
     def test_latest(self, store):
         assert store.latest("utec-01") is None
@@ -601,7 +633,7 @@ class TestRegistry:
         s.append(m(1, station="mike"))
         s.append(m(2, station="mike"))
         s.append(m(1, station="zeta"))
-        assert s.record_counts() == [0, 0, 2, 1]
+        assert [s.count(sid) for sid in s.station_ids()] == [0, 0, 2, 1]
 
     def test_repeated_station_id_refused(self, tmp_path):
         # the later entry would silently replace the earlier one, token included
