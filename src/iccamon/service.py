@@ -7,9 +7,11 @@ authority on sequence numbers, so acceptance and window updates are
 race-free while distinct stations proceed in parallel. Alert sinks are
 called after the lock is released, so no read waits on one. Reads are public.
 
-A /history body is built from bytes encoded once: its records are the
-lines the store wrote to its log (see store.TimeSeriesStore.query_range),
-joined into the response, so no record is encoded per read.
+Every body is compact JSON from the store's encoder (store._encode), so a
+record reads the same in its log line and in every body that holds it. A
+/history body is built from bytes encoded once: its records are the lines
+the store wrote to its log (see store.TimeSeriesStore.query_range), joined
+into the response, so no record is encoded per read.
 
 Every index, for a frame's alert rules, an /icca read or an /overview
 entry, is the rolling index over window sums from the store. The 24-hour
@@ -46,7 +48,6 @@ Relative paths in a server config file are relative to that file.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 import socket
@@ -62,7 +63,8 @@ from . import icca
 from .icca import IccaResult, InsufficientDataError, WindowAverage
 from .rules import AlertEvent, RuleEngine, load_rules_config
 from .store import (
-    Measurement, StorageError, TimeSeriesStore, UnknownStationError, check_keys, load_config,
+    Measurement, StorageError, TimeSeriesStore, UnknownStationError, _encode, check_keys,
+    load_config,
 )
 from .telemetry import MAX_TS, RejectReason, parse_and_validate
 
@@ -77,8 +79,6 @@ POLL_INTERVAL_S = 0.05  # how long shutdown() waits for the accept loop at most
 # previous reply, or of the accept; an idle connection is closed then too
 SOCKET_TIMEOUT_S = 10.0
 _RECV_BYTES = 65536
-# one encoder for every response: json.dumps with options builds one per call
-_RESPONSE_ENCODER = json.JSONEncoder(ensure_ascii=False)
 _STATUS_LINES = {s.value: f"HTTP/1.1 {s.value} {s.phrase}\r\n".encode() for s in HTTPStatus}
 _TOKEN = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")  # RFC 9110 section 5.6.2
 _REQUEST_LINE = re.compile(f"({_TOKEN.pattern})" + r" (\S+) HTTP/1\.([0-9])")
@@ -527,14 +527,13 @@ def _history_body(payload: dict) -> bytes:
     """A history payload as JSON: its other fields encoded, then its stored
     lines joined into the "measurements" array, which comes last."""
     head = {key: value for key, value in payload.items() if key != "measurements"}
-    return b'%s, "measurements": [%s]}' % (
-        _RESPONSE_ENCODER.encode(head)[:-1].encode("utf-8"), b",".join(payload["measurements"]))
+    return b'%s,"measurements":[%s]}' % (_encode(head)[:-1], b",".join(payload["measurements"]))
 
 
 def _response(status: int, body, date: bytes, connection: bytes) -> bytes:
     """Status line, headers and body as one buffer: body is JSON already
     encoded (bytes), or a value to encode."""
-    payload = body if type(body) is bytes else _RESPONSE_ENCODER.encode(body).encode("utf-8")
+    payload = body if type(body) is bytes else _encode(body)
     return b"%sDate: %s\r\nContent-Type: application/json; charset=utf-8\r\n" \
            b"Content-Length: %d\r\n%s\r\n%s" % (
                _STATUS_LINES[status], date, len(payload), connection, payload)

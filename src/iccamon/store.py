@@ -12,7 +12,8 @@ fsynced before the append returns, then ASCII-space padding that keeps
 the file allocated up to CHUNK_BYTES ahead of its data (so a log uses at
 most that much more disk than its records). A crash mid-write leaves a
 torn last line, which the next open blanks with spaces. A record line
-mirrors the wire frame minus the token, plus quality flags. An in-memory
+mirrors the wire frame minus the token, plus the quality flags that
+to_json_obj derives from its readings. An in-memory
 index (records sorted by timestamp, last accepted sequence number) is
 rebuilt on open: recovery replays each logged record through
 _Station._index, the insert append uses, so the index is built by the
@@ -45,9 +46,11 @@ decides what a valid station is, and the registry may list a station_id
 only once. Every JSON reader of the package (log, config, frame, report
 reply) catches one exception set, BAD_JSON, so JSON that is nested too
 deep or holds a number no float holds is refused as any bad JSON is, and
-a record whose reading is not finite is a corrupt line, as no window
-could sum it; so is one whose seq or ts is not an int in the wire's
-range (_MAX_SEQ, MAX_TS), as no frame could have carried it.
+the store alone defines a record: which readings it may hold
+(readings_in_range, the one judge for a frame and a log line), its flag
+and its JSON. A record no frame could have carried is a corrupt line: a
+reading outside the wire's ranges, a seq or ts that is not an int in the
+wire's range (_MAX_SEQ, MAX_TS), or another station's station_id.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
-from math import isfinite
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -73,15 +75,14 @@ logger = logging.getLogger(__name__)
 
 BEYOND_SENSOR_RANGE = "beyond_sensor_range"
 
-# one encoder for every log line and wire frame (telemetry.serialize):
-# json.dumps with options builds one per call
+# one encoder for every log line, wire frame (telemetry.serialize) and
+# response body: json.dumps with options builds one per call
 _encode_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 _raw_decode = json.JSONDecoder().raw_decode
 # A log grows by this much padding at a time (see NdjsonLog): one journal
 # commit of a new file size per chunk, not per line.
 CHUNK_BYTES = 64 * 1024
 _PADDING = b" " * CHUNK_BYTES
-_NO_FLAGS: frozenset[str] = frozenset()
 _station_id = attrgetter("station_id")
 # a station id, as the wire and the registry take it (whole string: fullmatch)
 STATION_ID_RE = re.compile(r"[a-z0-9_-]{1,64}")
@@ -95,6 +96,13 @@ _FLOAT_MAX = sys.float_info.max
 # them, recovery a stored record); a ts fits the index's 64-bit column
 _MAX_SEQ = 2**64 - 1
 MAX_TS = 2**63 - 1  # a signed 64-bit epoch, like the station's time_t
+# the wire's ranges of a reading (readings_in_range). PM is accepted in
+# [0, PM_MAX) so the index ladder top stays reachable, but anything above
+# the sensor's effective ceiling gets a quality flag.
+PM_MAX = 1000.0
+PM_FLAG_ABOVE = 500.0
+TEMP_MIN_C = 0.0
+TEMP_MAX_C = 150.0
 
 
 class StorageError(Exception):
@@ -106,8 +114,21 @@ class UnknownStationError(LookupError):
 
 
 def _encode(obj) -> bytes:
-    """obj's compact JSON in UTF-8: a log line without its newline."""
+    """obj's compact JSON in UTF-8: a log line without its newline, or a
+    response body."""
     return _encode_json(obj).encode("utf-8")
+
+
+def readings_in_range(pm25: float, pm10: float, temp_c: float) -> bool:
+    """Whether a frame may carry these readings, and so a record hold them:
+    PM in [0, PM_MAX), temperature in [TEMP_MIN_C, TEMP_MAX_C]. NaN and
+    infinities are outside."""
+    return 0.0 <= pm25 < PM_MAX and 0.0 <= pm10 < PM_MAX and TEMP_MIN_C <= temp_c <= TEMP_MAX_C
+
+
+def _flags(pm25: float, pm10: float) -> list[str]:
+    """A record's quality flags, derived from its readings."""
+    return [BEYOND_SENSOR_RANGE] if pm25 > PM_FLAG_ABOVE or pm10 > PM_FLAG_ABOVE else []
 
 
 def load_config(path: str | Path, what: str, build):
@@ -265,7 +286,6 @@ class Measurement(NamedTuple):
     pm25: float
     pm10: float
     temp_c: float
-    flags: frozenset[str] = _NO_FLAGS
 
     def to_json_obj(self) -> dict:
         return {
@@ -275,15 +295,13 @@ class Measurement(NamedTuple):
             "pm25": self.pm25,
             "pm10": self.pm10,
             "temp_c": self.temp_c,
-            "flags": sorted(self.flags) if self.flags else [],  # most records have none
+            "flags": _flags(self.pm25, self.pm10),
         }
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Measurement":
-        flags = obj.get("flags", ())  # one shared empty set, as most records have none
         return cls(obj["station_id"], obj["seq"], obj["ts"], float(obj["pm25"]),
-                   float(obj["pm10"]), float(obj["temp_c"]),
-                   _NO_FLAGS if flags == [] else frozenset(flags))
+                   float(obj["pm10"]), float(obj["temp_c"]))
 
 
 @dataclass(frozen=True)
@@ -319,28 +337,6 @@ class StationRecord:
         return cls(**obj)
 
 
-def _written_record(obj: dict) -> tuple[Measurement, bool]:
-    """(the record of a parsed log line, whether the line is what append
-    writes for it): as written, a line has the seven keys of to_json_obj,
-    float values and flags as it lists them; one edited by hand, say, may
-    not, and _Station.recover then encodes the line it serves from the
-    record. A line that is no record raises as from_json_obj does, one
-    with a value that is not finite (NaN, Infinity, 1e400) a ValueError, as
-    no window could sum it, and so does one whose seq or ts is not an int
-    in the wire's range: no frame could have carried it."""
-    m = Measurement.from_json_obj(obj)
-    if not (isfinite(m.pm25) and isfinite(m.pm10) and isfinite(m.temp_c)):
-        raise ValueError(f"a value is not finite: {m}")
-    seq, ts = m.seq, m.ts
-    # type() tells a bool from an int
-    if not (type(seq) is int and type(ts) is int and 0 <= seq <= _MAX_SEQ and 0 <= ts <= MAX_TS):
-        raise ValueError(f"seq or ts out of the wire's range: {m}")
-    # from_json_obj read the other six keys, so with flags (None when
-    # missing) these are all seven
-    return m, (len(obj) == 7 and obj.get("flags") == sorted(m.flags)
-               and type(obj["pm25"]) is type(obj["pm10"]) is type(obj["temp_c"]) is float)
-
-
 class _Station:
     """One station's registry record, series file and in-memory index."""
 
@@ -368,13 +364,38 @@ class _Station:
     def recover(self) -> None:
         """Replay the log through _index, the insert append uses, so a
         reopened station holds what the live appends left."""
-        for (m, as_written), line in self.log.read(_written_record, "record"):
+        for (m, as_written), line in self.log.read(self._written_record, "record"):
             # appends write increasing seqs; a repeat is left by a retried append
             if self.accepts(m.seq):
                 # a line not as written is served as to_json_obj renders it,
                 # so no key the store does not write is ever read back
                 self._index(m, line if line is not None and as_written
                             else _encode(m.to_json_obj()))
+
+    def _written_record(self, obj: dict) -> tuple[Measurement, bool]:
+        """(the record of a parsed line of this station's log, whether the
+        line is what append writes for it): as written, a line has the seven
+        keys of to_json_obj, float values and the flags it derives; one
+        edited by hand, say, may not, and recover then encodes the line it
+        serves from the record. A line that is no record raises as
+        from_json_obj does, and one that no frame of the station could have
+        carried a ValueError: a reading outside the wire's ranges (NaN,
+        Infinity and 1e400 included), a seq or ts that is not an int in the
+        wire's range, or another station's station_id."""
+        m = Measurement.from_json_obj(obj)
+        if not readings_in_range(m.pm25, m.pm10, m.temp_c):
+            raise ValueError(f"a reading is out of the wire's range: {m}")
+        seq, ts = m.seq, m.ts
+        # type() tells a bool from an int
+        if not (type(seq) is int and type(ts) is int and 0 <= seq <= _MAX_SEQ
+                and 0 <= ts <= MAX_TS):
+            raise ValueError(f"seq or ts out of the wire's range: {m}")
+        if m.station_id != self.record.station_id:
+            raise ValueError(f"a record of another station: {m}")
+        # from_json_obj read the other six keys, so with flags (None when
+        # missing) these are all seven
+        return m, (len(obj) == 7 and obj.get("flags") == _flags(m.pm25, m.pm10)
+                   and type(obj["pm25"]) is type(obj["pm10"]) is type(obj["temp_c"]) is float)
 
     def accepts(self, seq: int) -> bool:
         return self.last_seq is None or seq > self.last_seq

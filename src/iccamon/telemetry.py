@@ -8,7 +8,9 @@ this order:
 
 Unknown keys are rejected outright (they signal firmware/schema drift).
 store.check_keys types the keys, as it types every config entry, so the
-three readings are finite numbers. A body that is not such an object, or
+three readings are finite numbers, and store.readings_in_range, the judge
+of a stored record's readings too, says whether they are in the wire's
+ranges. A body that is not such an object, or
 that raises any of store.BAD_JSON in the parse (nesting too deep, say),
 is malformed, never an error of the server. The token must match the
 station's registered credential (compared in constant time), and the
@@ -27,8 +29,8 @@ from enum import Enum
 from operator import itemgetter
 from typing import Callable
 
-from .store import (_MAX_SEQ, BAD_JSON, BEYOND_SENSOR_RANGE, MAX_TS, STATION_ID_RE, Measurement,
-                    _encode_json, check_keys)
+from .store import (_MAX_SEQ, BAD_JSON, MAX_TS, STATION_ID_RE, Measurement, _encode_json,
+                    check_keys, readings_in_range)
 
 FRAME_KEYS = ("station_id", "token", "seq", "ts", "pm25", "pm10", "temp_c")
 
@@ -54,16 +56,6 @@ class RejectReason(Enum):
     STALE_SEQ = "stale_seq"
     OUT_OF_RANGE = "out_of_range"
     MALFORMED = "malformed"
-
-
-# Acceptance window for measured values. PM is accepted in [0, PM_MAX) so
-# the index ladder top stays reachable, but anything above the sensor's
-# effective ceiling gets a quality flag.
-PM_MAX = 1000.0
-PM_FLAG_ABOVE = 500.0
-TEMP_MIN_C = 0.0
-TEMP_MAX_C = 150.0
-_BEYOND_FLAGS = frozenset({BEYOND_SENSOR_RANGE})
 
 
 @dataclass(frozen=True)
@@ -151,11 +143,6 @@ def parse_and_validate(
         if seq < last:
             return _reject(RejectReason.STALE_SEQ)
 
-    if not (0.0 <= pm25 < PM_MAX) or not (0.0 <= pm10 < PM_MAX):
+    if not readings_in_range(pm25, pm10, temp_c):
         return _reject(RejectReason.OUT_OF_RANGE)
-    if not (TEMP_MIN_C <= temp_c <= TEMP_MAX_C):
-        return _reject(RejectReason.OUT_OF_RANGE)
-
-    beyond = pm25 > PM_FLAG_ABOVE or pm10 > PM_FLAG_ABOVE
-    return ValidationOutcome(Measurement(
-        station_id, seq, ts, pm25, pm10, temp_c, _BEYOND_FLAGS if beyond else frozenset()))
+    return ValidationOutcome(Measurement(station_id, seq, ts, pm25, pm10, temp_c))

@@ -557,11 +557,15 @@ class TestStorageErrorAtOpen:
         lambda d: (d / "series" / "santa-ana.ndjson").write_bytes(
             log_data(d / "series" / "santa-ana.ndjson").replace(
                 b'"pm25":12.3', b'"pm25":' + b"9" * 400, 1)),
+        lambda d: (d / "series" / "santa-ana.ndjson").write_bytes(
+            log_data(d / "series" / "santa-ana.ndjson").replace(
+                b'"pm25":12.3', b'"pm25":-900.0', 1)),
     ], ids=["registry-not-json", "registry-object", "registry-unknown-key",
             "registry-numeric-token", "registry-id-with-space", "registry-repeated-id",
             "corrupt-mid-record",
             "record-not-an-object", "log-unreadable", "registry-nested-too-deep",
-            "record-nested-too-deep", "record-nan", "record-infinite", "record-400-digit-pm25"])
+            "record-nested-too-deep", "record-nan", "record-infinite", "record-400-digit-pm25",
+            "record-negative-pm25"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, corrupt):
         # serve opens the data directory through the same _open_service
         config, data_dir = self.data_dir(tmp_path)

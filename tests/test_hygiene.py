@@ -12,6 +12,11 @@ declares (requires-python).
 Every JSON read of outside input catches one exception set: each
 json.load and json.loads call sits in the body of a try with a handler
 that names store.BAD_JSON.
+
+Every JSON the package writes, log lines and response bodies alike, comes
+from one encoder: json.JSONEncoder is constructed once, in store.py, and
+json.dump and json.dumps are called only in cli.py, for its indented,
+human-readable output.
 """
 
 import ast
@@ -168,3 +173,58 @@ def test_the_json_check_finds_a_read_guarded_by_less():
     assert json_reads({"a.py": source}) == {
         "a.py:2": False, "a.py:4": False, "a.py:6": False, "a.py:8": True, "a.py:9": False,
         "a.py:13": True}
+
+
+def json_writers(sources: dict[str, str]) -> list[str]:
+    """"module:line name" of each construction of json.JSONEncoder and each
+    call of json.dump or json.dumps in sources, whether named through json
+    or imported from it, sorted."""
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "json"
+                    for alias in node.names}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id == "json"):
+                name = func.attr
+            else:
+                name = imported.get(getattr(func, "id", None))
+            if name in ("JSONEncoder", "dump", "dumps"):
+                found.append(f"{module}:{node.lineno} {name}")
+    return sorted(found)
+
+
+def stray_json_writers(writers: list[str]) -> list[str]:
+    """The writers of json_writers outside their one module: an encoder
+    outside store.py, a dump or dumps outside cli.py."""
+    return [w for w in writers if not w.startswith(
+        "store.py:" if w.endswith(" JSONEncoder") else "cli.py:")]
+
+
+def test_the_package_has_one_json_encoder():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    writers = json_writers(sources)
+    assert stray_json_writers(writers) == []
+    assert sum(w.endswith(" JSONEncoder") for w in writers) == 1
+
+
+def test_the_encoder_check_finds_a_second_encoder():
+    sources = {
+        "store.py": "import json\n_encode = json.JSONEncoder(separators=(',', ':')).encode\n",
+        "cli.py": "import json\nprint(json.dumps({}, indent=2))\njson.dump({}, f)\n",
+        "service.py": "import json\nfrom json import JSONEncoder as E, dumps\n"
+                      "_RESPONSE = json.JSONEncoder(ensure_ascii=False)\nE()\ndumps(x)\n"
+                      "json.loads(b)\njson.JSONDecoder()\n",
+    }
+    writers = json_writers(sources)
+    assert writers == ["cli.py:2 dumps", "cli.py:3 dump", "service.py:3 JSONEncoder",
+                       "service.py:4 JSONEncoder", "service.py:5 dumps",
+                       "store.py:2 JSONEncoder"]
+    assert stray_json_writers(writers) == [
+        "service.py:3 JSONEncoder", "service.py:4 JSONEncoder", "service.py:5 dumps"]

@@ -28,7 +28,7 @@ from iccamon.service import (
     build_service,
     load_server_config,
 )
-from iccamon.store import Measurement, StationRecord, TimeSeriesStore
+from iccamon.store import Measurement, StationRecord, TimeSeriesStore, _encode
 from iccamon.telemetry import MAX_TS, TelemetryFrame, serialize
 
 from .helpers import log_data, register, stored
@@ -695,6 +695,23 @@ class TestHttpEndpoints:
         empty = entries["santa-ana"]
         assert empty["latest"] is None and empty["icca"] is None
 
+    def test_record_reads_as_its_log_line_in_every_body(self, server, store):
+        # one encoder: the station's last stored line, byte for byte, inside
+        # /latest, the last /history record and the station's overview entry
+        for seq, pm25 in ((1, 12.3), (2, 612.0)):  # the last one flagged
+            resp = requests.post(f"{server.url}/v1/telemetry",
+                                 data=frame_text(seq=seq, ts=START + seq, pm25=pm25).encode())
+            assert resp.status_code == 202
+        line = log_data(store.data_dir / "series" / "utec-01.ndjson").splitlines()[-1]
+        assert b'"flags":["beyond_sensor_range"]' in line
+        station = f"{server.url}/v1/stations/utec-01"
+        assert requests.get(f"{station}/latest").content \
+            == b'{"station_id":"utec-01","measurement":%s}' % line
+        assert requests.get(f"{station}/history").content.endswith(b",%s]}" % line)
+        assert b'"station_id":"utec-01","display_name":"San Salvador","location":' \
+               b'{"lat":13.7,"lon":-89.19},"latest":%s,' % line \
+            in requests.get(f"{server.url}/v1/overview").content
+
     def test_non_ascii_tokens_over_http(self, tmp_path):
         data = register(tmp_path / "d", StationRecord("utec-01", "x", 0.0, 0.0, "clé-ñandú"))
         with serving(MonitorService(TimeSeriesStore(data, fsync=False))) as srv:
@@ -782,7 +799,7 @@ class TestHistoryOracle:
         self.check(rng, MonitorService(TimeSeriesStore(data, fsync=False)), frames)
 
         # middle lines edited by hand; each is served as to_json_obj renders
-        # its record: the seven keys, floats, flags [] when they were missing
+        # its record: the seven keys, floats, the flags its readings give
         lines = log_data(log).splitlines(keepends=True)
         served = {}
         for k, edit in enumerate([
@@ -793,9 +810,10 @@ class TestHistoryOracle:
             i = len(lines) // 2 + k
             obj = json.loads(lines[i])
             lines[i] = (json.dumps(edit(obj)) + "\n").encode()
-            served["utec-01", obj["seq"]] = {
-                **obj, **{key: float(v) for key, v in edit(obj).items() if key in ("pm25", "pm10")},
-                "flags": obj["flags"] if k else []}
+            record = {**obj, **{key: float(v) for key, v in edit(obj).items()
+                                if key in ("pm25", "pm10")}}
+            served["utec-01", obj["seq"]] = {**record, "flags": [
+                "beyond_sensor_range"] if max(record["pm25"], record["pm10"]) > 500 else []}
         log.write_bytes(b"".join(lines))
         service = MonitorService(TimeSeriesStore(data, fsync=False))
         self.check(rng, service, frames, served)
@@ -811,10 +829,6 @@ class TestOverviewCache:
     against a fresh service over the same store, whose cache is empty."""
 
     TOKENS = {"alpha": "tok-1", "bravo": "tok-2", "quiet": "tok-3"}  # quiet never reports
-
-    @staticmethod
-    def encoded(payload) -> bytes:
-        return service_mod._RESPONSE_ENCODER.encode(payload).encode("utf-8")
 
     def steps(self):
         """(frame text, expected status) for alpha (hourly) and bravo."""
@@ -856,7 +870,7 @@ class TestOverviewCache:
                 got = service.overview_payload()
                 want = MonitorService(store).overview_payload()
                 assert got == want, text
-                assert self.encoded(got) == self.encoded(want)
+                assert _encode(got) == _encode(want)
                 counts = record_counts()
                 for old, entry, before, now in zip(prev, got["stations"], prev_counts, counts):
                     # an entry is rebuilt exactly when its station took a record
@@ -1072,7 +1086,7 @@ class TestHttpContentLength:
         # int() reads each of these as a length; RFC 9110 allows digits only
         reply = self.raw_post(server, value, frame_text().encode())
         assert reply.startswith(b"HTTP/1.1 400 "), reply
-        assert reply.endswith(b'{"error": "bad_content_length"}')
+        assert reply.endswith(b'{"error":"bad_content_length"}')
         assert b"\r\nConnection: close\r\n" in reply
 
     def test_length_with_many_leading_zeros_accepted(self, server):
@@ -1099,7 +1113,7 @@ class TestHttpContentLength:
         reply = raw_request(server, f"Content-Length: {len(body)}\r\nContent-Length: 5\r\n"
                                     "Connection: close", body)
         assert reply.startswith(b"HTTP/1.1 400 "), reply
-        assert reply.endswith(b'{"error": "bad_content_length"}')
+        assert reply.endswith(b'{"error":"bad_content_length"}')
         assert b"\r\nConnection: close\r\n" in reply
         assert store.count("utec-01") == 0
 
@@ -1132,7 +1146,7 @@ class TestHttpContentLength:
             b"GET /v1/stations/utec-01/latest HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
             % (len(inner), inner))
         assert re.findall(rb"HTTP/1\.1 (\d{3}) ", reply) == [b"200", b"200"], reply
-        assert reply.endswith(b'{"station_id": "utec-01", "measurement": null}')
+        assert reply.endswith(b'{"station_id":"utec-01","measurement":null}')
 
     def test_limit_itself_is_accepted(self, server):
         body = frame_text().encode().ljust(MAX_BODY_BYTES)
@@ -1149,7 +1163,7 @@ class TestTransferEncoding:
         chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
         reply = raw_request(server, "Transfer-Encoding: chunked", chunked)
         assert reply.startswith(b"HTTP/1.1 501 "), reply
-        assert reply.endswith(b'{"error": "transfer_encoding_not_supported"}')
+        assert reply.endswith(b'{"error":"transfer_encoding_not_supported"}')
         assert b"\r\nConnection: close\r\n" in reply
         assert reply.count(b"HTTP/1.1 ") == 1  # the chunk bytes were not read as a request
         assert store.count("utec-01") == 0
@@ -1288,7 +1302,7 @@ class TestFrontEndFaults:
                 reply = read_to_eof(third)
             assert reply.startswith(b"HTTP/1.1 503 Service Unavailable\r\n"), reply
             assert b"\r\nConnection: close\r\n" in reply
-            assert reply.endswith(b'{"error": "too_many_connections"}')
+            assert reply.endswith(b'{"error":"too_many_connections"}')
             held[0].close()
             # the slot is free once the server has seen that close
             deadline = time.monotonic() + 2
@@ -1311,7 +1325,7 @@ class TestFrontEndFaults:
         reply = raw_exchange(server, head(257))
         assert reply.startswith(b"HTTP/1.1 431 Request Header Fields Too Large\r\n"), reply
         assert b"\r\nConnection: close\r\n" in reply
-        assert reply.endswith(b'{"error": "header_too_large"}')
+        assert reply.endswith(b'{"error":"header_too_large"}')
         # a head that never ends is refused once it passes the limit
         reply = raw_exchange(server, b"GET /v1/stations HTTP/1.1\r\nX-Pad: " + b"a" * 300)
         assert reply.startswith(b"HTTP/1.1 431 "), reply
@@ -1329,7 +1343,7 @@ class TestFrontEndFaults:
     def test_bad_request_line_or_header_gets_400(self, server, head, error):
         reply = raw_exchange(server, head + b"GET /v1/stations HTTP/1.1\r\n\r\n")
         assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n"), reply
-        assert reply.endswith(b'{"error": "%s"}' % error.encode())
+        assert reply.endswith(b'{"error":"%s"}' % error.encode())
         assert b"\r\nConnection: close\r\n" in reply
         assert reply.count(b"HTTP/1.1 ") == 1
 
@@ -1338,7 +1352,7 @@ class TestFrontEndFaults:
         reply = raw_exchange(server, b"%s /v1/stations HTTP/1.1\r\nHost: x\r\n\r\n"
                              % method.encode())
         assert reply.startswith(b"HTTP/1.1 501 Not Implemented\r\n"), reply
-        assert reply.endswith(b'{"error": "method_not_supported"}')
+        assert reply.endswith(b'{"error":"method_not_supported"}')
         assert b"\r\nConnection: close\r\n" in reply
 
     def test_handler_error_answered_500_and_logged(self, caplog):
@@ -1354,7 +1368,7 @@ class TestFrontEndFaults:
         finally:
             srv.shutdown()
         assert reply.startswith(b"HTTP/1.1 500 Internal Server Error\r\n"), reply
-        assert reply.endswith(b'{"error": "internal_error"}')
+        assert reply.endswith(b'{"error":"internal_error"}')
         assert b"\r\nConnection: close\r\n" in reply
         errors = [r for r in caplog.records if r.name == "iccamon.service"]
         assert len(errors) == 1 and errors[0].exc_info[0] is RuntimeError
@@ -1367,7 +1381,7 @@ class TestFrontEndFaults:
         # the body is parsed before the station lookup: no token is needed
         reply = raw_request(server, f"Content-Length: {len(body)}\r\nConnection: close", body)
         assert reply.startswith(b"HTTP/1.1 422 "), reply[:200]
-        assert reply.endswith(b'{"error": "malformed"}')
+        assert reply.endswith(b'{"error":"malformed"}')
         assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
     def test_shutdown_closes_idle_keep_alive_connections(self, service):

@@ -306,7 +306,7 @@ class TestRecovery:
             frame = json.dumps({"station_id": "utec-01", "token": "tok-a", "seq": seq,
                                 "ts": 9000, "pm25": pm25, "pm10": 20.0, "temp_c": 25.0})
             validated = parse_and_validate(frame, reopened.lookup).measurement
-            assert bool(validated.flags) is flagged
+            assert bool(validated.to_json_obj()["flags"]) is flagged
             reopened.append(validated)
             reopened = TimeSeriesStore(data)
             recovered = reopened.latest("utec-01")
@@ -314,13 +314,21 @@ class TestRecovery:
             assert hash(recovered) == hash(validated)
 
     def test_hand_edited_flags_served_as_to_json_obj_lists_them(self, tmp_path):
+        # the flags are derived from the readings: a hand-edited list is
+        # re-encoded with the derived one, as any other hand edit is
         data = register(tmp_path / "data", STATION)
-        TimeSeriesStore(data).append(m(1))
+        s = TimeSeriesStore(data)
+        s.append(m(1))
+        s.append(m(2, pm25=600.0))
         log = data / "series" / "utec-01.ndjson"
-        record = json.loads(log_data(log))
-        log.write_bytes(json.dumps({**record, "flags": ["z", "a", "z"]}).encode() + b"\n")
+        lines = log_data(log).splitlines()
+        first, second = (json.loads(line) for line in lines)
+        assert (first["flags"], second["flags"]) == ([], [BEYOND_SENSOR_RANGE])
+        log.write_bytes(json.dumps({**first, "flags": ["z", "a", "z"]}).encode() + b"\n"
+                        + json.dumps({**second, "flags": []}).encode() + b"\n")
         served = TimeSeriesStore(data).query_range("utec-01", 0, 10**9)
-        assert [json.loads(line) for line in served] == [{**record, "flags": ["a", "z"]}]
+        assert served == lines
+        assert [json.loads(line)["flags"] for line in served] == [[], [BEYOND_SENSOR_RANGE]]
 
     def test_record_key_swapped_for_another_is_corrupt(self, tmp_path):
         # seven keys, floats and flags [], but token in the place of seq
@@ -369,8 +377,7 @@ class TestRecovery:
         s = TimeSeriesStore(data)
         for seq in range(1, 4):
             s.append(m(seq))
-        s.append(Measurement("utec-01", 4, 4800, 600.0, 20.0, 25.0,
-                             frozenset({BEYOND_SENSOR_RANGE})))
+        s.append(Measurement("utec-01", 4, 4800, 600.0, 20.0, 25.0))  # flagged
         log = data / "series" / "utec-01.ndjson"
         lines = log_data(log).splitlines()
         log.write_bytes(b"\n".join([lines[0], lines[1] + join + lines[2],
@@ -384,10 +391,17 @@ class TestRecovery:
         (b'"temp_c":25.0', b'"temp_c":-1e400'),  # JSON's parser reads -inf
         (b'"pm25":10.0', b'"pm25":' + b"9" * 400),  # no float holds it
         (b'"flags":[]', b'"flags":' + b"[" * 4000 + b"]" * 4000),  # too deep to parse
-    ], ids=["nan", "infinity", "overflowing-float", "400-digit-int", "nested-too-deep"])
+        (b'"pm25":10.0', b'"pm25":-900.0'),
+        (b'"pm10":20.0', b'"pm10":1000.0'),  # PM_MAX is outside
+        (b'"temp_c":25.0', b'"temp_c":150.5'),
+        (b'"station_id":"utec-01"', b'"station_id":"other"'),
+    ], ids=["nan", "infinity", "overflowing-float", "400-digit-int", "nested-too-deep",
+            "pm25-negative", "pm10-at-pm-max", "temp-above-max", "station-id-of-another-station"])
     def test_record_no_window_can_sum_is_corrupt(self, tmp_path, old, new):
-        # a value that is not finite would break every later window of the
-        # station, and so /icca and /v1/overview: it is refused at open
+        # a reading no frame could carry would break later windows of the
+        # station, and so /icca and /v1/overview (a negative one makes the
+        # index refuse its mean); another station's record would be served
+        # as this one's: each is refused at open
         data = register(tmp_path / "data", STATION)
         TimeSeriesStore(data).append(m(1))
         log = data / "series" / "utec-01.ndjson"
@@ -493,8 +507,7 @@ class TestPaddedLog:
         # with its padding removed, a log holds the same bytes as one written
         # a line at a time with json.dumps, as unpadded logs were
         data = register(tmp_path / "data", STATION)
-        ms = [m(1), m(2, pm25=600.5), Measurement("utec-01", 3, 3600, 0.1, 1e-05, 0.0,
-                                                  frozenset({"b", "a"}))]
+        ms = [m(1), m(2, pm25=600.5), Measurement("utec-01", 3, 3600, 0.1, 1e-05, 0.0)]
         s = TimeSeriesStore(data)
         for x in ms:
             s.append(x)

@@ -64,7 +64,7 @@ class TestParseAndValidate:
         m = out.measurement
         assert (m.station_id, m.seq, m.ts) == ("utec-01", 1, 1700000000)
         assert (m.pm25, m.pm10, m.temp_c) == (12.3, 20.0, 28.5)
-        assert m.flags == frozenset()
+        assert m.to_json_obj()["flags"] == []
 
     def test_key_order_variation_accepted(self):
         obj = json.loads(serialize(frame()))
@@ -162,9 +162,9 @@ class TestParseAndValidate:
     def test_beyond_sensor_range_flag(self):
         out = validate(serialize(frame(pm25=612.0)))
         assert out.accepted
-        assert out.measurement.flags == frozenset({BEYOND_SENSOR_RANGE})
+        assert out.measurement.to_json_obj()["flags"] == [BEYOND_SENSOR_RANGE]
         # at the sensor ceiling exactly: no flag
-        assert validate(serialize(frame(pm25=500.0))).measurement.flags == frozenset()
+        assert validate(serialize(frame(pm25=500.0))).measurement.to_json_obj()["flags"] == []
 
     def test_validation_is_pure_and_replayable(self):
         text = serialize(frame())
@@ -191,4 +191,4 @@ class TestAcceptedInvariants:
                 assert 0 <= m.pm25 < 1000 and 0 <= m.pm10 < 1000
                 assert 0 <= m.temp_c <= 150
                 if m.pm25 > 500 or m.pm10 > 500:
-                    assert BEYOND_SENSOR_RANGE in m.flags
+                    assert BEYOND_SENSOR_RANGE in m.to_json_obj()["flags"]
