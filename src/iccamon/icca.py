@@ -6,8 +6,10 @@ and simple summary statistics. A window's mean is exact and correctly
 rounded: it is taken from an integer sum of scaled samples, which a caller
 can also keep as a running sum. The scale is the published one, fixed as
 module constants: the categories with their names, index ranges and
-colors, and the two concentration ladders. No I/O, no hidden state; safe
-to call from any thread.
+colors, and the two concentration ladders. No I/O; safe to call from any
+thread. The one state kept is a memo of sub_index results by pollutant and
+truncated tenths, up to each ladder's top: the same inputs give the same
+(immutable) result, so it never changes an answer.
 """
 
 from __future__ import annotations
@@ -110,6 +112,23 @@ def sub_index(pollutant: Pollutant, concentration: float) -> IccaResult:
         raise ValueError(f"concentration must be finite and >= 0, got {concentration!r}")
 
     tenths = _truncate_tenths(concentration)
+    memo = _SUB_INDEX[pollutant]
+    if tenths >= len(memo):  # beyond the scale: kept out of the memo
+        return _ladder_index(pollutant, tenths)
+    result = memo[tenths]
+    if result is None:
+        result = memo[tenths] = _ladder_index(pollutant, tenths)
+    return result
+
+
+# sub_index results per pollutant, by tenths from 0 to the ladder's top (so
+# 5,001 + 6,041 places), each filled at its first use; an IccaResult is
+# immutable, so every caller can share one
+_SUB_INDEX: dict[Pollutant, list[IccaResult | None]] = {
+    pollutant: [None] * (ladder[-1][1] + 1) for pollutant, ladder in LADDERS.items()}
+
+
+def _ladder_index(pollutant: Pollutant, tenths: int) -> IccaResult:
     for (lo, hi), cat in zip(LADDERS[pollutant], CATEGORIES):
         if tenths <= hi:
             if tenths < lo:

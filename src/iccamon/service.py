@@ -17,7 +17,10 @@ Every index, for a frame's alert rules, an /icca read or an /overview
 entry, is the rolling index over window sums from the store. The 24-hour
 window's sums are kept beside each station's records, so it costs constant
 work; /icca with another window_s has the store sum that window once. Both
-give the same exact, correctly rounded means.
+give the same exact, correctly rounded means. An index is computed once per
+window state: the 24-hour snapshot is kept per station with the sums it
+came from and served from that memo until the station's window moves, so
+the frame that moves it computes the index and the reads after it do not.
 
 /overview keeps one built entry per registered station and rebuilds it
 only after that station's next accepted record: the store hands the
@@ -28,7 +31,11 @@ of entries, whatever the size of the registry. The registry and its
 order (by station_id) are fixed at open.
 
 Status mapping: BadToken→401, UnknownStation→404, DuplicateSeq/StaleSeq→409,
-OutOfRange/Malformed→422; acceptance → 202 after the record is durable.
+OutOfRange/Malformed→422; acceptance → 202 after the record is durable,
+also when the index or the alert rules then fail (logged with the
+traceback), so a station never resends a record the store holds.
+/v1/stations is encoded once, at its first request: the registry is fixed
+at open.
 
 HttpServer is a keep-alive HTTP/1.1 loop on a plain socket: an accept
 thread and one thread per connection, at most MAX_CONNECTIONS of them (one
@@ -48,6 +55,7 @@ Relative paths in a server config file are relative to that file.
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 import socket
@@ -168,6 +176,9 @@ class MonitorService:
         self._entries: list[dict | None] = [None] * len(self._position)
         self._changed = store.watch()
         self._overview_lock = threading.Lock()
+        # the 24-hour snapshot last computed per station, with the window
+        # sums it was computed from (see rolling_icca)
+        self._snapshots: dict[str, tuple[tuple[int, int, int, int], IccaSnapshot]] = {}
 
     # -- ingestion ---------------------------------------------------------
 
@@ -194,27 +205,52 @@ class MonitorService:
         return 202, {"station_id": m.station_id, "seq": m.seq}
 
     def _post_accept(self, m: Measurement) -> list[AlertEvent] | None:
-        if self.rule_engine is not None:
+        if self.rule_engine is None:
+            return None
+        try:
             snapshot = self.rolling_icca(m.station_id)
             if snapshot.sufficient:
                 # stamped with the end of the window the index is over: m.ts
                 # for an in-order frame, the newest record's ts for a late one
                 return self.rule_engine.observe(m.station_id, snapshot.result,
                                                 snapshot.window_end)
+        except Exception:
+            # the record is durable: a 202 keeps the station from resending
+            # a frame the store already holds (which would get 409)
+            logger.exception("index or alert rules failed after storing %s seq %d",
+                             m.station_id, m.seq)
         return None
 
     # -- queries -----------------------------------------------------------
 
+    @functools.cached_property
+    def stations_body(self) -> bytes:
+        """The /v1/stations body: the registry without its tokens (reads are
+        public). The registry is fixed at open, so it is encoded once, at
+        the first request rather than at start, which it would slow by
+        milliseconds for a large registry."""
+        return _encode([{key: value for key, value in rec.to_json_obj().items() if key != "token"}
+                        for rec in self.store.stations()])
+
     def rolling_icca(self, station_id: str, window_s: int | None = None) -> IccaSnapshot:
         """Rolling index over the store's window sums for the window ending
-        at the station's latest record; window_s None means 24 hours."""
+        at the station's latest record; window_s None means 24 hours.
+
+        A snapshot is a function of the window's (end, count, sums) alone:
+        the station's period is fixed at open. So the 24-hour snapshot is
+        kept per station and served again while the store's sums for it
+        are unchanged; any other width is computed at each call.
+        """
         window_s = self.window_s if window_s is None else window_s
         if window_s <= 0:
             raise ValueError("window_s must be positive")
-        period = self.store.get_station(station_id).report_period_s
         window = self.store.window(station_id, window_s)
         if window is None:
             return IccaSnapshot(station_id, None, window_s, None, None, None)
+        held = window_s == self.window_s
+        if held and (kept := self._snapshots.get(station_id)) and kept[0] == window:
+            return kept[1]
+        period = self.store.get_station(station_id).report_period_s
         end, count, sum25, sum10 = window
         a25 = icca.window_average(count, sum25, window_s, period, self.coverage_min)
         a10 = icca.window_average(count, sum10, window_s, period, self.coverage_min)
@@ -222,15 +258,10 @@ class MonitorService:
             result = icca.overall_icca(a25, a10)
         except InsufficientDataError:
             result = None
-        return IccaSnapshot(station_id, end, window_s, a25, a10, result)
-
-    def stations_payload(self) -> list[dict]:
-        out = []
-        for rec in self.store.stations():
-            entry = rec.to_json_obj()
-            del entry["token"]  # reads are public; never leak credentials
-            out.append(entry)
-        return out
+        snapshot = IccaSnapshot(station_id, end, window_s, a25, a10, result)
+        if held:
+            self._snapshots[station_id] = (window, snapshot)
+        return snapshot
 
     def latest_payload(self, station_id: str) -> dict:
         m = self.store.latest(station_id)
@@ -268,7 +299,11 @@ class MonitorService:
         with self._overview_lock:
             while changed:
                 sid = changed.pop()
-                entries[self._position[sid]] = self._overview_entry(sid)
+                try:
+                    entries[self._position[sid]] = self._overview_entry(sid)
+                except BaseException:
+                    changed.add(sid)  # so the next overview builds it again
+                    raise
             return {"stations": list(entries)}
 
     def _overview_entry(self, sid: str) -> dict:
@@ -496,7 +531,7 @@ def _content_length(values: list[str]) -> int:
 
 def _route_get(service: MonitorService, path: str, query: dict) -> tuple[int, dict | list | bytes]:
     if path == "/v1/stations":
-        return 200, service.stations_payload()
+        return 200, service.stations_body
     if path == "/v1/overview":
         return 200, service.overview_payload()
     parts = path.strip("/").split("/")

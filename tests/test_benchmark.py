@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from perfbench.spans import TARGETS
 from perfbench.workloads import WORKLOADS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,3 +36,11 @@ def test_one_day_replay_round_is_correct(tmp_path):
     result = workload.run_round(tmp_path / "data")
     assert result.problems == []
     assert result.accepted == 360  # 5 stations, one frame each 20 minutes
+
+
+def test_every_traced_target_is_in_the_package():
+    # a traced run patches each of these by name; one renamed away in the
+    # package would leave its span, and its per-layer metric, empty
+    missing = [(getattr(owner, "__name__", owner), attr) for owner, attr, _, _ in TARGETS
+               if not callable(getattr(owner, attr, None))]
+    assert missing == []

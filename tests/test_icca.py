@@ -3,6 +3,7 @@ from decimal import ROUND_DOWN, Decimal
 
 import pytest
 
+from iccamon import icca
 from iccamon.icca import (
     CATEGORIES,
     LADDERS,
@@ -180,6 +181,27 @@ class TestSubIndex:
 def decimal_tenths(concentration) -> int:
     """The truncation rule on the decimal rendering, computed in Decimal throughout."""
     return int(Decimal(str(concentration)).scaleb(1).to_integral_value(rounding=ROUND_DOWN))
+
+
+class TestSubIndexMemo:
+    def test_holds_each_ladder_value_once_and_nothing_beyond(self, monkeypatch):
+        memo = {pollutant: [None] * len(places) for pollutant, places in icca._SUB_INDEX.items()}
+        monkeypatch.setattr(icca, "_SUB_INDEX", memo)
+        for pollutant, ladder in LADDERS.items():
+            top = ladder[-1][1]
+            for beyond in (top / 10 + 0.1, top / 10 + 1000, 1e300):
+                assert sub_index(pollutant, beyond).beyond_scale
+        assert all(result is None for places in memo.values() for result in places)
+        for pollutant, ladder in LADDERS.items():
+            for tenths in range(ladder[-1][1] + 1):
+                result = sub_index(pollutant, tenths / 10)
+                # a second call is served from the memo, and it is the oracle's
+                assert sub_index(pollutant, tenths / 10 + 0.04) is result
+                assert memo[pollutant][tenths] is result
+                assert (result.value, result.beyond_scale) == icca_oracle(
+                    ORACLE_LADDERS[pollutant], tenths / 10)
+        assert {pollutant: len(places) for pollutant, places in memo.items()} == {
+            Pollutant.PM25: 5001, Pollutant.PM10: 6041}
 
 
 class TestTruncateTenths:

@@ -32,7 +32,7 @@ from iccamon.store import Measurement, StationRecord, TimeSeriesStore, _encode
 from iccamon.telemetry import MAX_TS, TelemetryFrame, serialize
 
 from .helpers import log_data, register, stored
-from .oracles import history_oracle
+from .oracles import ORACLE_PM10, ORACLE_PM25, exact_mean, history_oracle, icca_oracle
 
 START = 1700006400
 
@@ -157,6 +157,30 @@ class TestIngest:
         s = TimeSeriesStore(data)
         assert MonitorService(s).ingest(frame_text(seq=1)) == (409, {"error": "duplicate_seq"})
         assert (data / "series" / "utec-01.ndjson").read_text().count('"seq":1,') == 1
+
+    @pytest.mark.parametrize("fault", ["rolling_icca", "observe"])
+    def test_index_or_rule_fault_after_the_append_still_answers_202(self, tmp_path, monkeypatch,
+                                                                    caplog, fault):
+        # one report a day: the first frame fills the window, so the rules run
+        store = TimeSeriesStore(register(tmp_path / "data", StationRecord(
+            "utec-01", "x", 0.0, 0.0, "tok-a", 86400)), fsync=False)
+        engine = RuleEngine([Rule("r1", trigger_category_min=1)])
+        service = MonitorService(store, rule_engine=engine)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError(f"{fault} fault")
+
+        owner = service if fault == "rolling_icca" else engine
+        monkeypatch.setattr(owner, fault, fail)
+        assert service.ingest(frame_text(seq=1)) == (202, {"station_id": "utec-01", "seq": 1})
+        [record] = [r for r in caplog.records if r.name == "iccamon.service"]
+        assert record.levelname == "ERROR" and record.exc_info[0] is RuntimeError
+        # the record is stored once: the station's resend is a duplicate
+        assert service.ingest(frame_text(seq=1)) == (409, {"error": "duplicate_seq"})
+        monkeypatch.undo()
+        assert service.ingest(frame_text(seq=2, ts=START + 86400))[0] == 202
+        assert store.count("utec-01") == 2
+        assert service.rolling_icca("utec-01").sufficient
 
     def test_read_your_writes(self, service, store):
         status, _ = service.ingest(frame_text(seq=1, ts=START + 60))
@@ -472,6 +496,143 @@ class TestIncrementalWindow:
         assert len(calls) == 1
 
 
+def oracle_index(store, sid) -> tuple[int, str] | None:
+    """(index, dominant pollutant) of the station's 24-hour window, from its
+    stored records, the exact means and the oracle ladders; None when the
+    window covers less than 75% of the expected samples."""
+    records = stored(store, sid)
+    end = records[-1].ts
+    window = [r for r in records if end - 86400 < r.ts <= end]
+    if len(window) / (86400 // store.get_station(sid).report_period_s) < 0.75:
+        return None
+    best = None
+    for name, ladder, values in (("pm25", ORACLE_PM25, [r.pm25 for r in window]),
+                                 ("pm10", ORACLE_PM10, [r.pm10 for r in window])):
+        value, _ = icca_oracle(ladder, exact_mean(values))
+        if best is None or value > best[0]:  # ties go to PM2.5
+            best = (value, name)
+    return best
+
+
+class TestSnapshotMemo:
+    """The 24-hour snapshot is computed once per window state, by the frame
+    (or read) that first sees it, and served from the memo until the
+    station's window sums change."""
+
+    TOKENS = {"alpha": "tok-1", "bravo": "tok-2", "charlie": "tok-3"}
+
+    def open(self, tmp_path, quiet=()):
+        stations = [StationRecord(sid, sid, 13.7, -89.2, tok)
+                    for sid, tok in {**self.TOKENS, **dict.fromkeys(quiet, "tok-q")}.items()]
+        return TimeSeriesStore(register(tmp_path / "data", *stations), fsync=False)
+
+    @staticmethod
+    def engine():
+        return RuleEngine([Rule("r1", trigger_category_min=1)])
+
+    @staticmethod
+    def count_index_calls(monkeypatch) -> list:
+        calls = []
+        original = icca.overall_icca
+        monkeypatch.setattr(icca, "overall_icca", lambda *a: calls.append(a) or original(*a))
+        return calls
+
+    def test_reads_after_a_frame_compute_no_index(self, tmp_path, monkeypatch):
+        store = self.open(tmp_path, quiet=["quiet"])
+        service = MonitorService(store, rule_engine=self.engine())
+        calls = self.count_index_calls(monkeypatch)
+        try:
+            for k in range(60):
+                for sid, tok in self.TOKENS.items():
+                    text = frame_text(sid, tok, k + 1, START + k * 1200, pm25=10.0 + k)
+                    assert service.ingest(text)[0] == 202
+            assert len(calls) == 180  # one per accepted frame
+            calls.clear()
+            overview = service.overview_payload()
+            bodies = {sid: service.icca_payload(sid) for sid in self.TOKENS}
+            assert calls == []
+            for entry in overview["stations"]:
+                if entry["station_id"] in bodies:
+                    assert entry["icca"] == bodies[entry["station_id"]]["icca"] is not None
+            for sid in self.TOKENS:
+                service.icca_payload(sid, 3600)
+                service.icca_payload(sid, 86400)
+            assert len(calls) == 3  # another width is computed at each read
+            for sid in self.TOKENS:
+                assert service.icca_payload(sid) == bodies[sid]
+            assert len(calls) == 3  # and it did not evict the 24-hour snapshot
+            # at most one snapshot per station with records
+            assert sorted(service._snapshots) == sorted(self.TOKENS)
+        finally:
+            store.close()
+
+    def test_never_stale(self, tmp_path):
+        store = self.open(tmp_path)
+        data = store.data_dir
+        service = MonitorService(store, rule_engine=self.engine())
+        seqs = dict.fromkeys(self.TOKENS, 0)
+
+        def send(service, sid, ts, pm25):
+            seqs[sid] += 1
+            text = frame_text(sid, self.TOKENS[sid], seqs[sid], ts, pm25=pm25)
+            assert service.ingest(text)[0] == 202
+
+        def check(service):
+            for sid in ("alpha", "bravo"):
+                snap = service.rolling_icca(sid)
+                assert snap == MonitorService(service.store).rolling_icca(sid)
+                got = (snap.result.value, snap.result.dominant.value) if snap.result else None
+                assert got == oracle_index(service.store, sid)
+
+        for k in range(72):
+            send(service, "alpha", START + k * 1200, 20.0 + k % 7)
+            send(service, "bravo", START + k * 1200, 60.0)
+        check(service)
+        # a late record inside the window moves the sums
+        before = service.rolling_icca("alpha")
+        send(service, "alpha", START + 40 * 1200 + 600, 300.0)
+        check(service)
+        assert service.rolling_icca("alpha") != before
+        # a record before the window leaves them, and the index, as they are
+        before = service.rolling_icca("alpha")
+        send(service, "alpha", START - 86400, 480.0)
+        assert service.rolling_icca("alpha") is before
+        check(service)
+        # a restart starts with an empty memo
+        store.close()
+        store = TimeSeriesStore(data, fsync=False)
+        service = MonitorService(store, rule_engine=self.engine())
+        check(service)
+        send(service, "alpha", START + 72 * 1200, 35.0)
+        check(service)
+        # a second service over the same store: each sees the other's records
+        other = MonitorService(store, rule_engine=self.engine())
+        check(other)
+        send(other, "bravo", START + 72 * 1200, 250.0)
+        check(service)
+        send(service, "bravo", START + 73 * 1200, 250.0)
+        check(other)
+        store.close()
+
+    def test_failed_compute_fills_no_memo(self, tmp_path, monkeypatch):
+        store = self.open(tmp_path)
+        service = MonitorService(store, rule_engine=self.engine())
+        original = icca.overall_icca
+
+        def fail_once(*args):
+            monkeypatch.setattr(icca, "overall_icca", original)
+            raise RuntimeError("index fault")
+
+        monkeypatch.setattr(icca, "overall_icca", fail_once)
+        assert service.ingest(frame_text("alpha", "tok-1", 1, START))[0] == 202
+        calls = self.count_index_calls(monkeypatch)
+        service.rolling_icca("alpha")
+        assert len(calls) == 1  # computed, not served from a memo
+        service.rolling_icca("alpha")
+        assert len(calls) == 1
+        store.close()
+
+
 class TestAlertWiring:
     def test_rolling_alert_raised_once(self, store):
         engine = RuleEngine([Rule("r3", trigger_category_min=3)])
@@ -610,6 +771,12 @@ class TestHttpEndpoints:
         assert [s["station_id"] for s in stations] == ["santa-ana", "utec-01"]
         assert all("token" not in s for s in stations)
         assert stations[0]["lat"] is not None
+
+    def test_stations_body_is_the_registry_without_tokens(self, server, store):
+        registry = json.loads((store.data_dir / TimeSeriesStore.REGISTRY_FILE).read_text())
+        want = sorted(({key: value for key, value in rec.items() if key != "token"}
+                       for rec in registry), key=lambda rec: rec["station_id"])
+        assert requests.get(f"{server.url}/v1/stations").json() == want
 
     def test_latest_endpoint(self, server):
         assert requests.get(f"{server.url}/v1/stations/utec-01/latest").json() == {
@@ -887,6 +1054,22 @@ class TestOverviewCache:
             assert by_id["alpha"]["coverage"] == 1 / 24  # only the last frame is in its window
         finally:
             store.close()
+
+    def test_entry_whose_rebuild_failed_is_built_by_the_next_overview(self, service,
+                                                                         monkeypatch):
+        assert service.ingest(frame_text(seq=1))[0] == 202
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("index fault")
+
+        monkeypatch.setattr(service, "rolling_icca", fail)
+        with pytest.raises(RuntimeError):
+            service.overview_payload()
+        monkeypatch.undo()
+        got = service.overview_payload()
+        assert got == MonitorService(service.store).overview_payload()
+        [entry] = [e for e in got["stations"] if e["station_id"] == "utec-01"]
+        assert entry["latest"]["seq"] == 1 and entry["coverage"] > 0
 
     def test_concurrent_ingest_and_overview_reads(self, tmp_path):
         sids = [f"st-{i}" for i in range(4)]
