@@ -9,7 +9,9 @@ module constants: the categories with their names, index ranges and
 colors, and the two concentration ladders. No I/O; safe to call from any
 thread. The one state kept is a memo of sub_index results by pollutant and
 truncated tenths, up to each ladder's top: the same inputs give the same
-(immutable) result, so it never changes an answer.
+(immutable) result, so it never changes an answer. A WindowAverage is a
+NamedTuple, the cheapest immutable record to build: a frame that moves
+its station's window builds two.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import statistics
 from dataclasses import dataclass
 from decimal import ROUND_DOWN, Decimal
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class Pollutant(Enum):
@@ -66,8 +68,7 @@ class IccaResult:
     beyond_scale: bool = False
 
 
-@dataclass(frozen=True)
-class WindowAverage:
+class WindowAverage(NamedTuple):
     mean: float | None
     sample_count: int
     expected_count: int
@@ -145,24 +146,24 @@ def _ladder_index(pollutant: Pollutant, tenths: int) -> IccaResult:
 def overall_icca(pm25_avg: WindowAverage | None, pm10_avg: WindowAverage | None) -> IccaResult:
     """Station index: the maximum of the available sub-indices.
 
-    Only sufficient window averages participate; ties go to PM2.5.
-    Raises InsufficientDataError when neither pollutant qualifies.
+    Only sufficient window averages participate; ties go to PM2.5. The
+    result is beyond the scale when either pollutant is. Raises
+    InsufficientDataError when neither pollutant qualifies.
     """
-    candidates: list[tuple[Pollutant, IccaResult]] = []
-    for pollutant, avg in ((Pollutant.PM25, pm25_avg), (Pollutant.PM10, pm10_avg)):
-        if avg is not None and avg.sufficient and avg.mean is not None:
-            candidates.append((pollutant, sub_index(pollutant, avg.mean)))
-    if not candidates:
-        raise InsufficientDataError("no pollutant window met the coverage requirement")
-
-    dominant, best = candidates[0]
-    for pollutant, result in candidates[1:]:
-        if result.value > best.value:
-            dominant, best = pollutant, result
-    beyond = any(r.beyond_scale for _, r in candidates)
-    if beyond == best.beyond_scale:
+    r25 = (sub_index(Pollutant.PM25, pm25_avg.mean) if pm25_avg is not None
+           and pm25_avg.sufficient and pm25_avg.mean is not None else None)
+    r10 = (sub_index(Pollutant.PM10, pm10_avg.mean) if pm10_avg is not None
+           and pm10_avg.sufficient and pm10_avg.mean is not None else None)
+    if r25 is None or r10 is None:
+        best = r10 if r25 is None else r25
+        if best is None:
+            raise InsufficientDataError("no pollutant window met the coverage requirement")
         return best  # sub_index already names its pollutant as dominant
-    return IccaResult(best.value, best.category, dominant, beyond_scale=beyond)
+    best = r10 if r10.value > r25.value else r25
+    if best.beyond_scale or not (r25.beyond_scale or r10.beyond_scale):
+        return best
+    # PM2.5 at the top of its ladder wins the tie with a PM10 beyond the scale
+    return IccaResult(best.value, best.category, best.dominant, beyond_scale=True)
 
 
 # A float is an integer multiple of 2**-1074 (the smallest subnormal), so a
@@ -196,13 +197,9 @@ def window_average(
         coverage = count / expected
     else:
         coverage = 1.0 if count else 0.0
-    return WindowAverage(
-        mean=scaled_sum / (count << SCALE_BITS) if count else None,
-        sample_count=count,
-        expected_count=expected,
-        coverage=coverage,
-        sufficient=coverage >= coverage_min,
-    )
+    # mean, sample_count, expected_count, coverage, sufficient
+    return WindowAverage(scaled_sum / (count << SCALE_BITS) if count else None, count, expected,
+                         coverage, coverage >= coverage_min)
 
 
 def rolling_average(

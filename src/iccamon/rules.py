@@ -236,7 +236,7 @@ class RuleEngine:
         """Append an event to the alert log, if any. Call under the lock."""
         try:
             if self.alert_log is not None:
-                self.alert_log.append(event.to_json_obj())
+                self.alert_log.append(_encode(event.to_json_obj()))
         except StorageError as exc:
             # the frame is stored and still gets its 202; a restart may raise the event again
             logger.error("alert event not logged: %s", exc)

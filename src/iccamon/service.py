@@ -7,11 +7,13 @@ authority on sequence numbers, so acceptance and window updates are
 race-free while distinct stations proceed in parallel. Alert sinks are
 called after the lock is released, so no read waits on one. Reads are public.
 
-Every body is compact JSON from the store's encoder (store._encode), so a
-record reads the same in its log line and in every body that holds it. A
-/history body is built from bytes encoded once: its records are the lines
-the store wrote to its log (see store.TimeSeriesStore.query_range), joined
-into the response, so no record is encoded per read.
+Every body is compact JSON from the store's encoder (store._encode). A
+record's log line has its own format (store.Measurement.stored_line),
+pinned to that encoder's bytes, so a record reads the same in its log line
+and in every body that holds it. A /history body is built from bytes
+encoded once: its records are the lines the store wrote to its log (see
+store.TimeSeriesStore.query_range), joined into the response, so no record
+is encoded per read.
 
 Every index, for a frame's alert rules, an /icca read or an /overview
 entry, is the rolling index over window sums from the store. The 24-hour
@@ -21,6 +23,9 @@ give the same exact, correctly rounded means. An index is computed once per
 window state: the 24-hour snapshot is kept per station with the sums it
 came from and served from that memo until the station's window moves, so
 the frame that moves it computes the index and the reads after it do not.
+A snapshot (IccaSnapshot) and its two window averages are NamedTuples,
+the cheapest immutable records to build, as every frame that moves a
+window builds all three.
 
 /overview keeps one built entry per registered station and rebuilds it
 only after that station's next accepted record: the store hands the
@@ -65,6 +70,7 @@ from dataclasses import dataclass
 from email.utils import formatdate
 from http import HTTPStatus
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import parse_qs, urlsplit
 
 from . import icca
@@ -137,8 +143,7 @@ def _build_server_config(obj, base: Path) -> ServerConfig:
     return cfg
 
 
-@dataclass(frozen=True)
-class IccaSnapshot:
+class IccaSnapshot(NamedTuple):
     """A station's rolling-window index state at some window end."""
 
     station_id: str
@@ -346,8 +351,8 @@ def _snapshot_payload(snap: IccaSnapshot) -> dict:
         "sufficient": snap.sufficient,
         "coverage": snap.coverage,
         # every WindowAverage field, in declaration order
-        "pm25": dict(vars(snap.pm25)) if snap.pm25 else None,
-        "pm10": dict(vars(snap.pm10)) if snap.pm10 else None,
+        "pm25": snap.pm25._asdict() if snap.pm25 else None,
+        "pm10": snap.pm10._asdict() if snap.pm10 else None,
         "icca": _icca_fields(snap.result),
     }
 

@@ -10,10 +10,15 @@ Layout under the data directory:
 Both kinds of log are NdjsonLogs: one compact JSON line per record, each
 fsynced before the append returns, then ASCII-space padding that keeps
 the file allocated up to CHUNK_BYTES ahead of its data (so a log uses at
-most that much more disk than its records). A crash mid-write leaves a
-torn last line, which the next open blanks with spaces. A record line
-mirrors the wire frame minus the token, plus the quality flags that
-to_json_obj derives from its readings. An in-memory
+most that much more disk than its records). The append that creates a
+log also fsyncs the directory that holds it, and the open that creates
+series/ the data directory, so a new file outlasts a power loss as its
+records do. A crash mid-write leaves a torn last line, which the next
+open blanks with spaces. A record line mirrors the wire frame minus the
+token, plus the quality flags derived from its readings. It has its own
+format, Measurement.stored_line: one %-format over the record's
+validated fields, pinned to the bytes the store's JSON encoder (_encode)
+gives for to_json_obj, so the frame path builds no dict. An in-memory
 index (records sorted by timestamp, last accepted sequence number) is
 rebuilt on open: recovery replays each logged record through
 _Station._index, the insert append uses, so the index is built by the
@@ -28,27 +33,27 @@ reaches it, into a Measurement built by the same constructor as on the
 wire path, which is dropped once the line and its three numbers are
 indexed: no log is ever held parsed in full. A line that is not as append
 writes it (edited by hand, say) is re-encoded from that record in
-_Station.recover: besides append, the one place a stored line is
-encoded. So no key the store does not write is ever read back. The
-store is the one place that sums a window's values (see
-_Station.window). Beside the index each station keeps exact running sums
-of its 24-hour window, built on the window's first use and from then on
-kept by every record: a newest one slides the window forward, a late one
-inside the window joins its sums, and one before it only shifts the
-window's place in the index. So a late record never makes the window be
-summed again. A reader that keeps derived state per station (the
-service's /overview entries) takes a set from watch(): every append adds
-its station's id to each such set, so the reader rebuilds only what
-changed, without walking the registry. Every config file is read with
-load_config and its entries checked with check_keys, which also types
-the wire frame's keys (telemetry._parse_fields); StationRecord alone
-decides what a valid station is, and the registry may list a station_id
-only once. Every JSON reader of the package (log, config, frame, report
-reply) catches one exception set, BAD_JSON, so JSON that is nested too
-deep or holds a number no float holds is refused as any bad JSON is, and
-the store alone defines a record: which readings it may hold
-(readings_in_range, the one judge for a frame and a log line), its flag
-and its JSON. A record no frame could have carried is a corrupt line: a
+_Station.recover: with append, the one caller of stored_line, so these
+two are the only places a stored line is made. So no key the store does
+not write is ever read back. The store is the one place that sums a
+window's values (see _Station.window). Beside the index each station
+keeps exact running sums of its 24-hour window, built on the window's
+first use and from then on kept by every record: a newest one slides the
+window forward, a late one inside the window joins its sums, and one
+before it only shifts the window's place in the index. So a late record
+never makes the window be summed again. A reader that keeps derived state
+per station (the service's /overview entries) takes a set from watch():
+every append adds its station's id to each such set, so the reader
+rebuilds only what changed, without walking the registry. Every config
+file is read with load_config and its entries checked with check_keys,
+which also types the wire frame's keys (telemetry._parse_fields);
+StationRecord alone decides what a valid station is, and the registry
+may list a station_id only once. Every JSON reader of the package (log,
+config, frame, report reply) catches one exception set, BAD_JSON, so JSON
+that is nested too deep or holds a number no float holds is refused as
+any bad JSON is, and the store alone defines a record: which readings it
+may hold (readings_in_range, the one judge for a frame and a log line),
+its flag, its JSON and its line. A record no frame could have carried is a corrupt line: a
 reading outside the wire's ranges, a seq or ts that is not an int in the
 wire's range (_MAX_SEQ, MAX_TS), or another station's station_id.
 """
@@ -119,6 +124,15 @@ def _encode(obj) -> bytes:
     return _encode_json(obj).encode("utf-8")
 
 
+def _fsync_dir(path: str | Path) -> None:
+    """fsync a directory, so the entries made in it so far are on disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def readings_in_range(pm25: float, pm10: float, temp_c: float) -> bool:
     """Whether a frame may carry these readings, and so a record hold them:
     PM in [0, PM_MAX), temperature in [TEMP_MIN_C, TEMP_MAX_C]. NaN and
@@ -126,9 +140,23 @@ def readings_in_range(pm25: float, pm10: float, temp_c: float) -> bool:
     return 0.0 <= pm25 < PM_MAX and 0.0 <= pm10 < PM_MAX and TEMP_MIN_C <= temp_c <= TEMP_MAX_C
 
 
+def _beyond_sensor_range(pm25: float, pm10: float) -> bool:
+    """Whether a record with these readings carries the BEYOND_SENSOR_RANGE
+    quality flag: the one rule for its flags, in either form below."""
+    return pm25 > PM_FLAG_ABOVE or pm10 > PM_FLAG_ABOVE
+
+
 def _flags(pm25: float, pm10: float) -> list[str]:
     """A record's quality flags, derived from its readings."""
-    return [BEYOND_SENSOR_RANGE] if pm25 > PM_FLAG_ABOVE or pm10 > PM_FLAG_ABOVE else []
+    return [BEYOND_SENSOR_RANGE] if _beyond_sensor_range(pm25, pm10) else []
+
+
+# Measurement.stored_line: a record's compact JSON (_encode of to_json_obj)
+# as one %-format, its flags indexed by _beyond_sensor_range. repr is how
+# json writes an int and a float; a station_id needs no escaping, as
+# STATION_ID_RE admits no character that JSON escapes.
+_LINE = '{"station_id":"%s","seq":%r,"ts":%r,"pm25":%r,"pm10":%r,"temp_c":%r,"flags":%s}'
+_FLAGS_JSON = (_encode_json([]), _encode_json([BEYOND_SENSOR_RANGE]))
 
 
 def load_config(path: str | Path, what: str, build):
@@ -178,7 +206,11 @@ class NdjsonLog:
 
     Each append opens the file, writes, fsyncs (with fsync) and closes it
     before it returns, so a log holds no file descriptor between appends.
-    Not thread-safe: callers serialise appends.
+    The append that creates the file also fsyncs the directory that holds
+    it, once: fsync(2) does not promise that a new file's directory entry
+    is on disk, and without it a power loss could take the file, and every
+    record it acknowledged, with it. Not thread-safe: callers serialise
+    appends.
     """
 
     def __init__(self, path: str | Path, fsync: bool = True):
@@ -186,10 +218,11 @@ class NdjsonLog:
         self._fsync = fsync
         self._end: int | None = None  # offset past the last whole line; None until found
         self._size = 0  # file size; the bytes from _end to it are padding
+        # _load found no file: its directory is fsynced after the next append
+        self._created = False
 
-    def append(self, obj) -> bytes:
-        """Write obj as one line and fsync; the line, without its newline."""
-        record = _encode(obj)
+    def append(self, record: bytes) -> None:
+        """Write record (one line's bytes, without the newline) and fsync."""
         line = record + b"\n"
         try:
             if self._end is None:
@@ -211,9 +244,11 @@ class NdjsonLog:
                     os.fsync(fd)
             finally:
                 os.close(fd)
+            if self._created and self._fsync:
+                _fsync_dir(os.path.dirname(self.path))
+            self._created = False
         except OSError as exc:
             raise StorageError(f"append to {self.path} failed: {exc}") from exc
-        return record
 
     def _load(self) -> bytes:
         """The file's bytes up to the data end, which it records; b"" without a file.
@@ -230,6 +265,7 @@ class NdjsonLog:
                 raw = fh.read()
         except FileNotFoundError:
             raw = b""
+            self._created = True
         end = raw.rfind(b"\n") + 1
         torn = None
         if raw[end:end + 1] not in (b"", b" "):
@@ -278,7 +314,8 @@ class NdjsonLog:
 
 class Measurement(NamedTuple):
     """One stored reading. As a tuple it iterates and compares equal to a
-    plain tuple of its fields; its JSON form is to_json_obj, never itself."""
+    plain tuple of its fields; its JSON form is to_json_obj, never itself,
+    and its log line stored_line."""
 
     station_id: str
     seq: int
@@ -286,6 +323,15 @@ class Measurement(NamedTuple):
     pm25: float
     pm10: float
     temp_c: float
+
+    def stored_line(self) -> bytes:
+        """The record's line in its station's log, without its newline: the
+        bytes _encode(self.to_json_obj()) gives, built by one %-format. The
+        station_id must be a registered one (STATION_ID_RE), as every
+        record the store takes is."""
+        station_id, seq, ts, pm25, pm10, temp_c = self
+        return (_LINE % (station_id, seq, ts, pm25, pm10, temp_c,
+                         _FLAGS_JSON[_beyond_sensor_range(pm25, pm10)])).encode()
 
     def to_json_obj(self) -> dict:
         return {
@@ -367,10 +413,9 @@ class _Station:
         for (m, as_written), line in self.log.read(self._written_record, "record"):
             # appends write increasing seqs; a repeat is left by a retried append
             if self.accepts(m.seq):
-                # a line not as written is served as to_json_obj renders it,
+                # a line not as written is served as append would write it,
                 # so no key the store does not write is ever read back
-                self._index(m, line if line is not None and as_written
-                            else _encode(m.to_json_obj()))
+                self._index(m, line if line is not None and as_written else m.stored_line())
 
     def _written_record(self, obj: dict) -> tuple[Measurement, bool]:
         """(the record of a parsed line of this station's log, whether the
@@ -476,7 +521,13 @@ class TimeSeriesStore:
     def __init__(self, data_dir: str | Path, fsync: bool = True):
         self.data_dir = Path(data_dir)
         self.series_dir = f"{self.data_dir}/{self.SERIES_DIR}"
-        os.makedirs(self.series_dir, exist_ok=True)
+        try:
+            os.makedirs(self.series_dir)
+        except FileExistsError:
+            pass
+        else:
+            if fsync:  # so series/ outlasts a power loss, as its logs do (NdjsonLog)
+                _fsync_dir(self.data_dir)
         self.alert_log = NdjsonLog(f"{self.data_dir}/{self.ALERT_LOG_FILE}", fsync)
         self._stations: dict[str, _Station] = {}
         self._watchers: list[set[str]] = []  # each set watch() handed out
@@ -545,7 +596,8 @@ class TimeSeriesStore:
         with station.lock:
             if not station.accepts(m.seq):
                 return None
-            line = station.log.append(m.to_json_obj())
+            line = m.stored_line()
+            station.log.append(line)
             offset = len(station.lines)
             station._index(m, line)
             for changed in self._watchers:

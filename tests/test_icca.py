@@ -258,6 +258,48 @@ class TestOverallIcca:
         assert overall_icca(avg(750.0), avg(10.0)).beyond_scale
         assert not overall_icca(avg(10.0), avg(10.0)).beyond_scale
 
+    def test_pm25_at_its_top_wins_the_tie_with_pm10_beyond(self):
+        # PM2.5 500.0 is the top of its ladder, not beyond it: 500 against
+        # PM10's 500 beyond the scale, a tie that PM2.5 wins
+        r = overall_icca(avg(500.0), avg(700.0))
+        assert (r.value, r.dominant, r.beyond_scale) == (500, Pollutant.PM25, True)
+        assert r.category is CATEGORIES[-1]
+        assert not sub_index(Pollutant.PM25, 500.0).beyond_scale
+
+    def test_pm10_beyond_dominates(self):
+        r = overall_icca(avg(10.0), avg(700.0))
+        assert (r.value, r.dominant, r.beyond_scale) == (500, Pollutant.PM10, True)
+
+    # each ladder's bounds, a value inside each printed gap, the top and past it
+    GRID_PM25 = (0.0, 15.3, 15.4, 15.5, 40.2, 40.3, 40.5, 65.4, 65.7, 66.0, 159.0, 159.5, 160.0,
+                 250.0, 250.5, 251.0, 500.0, 500.09, 500.1, 700.0)
+    GRID_PM10 = (0.0, 54.0, 55.0, 56.0, 154.0, 154.5, 155.0, 254.0, 254.5, 255.0, 354.0, 354.5,
+                 355.0, 424.0, 604.0, 604.09, 604.1, 700.0)
+
+    def test_grid_against_the_oracle(self):
+        # every side is a sufficient mean, an insufficient one or None
+        def sides(grid):
+            return [(avg(c), c) for c in grid] + [(avg(grid[5], sufficient=False), None),
+                                                 (None, None)]
+        tops = (50, 100, 150, 200, 300, 500)
+        for a25, c25 in sides(self.GRID_PM25):
+            for a10, c10 in sides(self.GRID_PM10):
+                want = {pollutant: icca_oracle(ORACLE_LADDERS[pollutant], c)
+                        for pollutant, c in ((Pollutant.PM25, c25), (Pollutant.PM10, c10))
+                        if c is not None}
+                if not want:
+                    with pytest.raises(InsufficientDataError):
+                        overall_icca(a25, a10)
+                    continue
+                r = overall_icca(a25, a10)
+                value = max(v for v, _ in want.values())
+                # the first with the highest value: PM2.5 wins a tie
+                dominant = next(p for p, (v, _) in want.items() if v == value)
+                assert (r.value, r.dominant, r.beyond_scale) == (
+                    value, dominant, any(b for _, b in want.values())), (c25, c10)
+                assert r.category.name == CATEGORY_NAMES[
+                    next(i for i, top in enumerate(tops) if value <= top)]
+
 
 class TestRollingAverage:
     def test_constant_full_day(self):

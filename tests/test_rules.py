@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 import threading
 import time
@@ -278,13 +279,15 @@ class TestRuleEngine:
         assert [json.loads(line) for line in lines] == [
             AlertEvent("r1", "utec-01", AlertKind.RAISED, 153, "Dañina a la Salud", 1).to_json_obj()]
 
-    def test_alert_log_fsyncs_each_event(self, alert_log, monkeypatch):
-        synced = []
-        monkeypatch.setattr("os.fsync", synced.append)
+    def test_alert_log_fsyncs_each_event(self, tmp_path, alert_log, monkeypatch):
+        synced = []  # the inode of each file fsynced
+        monkeypatch.setattr("os.fsync", lambda fd: synced.append(os.fstat(fd).st_ino))
         engine = RuleEngine([Rule("r1", 3)], alert_log=alert_log)
         engine.observe("a", icca(153), ts=1)
         engine.observe("b", icca(153), ts=1)
-        assert len(synced) == 2
+        # each event's line, and once, after the first, the new log's directory entry
+        log, folder = (os.stat(path).st_ino for path in (alert_log.path, tmp_path))
+        assert synced == [log, folder, log]
 
     def test_alert_log_failure_logged_counted_and_sinks_still_called(
             self, tmp_path, receiver, caplog):

@@ -182,6 +182,26 @@ class TestIngest:
         assert store.count("utec-01") == 2
         assert service.rolling_icca("utec-01").sufficient
 
+    def test_accepted_frame_is_stored_without_a_record_dict(self, tmp_path, monkeypatch,
+                                                            caplog):
+        # the frame path formats the stored line from the record's fields:
+        # with to_json_obj broken, a frame whose index raises an alert is
+        # still taken, and its line is the bytes the store's encoder wrote
+        data = register(tmp_path / "data",
+                        StationRecord("utec-01", "x", 0.0, 0.0, "tok-a", report_period_s=86400))
+        store = TimeSeriesStore(data)
+        service = MonitorService(store, RuleEngine([Rule("r1", 3)], alert_log=store.alert_log))
+
+        def refuse(self):
+            raise AssertionError("to_json_obj called on the frame path")
+        monkeypatch.setattr(Measurement, "to_json_obj", refuse)
+        assert service.ingest(frame_text(pm25=612.0, pm10=-0.0))[0] == 202
+        assert log_data(data / "series" / "utec-01.ndjson") == (
+            b'{"station_id":"utec-01","seq":1,"ts":1700006400,"pm25":612.0,"pm10":-0.0,'
+            b'"temp_c":28.5,"flags":["beyond_sensor_range"]}\n')
+        assert b'"kind":"raised"' in log_data(data / "alerts.ndjson")
+        assert "failed" not in caplog.text
+
     def test_read_your_writes(self, service, store):
         status, _ = service.ingest(frame_text(seq=1, ts=START + 60))
         assert status == 202
@@ -842,6 +862,20 @@ class TestHttpEndpoints:
             resp = requests.get(f"{server.url}/v1/stations/utec-01/icca?window_s={window}")
             assert resp.status_code == 400
             assert resp.json() == {"error": "window_s must be positive"}
+
+    def test_icca_body_bytes(self, server, service):
+        # every key, its order and its value's rendering, for a window other
+        # than 24 hours: 3 records, 20 minutes (the station's period) apart,
+        # fill a 1-hour window
+        for k, (pm25, pm10) in enumerate(((10.0, 50.0), (20.0, 60.0), (33.0, 70.5))):
+            service.ingest(frame_text(seq=k + 1, ts=START + k * 1200, pm25=pm25, pm10=pm10))
+        assert requests.get(f"{server.url}/v1/stations/utec-01/icca?window_s=3600").content == (
+            b'{"station_id":"utec-01","window_end":1700008800,"window_s":3600,"sufficient":true,'
+            b'"coverage":1.0,"pm25":{"mean":21.0,"sample_count":3,"expected_count":3,'
+            b'"coverage":1.0,"sufficient":true},"pm10":{"mean":60.166666666666664,'
+            b'"sample_count":3,"expected_count":3,"coverage":1.0,"sufficient":true},'
+            b'"icca":{"value":62,"category":"Moderada","color":"yellow","dominant":"pm25",'
+            b'"beyond_scale":false}}')
 
     @pytest.mark.parametrize("window_s", [0, -5])
     def test_icca_window_not_positive_refused_in_process(self, service, window_s):

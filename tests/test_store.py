@@ -1,11 +1,15 @@
 import gc
 import json
+import math
 import os
 import random
+import struct
 import tracemalloc
 
 import pytest
 
+from iccamon.icca import CATEGORIES, IccaResult, Pollutant
+from iccamon.rules import Rule, RuleEngine
 from iccamon.store import (
     BEYOND_SENSOR_RANGE,
     CHUNK_BYTES,
@@ -16,6 +20,7 @@ from iccamon.store import (
     StorageError,
     TimeSeriesStore,
     UnknownStationError,
+    _encode,
 )
 from iccamon.telemetry import parse_and_validate
 
@@ -520,7 +525,7 @@ class TestPaddedLog:
             b'"temp_c":25.0,"flags":[]}\n')
         log = NdjsonLog(tmp_path / "alerts.ndjson")
         event = {"category": "Dañina a la Salud", "ts": 1}
-        log.append(event)
+        log.append(_encode(event))
         assert log_data(log.path) == (json.dumps(event, separators=(",", ":"), ensure_ascii=False)
                                       + "\n").encode()
 
@@ -579,7 +584,7 @@ class TestPaddedLog:
         sizes = []
         n = CHUNK_BYTES // line + 3  # the first append allocates one chunk past its line
         for seq in range(n):
-            log.append({**obj, "seq": 10**6 + seq})  # every line the same length
+            log.append(_encode({**obj, "seq": 10**6 + seq}))  # every line the same length
             sizes.append(os.path.getsize(path))
         # the file grew at the first append and at the one that did not fit
         fits = CHUNK_BYTES // line + 1
@@ -605,6 +610,101 @@ class TestPaddedLog:
         assert s.append(m(3)) == 2
         assert self.seqs(data) == [1, 2, 3]
         assert len(log_data(data / "series" / "utec-01.ndjson").splitlines()) == 3
+
+
+class TestDirectoryFsync:
+    """A new log's directory entry is fsynced once, by the append that
+    creates the log: fsync(2) of the file alone does not put it on disk."""
+
+    @staticmethod
+    def record_fsyncs(monkeypatch) -> list[int]:
+        """The inode of each file or directory fsynced from now on."""
+        synced = []
+        real = os.fsync
+
+        def fsync(fd):
+            synced.append(os.fstat(fd).st_ino)
+            real(fd)
+        monkeypatch.setattr("iccamon.store.os.fsync", fsync)
+        return synced
+
+    def test_first_append_of_a_station_fsyncs_series_once(self, tmp_path, monkeypatch):
+        data = register(tmp_path / "data", STATION)
+        s = TimeSeriesStore(data)
+        synced = self.record_fsyncs(monkeypatch)
+        s.append(m(1))
+        log, series = (os.stat(p).st_ino for p in (data / "series" / "utec-01.ndjson",
+                                                   data / "series"))
+        assert synced == [log, series]  # the line, then the new file's entry
+        s.append(m(2))
+        assert synced == [log, series, log]
+
+    def test_a_reopened_log_fsyncs_no_directory(self, tmp_path, monkeypatch):
+        data = register(tmp_path / "data", STATION)
+        TimeSeriesStore(data).append(m(1))
+        s = TimeSeriesStore(data)
+        synced = self.record_fsyncs(monkeypatch)
+        s.append(m(2))
+        assert synced == [os.stat(data / "series" / "utec-01.ndjson").st_ino]
+
+    def test_first_alert_event_fsyncs_the_data_directory(self, tmp_path, monkeypatch):
+        data = register(tmp_path / "data", STATION)
+        engine = RuleEngine([Rule("r1", 3)], alert_log=TimeSeriesStore(data).alert_log)
+        synced = self.record_fsyncs(monkeypatch)
+        top = IccaResult(500, CATEGORIES[-1], Pollutant.PM25)
+        engine.observe("utec-01", top, ts=1)
+        engine.observe("santa-ana", top, ts=1)
+        log, folder = (os.stat(p).st_ino for p in (data / "alerts.ndjson", data))
+        assert synced == [log, folder, log]
+
+    def test_open_that_makes_series_fsyncs_the_data_directory(self, tmp_path, monkeypatch):
+        data = register(tmp_path / "data", STATION)
+        synced = self.record_fsyncs(monkeypatch)
+        TimeSeriesStore(data)
+        assert synced == [os.stat(data).st_ino]
+        TimeSeriesStore(data)  # series/ is there: nothing to fsync
+        assert synced == [os.stat(data).st_ino]
+
+    def test_no_fsync_store_fsyncs_no_directory(self, tmp_path, monkeypatch):
+        synced = self.record_fsyncs(monkeypatch)
+        s = TimeSeriesStore(register(tmp_path / "data", STATION), fsync=False)
+        s.append(m(1))
+        s.alert_log.append(b"{}")
+        assert synced == []
+
+
+class TestStoredLine:
+    """Measurement.stored_line is the store's encoder (_encode) of
+    to_json_obj, byte for byte, built another way."""
+
+    EDGES = (-0.0, 0.0, 1e-07, 5e-324, 0.1, 499.99999999999994, 500.0, 500.00000000000006,
+             999.9, 1e16, 1.5e300)
+
+    @pytest.mark.parametrize("value", EDGES)
+    def test_edge_readings(self, value):
+        for pm25, pm10, temp_c in ((value, 0.0, 0.0), (0.0, value, 0.0), (0.0, 0.0, value)):
+            record = Measurement("utec-01", 7, 1200, pm25, pm10, temp_c)
+            assert record.stored_line() == _encode(record.to_json_obj())
+
+    @pytest.mark.parametrize("seq, ts", [(0, 0), (2**64 - 1, 2**63 - 1), (1, MAX_TS)])
+    def test_edge_seq_and_ts(self, seq, ts):
+        record = Measurement("utec-01", seq, ts, 10.0, 20.0, 25.0)
+        assert record.stored_line() == _encode(record.to_json_obj())
+
+    def test_random_records(self):
+        rng = random.Random(28)
+        alphabet = "abcdefghijklmnopqrstuvwxyz0123456789_-"
+        for _ in range(1000):
+            sid = "".join(rng.choices(alphabet, k=rng.randint(1, 64)))
+            # a reading from the wire's range, or any finite double at all
+            pm25, pm10, temp_c = (
+                rng.choice((rng.uniform(0, 1000), rng.uniform(0, 1), float(rng.randint(0, 999)),
+                            struct.unpack("<d", struct.pack("<Q", rng.getrandbits(63)))[0]))
+                for _ in range(3))
+            record = Measurement(sid, rng.getrandbits(64), rng.getrandbits(63), pm25, pm10, temp_c)
+            if not all(map(math.isfinite, record[3:])):
+                continue
+            assert record.stored_line() == _encode(record.to_json_obj()), record
 
 
 class TestRegistry:
