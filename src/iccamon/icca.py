@@ -7,15 +7,17 @@ rounded: it is taken from an integer sum of scaled samples, which a caller
 can also keep as a running sum. The scale is the published one, fixed as
 module constants: the categories with their names, index ranges and
 colors, and the two concentration ladders. No I/O; safe to call from any
-thread. The one state kept is a memo of sub_index results by pollutant and
-truncated tenths, up to each ladder's top: the same inputs give the same
-(immutable) result, so it never changes an answer. A WindowAverage is a
-NamedTuple, the cheapest immutable record to build: a frame that moves
-its station's window builds two.
+thread. The one state kept is a functools cache of sub_index results by
+pollutant and truncated tenths, in which every value beyond a ladder's top
+shares one entry, so it holds at most 5,002 + 6,042 results: the same
+inputs give the same (immutable) result, so it never changes an answer.
+A WindowAverage is a NamedTuple, the cheapest immutable record to build:
+a frame that moves its station's window builds two.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 from dataclasses import dataclass
@@ -105,7 +107,9 @@ def sub_index(pollutant: Pollutant, concentration: float) -> IccaResult:
     is linearly interpolated onto the row's index range, rounding half up
     to an integer; below the row it lies in a printed gap and takes the
     row's lower index bound. A value above the top of the ladder reports
-    500 with beyond_scale set.
+    500 with beyond_scale set. Results are cached per pollutant and tenths
+    (a value beyond the scale counts as one past the top), so a repeated
+    input returns the same IccaResult object.
     """
     if isinstance(concentration, bool) or not isinstance(concentration, (int, float)):
         raise ValueError(f"concentration must be a number, got {concentration!r}")
@@ -113,22 +117,17 @@ def sub_index(pollutant: Pollutant, concentration: float) -> IccaResult:
         raise ValueError(f"concentration must be finite and >= 0, got {concentration!r}")
 
     tenths = _truncate_tenths(concentration)
-    memo = _SUB_INDEX[pollutant]
-    if tenths >= len(memo):  # beyond the scale: kept out of the memo
-        return _ladder_index(pollutant, tenths)
-    result = memo[tenths]
-    if result is None:
-        result = memo[tenths] = _ladder_index(pollutant, tenths)
-    return result
+    beyond = _BEYOND_TENTHS[pollutant]
+    if tenths > beyond:  # one cache entry for every value beyond the scale
+        tenths = beyond
+    return _ladder_index(pollutant, tenths)
 
 
-# sub_index results per pollutant, by tenths from 0 to the ladder's top (so
-# 5,001 + 6,041 places), each filled at its first use; an IccaResult is
-# immutable, so every caller can share one
-_SUB_INDEX: dict[Pollutant, list[IccaResult | None]] = {
-    pollutant: [None] * (ladder[-1][1] + 1) for pollutant, ladder in LADDERS.items()}
+# one past each ladder's top: the first tenths beyond the scale
+_BEYOND_TENTHS = {pollutant: ladder[-1][1] + 1 for pollutant, ladder in LADDERS.items()}
 
 
+@functools.cache
 def _ladder_index(pollutant: Pollutant, tenths: int) -> IccaResult:
     for (lo, hi), cat in zip(LADDERS[pollutant], CATEGORIES):
         if tenths <= hi:

@@ -179,12 +179,12 @@ def _recover_states(log: NdjsonLog, rule_ids) -> dict[tuple[str, str], RuleState
 class RuleEngine:
     """Evaluates the rule chain on every index update for a station.
 
-    With an alert log, each event is appended to it, and construction
-    resumes the states that log records, so a restart does not raise an
-    active alert a second time.
+    Each event is appended to the alert log, and construction resumes the
+    states that log records, so a restart does not raise an active alert a
+    second time.
     """
 
-    def __init__(self, rules, sinks=None, alert_log: NdjsonLog | None = None):
+    def __init__(self, rules, sinks=None, *, alert_log: NdjsonLog):
         self.rules = list(rules)
         self.sinks = dict(sinks or {})
         for rule in self.rules:
@@ -195,9 +195,8 @@ class RuleEngine:
         if len(self._sinks_of) < len(self.rules):  # states are keyed by rule_id too
             raise ValueError("two rules share a rule_id")
         self.alert_log = alert_log
-        self._states: dict[tuple[str, str], RuleState] = (
-            _recover_states(alert_log, {r.rule_id for r in self.rules})
-            if alert_log is not None else {})
+        self._states: dict[tuple[str, str], RuleState] = _recover_states(
+            alert_log, {r.rule_id for r in self.rules})
         self._lock = threading.Lock()
         self.failed_deliveries = 0  # failed alert-log appends, and sinks after their retry
 
@@ -233,18 +232,17 @@ class RuleEngine:
                     self.failed_deliveries += failed
 
     def _log(self, event: AlertEvent) -> None:
-        """Append an event to the alert log, if any. Call under the lock."""
+        """Append an event to the alert log. Call under the lock."""
         try:
-            if self.alert_log is not None:
-                self.alert_log.append(_encode(event.to_json_obj()))
+            self.alert_log.append(_encode(event.to_json_obj()))
         except StorageError as exc:
             # the frame is stored and still gets its 202; a restart may raise the event again
             logger.error("alert event not logged: %s", exc)
             self.failed_deliveries += 1
 
 
-def load_rules_config(path: str | Path, alert_log: NdjsonLog | None = None) -> RuleEngine:
-    """Build an engine from a JSON config file, writing alert_log if given.
+def load_rules_config(path: str | Path, *, alert_log: NdjsonLog) -> RuleEngine:
+    """Build an engine from a JSON config file that writes alert_log.
 
     Schema; any other key, or a value of another type, is an error:
         {"rules": [{"rule_id": ..., "trigger_category_min": 1..5,
@@ -276,4 +274,4 @@ def _build_engine(obj, alert_log) -> RuleEngine:
         if s["sink_id"] in sinks:  # the later entry would replace the earlier one unseen
             raise ValueError(f"sink_id {s['sink_id']!r} appears twice")
         sinks[s["sink_id"]] = WebhookSink(s["sink_id"], s["url"], timeout)
-    return RuleEngine(rules, sinks, alert_log)
+    return RuleEngine(rules, sinks, alert_log=alert_log)

@@ -485,7 +485,7 @@ class _Connection:
         outcome = ""
         try:
             self.sock.settimeout(self.timeout)
-            self.sock.sendall(_response(status, body, self.server._http_date(), connection))
+            self.sock.sendall(_response(status, body, connection))
         except TimeoutError:
             connection, outcome = _CLOSE, ", client stopped reading"
         except OSError:
@@ -570,19 +570,30 @@ def _history_body(payload: dict) -> bytes:
     return b'%s,"measurements":[%s]}' % (_encode(head)[:-1], b",".join(payload["measurements"]))
 
 
-def _response(status: int, body, date: bytes, connection: bytes) -> bytes:
+def _response(status: int, body, connection: bytes) -> bytes:
     """Status line, headers and body as one buffer: body is JSON already
     encoded (bytes), or a value to encode."""
     payload = body if type(body) is bytes else _encode(body)
     return b"%sDate: %s\r\nContent-Type: application/json; charset=utf-8\r\n" \
            b"Content-Length: %d\r\n%s\r\n%s" % (
-               _STATUS_LINES[status], date, len(payload), connection, payload)
+               _STATUS_LINES[status], _http_date(int(time.time())), len(payload), connection,
+               payload)
+
+
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> bytes:
+    """The Date header value (RFC 9110 section 6.6.1) of a whole-second
+    timestamp."""
+    return formatdate(second, usegmt=True).encode("ascii")
 
 
 class HttpServer:
     """HTTP/1.1 front door over a MonitorService: an accept thread and one
     thread per connection, at most MAX_CONNECTIONS of them at once, from
-    start() until shutdown()."""
+    start() until shutdown(). Every reply carries a Date header, which the
+    module's _http_date formats once a second for all servers: an LRU cache
+    of one entry, keyed by the whole-second timestamp.
+    """
 
     def __init__(self, service: MonitorService, host: str = "127.0.0.1", port: int = 0):
         self.service = service
@@ -594,7 +605,6 @@ class HttpServer:
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()  # guards _connections
         self._connections: dict[socket.socket, threading.Thread] = {}
-        self._date_cache = (0, b"")
 
     @property
     def port(self) -> int:
@@ -603,14 +613,6 @@ class HttpServer:
     @property
     def url(self) -> str:
         return f"http://{self._address[0]}:{self.port}"
-
-    def _http_date(self) -> bytes:
-        """The Date header value (RFC 9110 section 6.6.1), formatted once a second."""
-        now = int(time.time())
-        cached = self._date_cache
-        if cached[0] != now:
-            cached = self._date_cache = (now, formatdate(now, usegmt=True).encode("ascii"))
-        return cached[1]
 
     def start(self) -> None:
         """Accept connections on a background thread until shutdown()."""
@@ -647,8 +649,7 @@ class HttpServer:
         with sock:
             sock.setblocking(False)  # a small reply into an empty send buffer
             try:
-                sock.sendall(_response(503, {"error": "too_many_connections"}, self._http_date(),
-                                       _CLOSE))
+                sock.sendall(_response(503, {"error": "too_many_connections"}, _CLOSE))
             except OSError:
                 pass
 
@@ -682,11 +683,9 @@ class HttpServer:
 def build_service(config: ServerConfig) -> tuple[MonitorService, TimeSeriesStore]:
     """Wire a service from a config: store, and a rule engine that writes
     the store's alert log, always <data_dir>/alerts.ndjson."""
-    data_dir = Path(config.data_dir)
-    data_dir.mkdir(parents=True, exist_ok=True)
-    store = TimeSeriesStore(data_dir)
+    store = TimeSeriesStore(config.data_dir)
     engine = None
     if config.rules_path:
-        engine = load_rules_config(config.rules_path, store.alert_log)
+        engine = load_rules_config(config.rules_path, alert_log=store.alert_log)
     service = MonitorService(store, rule_engine=engine)
     return service, store

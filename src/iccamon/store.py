@@ -12,9 +12,10 @@ fsynced before the append returns, then ASCII-space padding that keeps
 the file allocated up to CHUNK_BYTES ahead of its data (so a log uses at
 most that much more disk than its records). The append that creates a
 log also fsyncs the directory that holds it, and the open that creates
-series/ the data directory, so a new file outlasts a power loss as its
-records do. A crash mid-write leaves a torn last line, which the next
-open blanks with spaces. A record line mirrors the wire frame minus the
+series/ (with the data directory and its ancestors, when missing) fsyncs
+the parent of each directory it makes, so a new file outlasts a power loss
+as its records do. A crash mid-write leaves a torn last line, which the
+next open blanks with spaces. A record line mirrors the wire frame minus the
 token, plus the quality flags derived from its readings. It has its own
 format, Measurement.stored_line: one %-format over the record's
 validated fields, pinned to the bytes the store's JSON encoder (_encode)
@@ -131,6 +132,21 @@ def _fsync_dir(path: str | Path) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def _make_dirs(path: str, fsync: bool) -> None:
+    """Create the directory path and each missing ancestor, top down. With
+    fsync, the parent of each one is fsynced right after the mkdir, so the
+    new entry outlasts a power loss, as a log's records do (NdjsonLog)."""
+    try:
+        os.mkdir(path)
+    except FileExistsError:
+        return
+    except FileNotFoundError:
+        _make_dirs(os.path.dirname(path), fsync)
+        os.mkdir(path)
+    if fsync:
+        _fsync_dir(os.path.dirname(path) or ".")
 
 
 def readings_in_range(pm25: float, pm10: float, temp_c: float) -> bool:
@@ -521,13 +537,7 @@ class TimeSeriesStore:
     def __init__(self, data_dir: str | Path, fsync: bool = True):
         self.data_dir = Path(data_dir)
         self.series_dir = f"{self.data_dir}/{self.SERIES_DIR}"
-        try:
-            os.makedirs(self.series_dir)
-        except FileExistsError:
-            pass
-        else:
-            if fsync:  # so series/ outlasts a power loss, as its logs do (NdjsonLog)
-                _fsync_dir(self.data_dir)
+        _make_dirs(self.series_dir, fsync)
         self.alert_log = NdjsonLog(f"{self.data_dir}/{self.ALERT_LOG_FILE}", fsync)
         self._stations: dict[str, _Station] = {}
         self._watchers: list[set[str]] = []  # each set watch() handed out

@@ -58,7 +58,7 @@ class _FleetRun:
     def __init__(self, tmp_path, name, outages=None, rules=None, seed=7):
         self.members, self.start_ts = load_fleet_config(CONFIGS / "fleet_demo.json")
         self.store = TimeSeriesStore(register(tmp_path / name, *(m.station for m in self.members)))
-        self.engine = RuleEngine(rules) if rules else None
+        self.engine = RuleEngine(rules, alert_log=self.store.alert_log) if rules else None
         self.events = []
         if self.engine is not None:
             original = self.engine.observe

@@ -368,12 +368,13 @@ class TestParseWindow:
 
 
 class TestShippedConfigs:
-    def test_each_demo_config_loads(self):
+    def test_each_demo_config_loads(self, tmp_path):
         cfg = load_server_config(CONFIGS / "server_demo.json")
         # relative paths in the server config are relative to its directory
         assert Path(cfg.rules_path) == CONFIGS / "rules_demo.json"
         assert Path(cfg.data_dir).resolve() == CONFIGS.parent / "demo_data"
-        engine = load_rules_config(CONFIGS / "rules_demo.json")
+        engine = load_rules_config(CONFIGS / "rules_demo.json",
+                                   alert_log=NdjsonLog(tmp_path / "alerts.ndjson", fsync=False))
         assert [r.rule_id for r in engine.rules] == ["danina-a-la-salud", "grupos-sensibles-watch"]
         members, _ = load_fleet_config(CONFIGS / "fleet_demo.json")
         stations = json.loads((CONFIGS / "stations_demo.json").read_text())

@@ -17,6 +17,9 @@ Every JSON the package writes, log lines and response bodies alike, comes
 from one encoder: json.JSONEncoder is constructed once, in store.py, and
 json.dump and json.dumps are called only in cli.py, for its indented,
 human-readable output.
+
+No function writes into a module-level dict, list or set: a cache is one
+of functools', and per-station state belongs to the object that owns it.
 """
 
 import ast
@@ -228,3 +231,127 @@ def test_the_encoder_check_finds_a_second_encoder():
                        "store.py:2 JSONEncoder"]
     assert stray_json_writers(writers) == [
         "service.py:3 JSONEncoder", "service.py:4 JSONEncoder", "service.py:5 dumps"]
+
+
+_MUTATORS = {"append", "extend", "insert", "remove", "pop", "popitem", "clear", "update",
+             "setdefault", "add", "discard", "sort", "reverse",
+             "difference_update", "intersection_update", "symmetric_difference_update"}
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _is_container(node) -> bool:
+    """Whether node builds a dict, list or set: a display, a comprehension
+    or a call of dict, list or set."""
+    if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)):
+        return True
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("dict", "list", "set")
+
+
+def _root(node) -> str | None:
+    """The name an expression reaches into: x for x, x[k], x[k][j] and
+    x.get(k); None for anything else."""
+    while True:
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("get", "setdefault")):
+            node = node.func.value
+        else:
+            return node.id if isinstance(node, ast.Name) else None
+
+
+def _scope_nodes(scope):
+    """The nodes of a function's body, without the bodies of the functions
+    and classes defined in it (each is a scope of its own)."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def module_state_writers(sources: dict[str, str]) -> list[str]:
+    """"module:line name" of each statement inside a function that writes
+    into a module-level dict, list or set (name): a subscript store or
+    delete, an augmented assignment or a mutating method call, made on the
+    container or on a local name bound to it or to an item of it, in line
+    order."""
+    found = set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        containers = {target.id for node in tree.body
+                      if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_container(node.value)
+                      for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                      if isinstance(target, ast.Name)}
+        for scope in ast.walk(tree):
+            if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            nodes = list(_scope_nodes(scope))
+            declared = {name for node in nodes if isinstance(node, ast.Global)
+                        for name in node.names}
+            local = {arg.arg for arg in ast.walk(scope.args) if isinstance(arg, ast.arg)}
+            bound = {}  # a local name to the module container its value reaches into
+            for node in nodes:
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    local.add(node.id)
+                if isinstance(node, ast.Assign) and _root(node.value) in containers:
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            bound[target.id] = _root(node.value)
+            reach = {name: name for name in containers if name in declared or name not in local}
+            reach.update(bound)
+            for node in nodes:
+                if isinstance(node, (ast.Assign, ast.Delete)):
+                    targets = [t for t in node.targets if isinstance(t, ast.Subscript)]
+                elif isinstance(node, ast.AugAssign):
+                    targets = [node.target]
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in _MUTATORS):
+                    targets = [node.func.value]
+                else:
+                    continue
+                found.update((module, node.lineno, reach[_root(t)]) for t in targets
+                             if _root(t) in reach)
+    return [f"{module}:{line} {name}" for module, line, name in sorted(found)]
+
+
+def test_the_package_keeps_no_hand_built_cache():
+    # state the package keeps at module level is functools' (a cache) or
+    # read-only; per-station state belongs to the objects that own it
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert module_state_writers(sources) == []
+
+
+def test_the_state_check_finds_a_filled_table():
+    source = (
+        "_TABLE = {p: [None] * 10 for p in 'ab'}\n"
+        "_SEEN = set()\n"
+        "_LOG: list = []\n"
+        "LIMITS = {'a': 1}\n"
+        "def lookup(p, i):\n"
+        "    memo = _TABLE[p]\n"
+        "    result = memo[i]\n"
+        "    if result is None:\n"
+        "        result = memo[i] = i * i\n"
+        "    return result\n"
+        "def note(x):\n"
+        "    _SEEN.add(x)\n"
+        "    _LOG[0] += 1\n"
+        "    return LIMITS[x] + len(_LOG)\n"
+        "def shadow(_SEEN, x):\n"
+        "    _SEEN.add(x)\n"
+        "    _LOG = []\n"
+        "    _LOG.append(x)\n"
+        "    row = _TABLE.get('a')\n"
+        "    row.append(x)\n"
+        "    _TABLE.setdefault('b', []).append(x)\n"
+        "class Box:\n"
+        "    def drop(self, p):\n"
+        "        del _TABLE[p]\n"
+        "        return lambda: _LOG.extend(p)\n"
+    )
+    assert module_state_writers({"a.py": source}) == [
+        "a.py:9 _TABLE", "a.py:12 _SEEN", "a.py:13 _LOG", "a.py:20 _TABLE", "a.py:21 _TABLE",
+        "a.py:24 _TABLE", "a.py:25 _LOG"]

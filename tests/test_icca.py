@@ -183,25 +183,29 @@ def decimal_tenths(concentration) -> int:
     return int(Decimal(str(concentration)).scaleb(1).to_integral_value(rounding=ROUND_DOWN))
 
 
-class TestSubIndexMemo:
-    def test_holds_each_ladder_value_once_and_nothing_beyond(self, monkeypatch):
-        memo = {pollutant: [None] * len(places) for pollutant, places in icca._SUB_INDEX.items()}
-        monkeypatch.setattr(icca, "_SUB_INDEX", memo)
-        for pollutant, ladder in LADDERS.items():
-            top = ladder[-1][1]
-            for beyond in (top / 10 + 0.1, top / 10 + 1000, 1e300):
-                assert sub_index(pollutant, beyond).beyond_scale
-        assert all(result is None for places in memo.values() for result in places)
+class TestSubIndexCache:
+    def test_holds_each_ladder_value_once_and_one_entry_beyond(self):
+        cache = icca._ladder_index
+        cache.cache_clear()
         for pollutant, ladder in LADDERS.items():
             for tenths in range(ladder[-1][1] + 1):
                 result = sub_index(pollutant, tenths / 10)
-                # a second call is served from the memo, and it is the oracle's
+                # a second call is served from the cache, and it is the oracle's
                 assert sub_index(pollutant, tenths / 10 + 0.04) is result
-                assert memo[pollutant][tenths] is result
                 assert (result.value, result.beyond_scale) == icca_oracle(
                     ORACLE_LADDERS[pollutant], tenths / 10)
-        assert {pollutant: len(places) for pollutant, places in memo.items()} == {
-            Pollutant.PM25: 5001, Pollutant.PM10: 6041}
+        assert cache.cache_info().currsize == 5001 + 6041
+        rng = random.Random(29)
+        for pollutant, ladder in LADDERS.items():
+            top = ladder[-1][1] / 10
+            beyond = [top + 0.1, top + 1000, 1e6, 1e300]
+            beyond += [rng.uniform(top + 0.1, 10 ** rng.uniform(3, 300)) for _ in range(2000)]
+            for c in beyond:
+                result = sub_index(pollutant, c)
+                assert (result.value, result.beyond_scale) == (500, True)
+                assert result is sub_index(pollutant, 1e300)
+        # every value beyond the scale shares one entry per pollutant
+        assert cache.cache_info().currsize == 5002 + 6042
 
 
 class TestTruncateTenths:

@@ -232,10 +232,11 @@ class TestSinks:
 
 
 class TestRuleEngine:
-    def test_failed_deliveries_counted_not_kept(self, receiver):
+    def test_failed_deliveries_counted_not_kept(self, receiver, alert_log):
         handler, url = receiver
         handler.fail = True
-        engine = RuleEngine([Rule("r1", 3, sink_ids=("w",))], {"w": WebhookSink("w", url)})
+        engine = RuleEngine([Rule("r1", 3, sink_ids=("w",))], {"w": WebhookSink("w", url)},
+                            alert_log=alert_log)
 
         def list_sizes():
             return {k: len(v) for k, v in vars(engine).items() if isinstance(v, list)}
@@ -248,10 +249,11 @@ class TestRuleEngine:
         assert engine.failed_deliveries == 5
         assert list_sizes() == before
 
-    def test_slow_webhook_does_not_stall_other_stations(self, receiver):
+    def test_slow_webhook_does_not_stall_other_stations(self, receiver, alert_log):
         handler, url = receiver
         handler.entered, handler.release = threading.Event(), threading.Event()
-        engine = RuleEngine([Rule("r1", 3, sink_ids=("w",))], {"w": WebhookSink("w", url, 1.0)})
+        engine = RuleEngine([Rule("r1", 3, sink_ids=("w",))], {"w": WebhookSink("w", url, 1.0)},
+                            alert_log=alert_log)
         result = []
         def raise_and_notify():
             result.append(engine.observe("a", icca(153), 1))
@@ -342,12 +344,12 @@ class TestRuleEngine:
         with pytest.raises(StorageError, match=r"alerts\.ndjson:1: corrupt alert event"):
             RuleEngine([Rule("r1", 3)], alert_log=alert_log)
 
-    def test_states_independent_per_station(self):
-        engine = RuleEngine([Rule("r1", 3)])
+    def test_states_independent_per_station(self, alert_log):
+        engine = RuleEngine([Rule("r1", 3)], alert_log=alert_log)
         assert len(engine.observe("a", icca(153), 1)) == 1
         assert len(engine.observe("b", icca(153), 1)) == 1
 
-    def test_config_loading(self, tmp_path, receiver):
+    def test_config_loading(self, tmp_path, receiver, alert_log):
         handler, url = receiver
         cfg = {
             "rules": [{"rule_id": "unhealthy", "trigger_category_min": 3,
@@ -356,27 +358,27 @@ class TestRuleEngine:
         }
         path = tmp_path / "rules.json"
         path.write_text(json.dumps(cfg))
-        engine = load_rules_config(path)
+        engine = load_rules_config(path, alert_log=alert_log)
         assert engine.rules[0].rule_id == "unhealthy"
         assert engine.rules[0].clear_consecutive == 2
         assert engine.rules[0].sink_ids == ("hook",)
         assert engine.sinks["hook"].url == url
         assert engine.sinks["hook"].timeout == 0.5
-        assert engine.alert_log is None  # build_service passes the store's alert log
+        assert engine.alert_log is alert_log
         [event] = engine.observe("utec-01", icca(170), ts=9)
         engine.notify([event])
         assert handler.bodies == [event.to_json_obj()]
         assert engine.failed_deliveries == 0
 
-    def test_unknown_sink_id_rejected_at_construction(self):
+    def test_unknown_sink_id_rejected_at_construction(self, alert_log):
         with pytest.raises(ValueError, match="unknown sink 'missing'"):
-            RuleEngine([Rule("r1", 3, sink_ids=("missing",))], {})
+            RuleEngine([Rule("r1", 3, sink_ids=("missing",))], {}, alert_log=alert_log)
 
-    def test_config_rejects_unknown_sink_type(self, tmp_path):
+    def test_config_rejects_unknown_sink_type(self, tmp_path, alert_log):
         path = tmp_path / "rules.json"
         path.write_text(json.dumps({"sinks": [{"sink_id": "x", "type": "carrier-pigeon"}]}))
         with pytest.raises(ValueError):
-            load_rules_config(path)
+            load_rules_config(path, alert_log=alert_log)
 
     @pytest.mark.parametrize("cfg", [
         {"rules": [{"trigger_category_min": 3}]},
@@ -421,8 +423,8 @@ class TestRuleEngine:
                                 {"sink_id": "w", "type": "webhook", "url": "http://b/hook"}]},
                      id="repeated-sink-id"),
     ])
-    def test_config_bad_entry_names_the_file(self, tmp_path, cfg):
+    def test_config_bad_entry_names_the_file(self, tmp_path, alert_log, cfg):
         path = tmp_path / "rules.json"
         path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
         with pytest.raises(ValueError, match="rules.json"):
-            load_rules_config(path)
+            load_rules_config(path, alert_log=alert_log)

@@ -164,7 +164,7 @@ class TestIngest:
         # one report a day: the first frame fills the window, so the rules run
         store = TimeSeriesStore(register(tmp_path / "data", StationRecord(
             "utec-01", "x", 0.0, 0.0, "tok-a", 86400)), fsync=False)
-        engine = RuleEngine([Rule("r1", trigger_category_min=1)])
+        engine = RuleEngine([Rule("r1", trigger_category_min=1)], alert_log=store.alert_log)
         service = MonitorService(store, rule_engine=engine)
 
         def fail(*args, **kwargs):
@@ -292,7 +292,7 @@ def _container_sizes(*roots):
 
 class TestStationStateOwnership:
     def test_racing_threads_accept_each_seq_once(self, store):
-        engine = RuleEngine([Rule("r3", trigger_category_min=3)])
+        engine = RuleEngine([Rule("r3", trigger_category_min=3)], alert_log=store.alert_log)
         emitted = []
         original = engine.observe
         engine.observe = lambda sid, icca, ts: emitted.extend(original(sid, icca, ts))  # type: ignore
@@ -467,7 +467,7 @@ class TestIncrementalWindow:
         periods = {sid: 1200 for sid in self.STATIONS}
         data = self.register(tmp_path / "data", periods)
         store = TimeSeriesStore(data, fsync=False)
-        engine = RuleEngine([Rule("r2", trigger_category_min=2)])
+        engine = RuleEngine([Rule("r2", trigger_category_min=2)], alert_log=store.alert_log)
         service = MonitorService(store, rule_engine=engine)
         seqs = dict.fromkeys(self.STATIONS, 0)
         try:
@@ -500,7 +500,8 @@ class TestIncrementalWindow:
         # the store sums a window's records through islice
         monkeypatch.setattr("iccamon.store.islice",
                             lambda *a: calls.append(a) or itertools.islice(*a))
-        service.rule_engine = RuleEngine([Rule("r1", trigger_category_min=1)])
+        service.rule_engine = RuleEngine([Rule("r1", trigger_category_min=1)],
+                                         alert_log=service.store.alert_log)
         assert service.ingest(frame_text(seq=73, ts=START + 72 * 1200))[0] == 202
         service.icca_payload("utec-01")
         service.overview_payload()
@@ -547,8 +548,8 @@ class TestSnapshotMemo:
         return TimeSeriesStore(register(tmp_path / "data", *stations), fsync=False)
 
     @staticmethod
-    def engine():
-        return RuleEngine([Rule("r1", trigger_category_min=1)])
+    def engine(store):
+        return RuleEngine([Rule("r1", trigger_category_min=1)], alert_log=store.alert_log)
 
     @staticmethod
     def count_index_calls(monkeypatch) -> list:
@@ -559,7 +560,7 @@ class TestSnapshotMemo:
 
     def test_reads_after_a_frame_compute_no_index(self, tmp_path, monkeypatch):
         store = self.open(tmp_path, quiet=["quiet"])
-        service = MonitorService(store, rule_engine=self.engine())
+        service = MonitorService(store, rule_engine=self.engine(store))
         calls = self.count_index_calls(monkeypatch)
         try:
             for k in range(60):
@@ -589,7 +590,7 @@ class TestSnapshotMemo:
     def test_never_stale(self, tmp_path):
         store = self.open(tmp_path)
         data = store.data_dir
-        service = MonitorService(store, rule_engine=self.engine())
+        service = MonitorService(store, rule_engine=self.engine(store))
         seqs = dict.fromkeys(self.TOKENS, 0)
 
         def send(service, sid, ts, pm25):
@@ -621,12 +622,12 @@ class TestSnapshotMemo:
         # a restart starts with an empty memo
         store.close()
         store = TimeSeriesStore(data, fsync=False)
-        service = MonitorService(store, rule_engine=self.engine())
+        service = MonitorService(store, rule_engine=self.engine(store))
         check(service)
         send(service, "alpha", START + 72 * 1200, 35.0)
         check(service)
         # a second service over the same store: each sees the other's records
-        other = MonitorService(store, rule_engine=self.engine())
+        other = MonitorService(store, rule_engine=self.engine(store))
         check(other)
         send(other, "bravo", START + 72 * 1200, 250.0)
         check(service)
@@ -636,7 +637,7 @@ class TestSnapshotMemo:
 
     def test_failed_compute_fills_no_memo(self, tmp_path, monkeypatch):
         store = self.open(tmp_path)
-        service = MonitorService(store, rule_engine=self.engine())
+        service = MonitorService(store, rule_engine=self.engine(store))
         original = icca.overall_icca
 
         def fail_once(*args):
@@ -655,7 +656,7 @@ class TestSnapshotMemo:
 
 class TestAlertWiring:
     def test_rolling_alert_raised_once(self, store):
-        engine = RuleEngine([Rule("r3", trigger_category_min=3)])
+        engine = RuleEngine([Rule("r3", trigger_category_min=3)], alert_log=store.alert_log)
         emitted = []
         original = engine.observe
         engine.observe = lambda sid, icca, ts: emitted.extend(original(sid, icca, ts))  # type: ignore
@@ -668,7 +669,7 @@ class TestAlertWiring:
         assert emitted[0].station_id == "utec-01" and emitted[0].icca_value == 169
 
     def test_late_frame_alert_is_stamped_with_the_window_end(self, store):
-        engine = RuleEngine([Rule("r1", trigger_category_min=1)])
+        engine = RuleEngine([Rule("r1", trigger_category_min=1)], alert_log=store.alert_log)
         emitted = []
         original = engine.observe
         engine.observe = lambda sid, icca, ts: emitted.extend(original(sid, icca, ts))  # type: ignore
@@ -727,7 +728,7 @@ class TestAlertWiring:
                 release.wait(10.0)
 
         engine = RuleEngine([Rule("r3", trigger_category_min=3, sink_ids=("slow",))],
-                            {"slow": BlockingSink()})
+                            {"slow": BlockingSink()}, alert_log=store.alert_log)
         service = MonitorService(store, rule_engine=engine)
         for k in range(53):
             assert service.ingest(frame_text(seq=k + 1, ts=START + k * 1200, pm25=100.0))[0] == 202
@@ -754,7 +755,7 @@ class TestAlertWiring:
         assert statuses == [202] and engine.failed_deliveries == 0
 
     def test_no_alerts_from_insufficient_windows(self, store):
-        engine = RuleEngine([Rule("r1", trigger_category_min=1)])
+        engine = RuleEngine([Rule("r1", trigger_category_min=1)], alert_log=store.alert_log)
         fired = []
         engine.observe = lambda sid, icca, ts: fired.append((sid, icca.value, ts))  # type: ignore
         service = MonitorService(store, rule_engine=engine)

@@ -10,6 +10,7 @@ import pytest
 
 from iccamon.icca import CATEGORIES, IccaResult, Pollutant
 from iccamon.rules import Rule, RuleEngine
+from iccamon.service import ServerConfig, build_service
 from iccamon.store import (
     BEYOND_SENSOR_RANGE,
     CHUNK_BYTES,
@@ -614,7 +615,8 @@ class TestPaddedLog:
 
 class TestDirectoryFsync:
     """A new log's directory entry is fsynced once, by the append that
-    creates the log: fsync(2) of the file alone does not put it on disk."""
+    creates the log, and a new directory's by the open that creates it:
+    fsync(2) of the file alone does not put it on disk."""
 
     @staticmethod
     def record_fsyncs(monkeypatch) -> list[int]:
@@ -664,6 +666,19 @@ class TestDirectoryFsync:
         assert synced == [os.stat(data).st_ino]
         TimeSeriesStore(data)  # series/ is there: nothing to fsync
         assert synced == [os.stat(data).st_ino]
+
+    @pytest.mark.parametrize("opener", [
+        TimeSeriesStore, lambda path: build_service(ServerConfig(data_dir=str(path)))[1]],
+        ids=["store", "build_service"])
+    def test_open_of_a_missing_data_directory_fsyncs_each_new_entry(self, tmp_path, monkeypatch,
+                                                                    opener):
+        synced = self.record_fsyncs(monkeypatch)
+        data = tmp_path / "new" / "data"
+        opener(data)
+        parents = [os.stat(p).st_ino for p in (tmp_path, tmp_path / "new", data)]
+        assert synced == parents  # top down: each parent right after its new entry
+        opener(data)  # every directory is there: nothing to fsync
+        assert synced == parents
 
     def test_no_fsync_store_fsyncs_no_directory(self, tmp_path, monkeypatch):
         synced = self.record_fsyncs(monkeypatch)
