@@ -12,7 +12,8 @@ noise is a uniform ±fraction per channel, and readings pass through the
 binary sensor codec so the values on the wire are exactly the quantized
 values a hardware node would report. A fleet file is read with the store's
 load_config and check_keys, coercing nothing; each station must make a
-valid StationRecord, so a node emits only frames the wire takes.
+valid StationRecord, and each scenario's peak readings must stay inside
+the wire's ranges, so a node emits only frames the wire takes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Iterator, NamedTuple, get_type_hints
 from urllib.parse import urlsplit
 
 from .sensor import PmFrame, decode_pm_frame, decode_temp, encode_pm_frame, encode_temp
-from .store import StationRecord, check_keys, load_config
+from .store import PM_MAX, TEMP_MAX_C, StationRecord, check_keys, load_config
 from .telemetry import TelemetryFrame, serialize
 
 logger = logging.getLogger(__name__)
@@ -72,6 +73,17 @@ class Scenario:
             raise ValueError("PM baselines and amplitude must be >= 0")
         if self.peak_width_h <= 0:
             raise ValueError("peak_width_h must be positive")
+        # The highest reading the node can send: the diurnal profile peaks
+        # at 1, rain only lowers PM, and noise scales a reading by at most
+        # 1 + noise. It stays a whole unit below PM_MAX for _u16's rounding
+        # and the register's 1/16 degree step below TEMP_MAX_C, so every
+        # frame is one the wire takes.
+        pm_peak = (max(self.base_pm25, self.base_pm10) + self.traffic_amplitude) * (1 + self.noise)
+        if not pm_peak <= PM_MAX - 1:
+            raise ValueError(f"peak PM reading {pm_peak:g} exceeds {PM_MAX - 1:g}")
+        temp_peak = (self.temp_base_c + abs(self.temp_amplitude_c)) * (1 + self.noise)
+        if not temp_peak <= TEMP_MAX_C - 1 / 16:
+            raise ValueError(f"peak temperature {temp_peak:g} exceeds {TEMP_MAX_C - 1 / 16:g}")
 
 
 def _hour_of_day(ts: float) -> float:

@@ -52,11 +52,14 @@ StationRecord alone decides what a valid station is, and the registry
 may list a station_id only once. Every JSON reader of the package (log,
 config, frame, report reply) catches one exception set, BAD_JSON, so JSON
 that is nested too deep or holds a number no float holds is refused as
-any bad JSON is, and the store alone defines a record: which readings it
-may hold (readings_in_range, the one judge for a frame and a log line),
-its flag, its JSON and its line. A record no frame could have carried is a corrupt line: a
-reading outside the wire's ranges, a seq or ts that is not an int in the
-wire's range (_MAX_SEQ, MAX_TS), or another station's station_id.
+any bad JSON is, and the store alone defines a record: which values it
+may hold (readings_in_range and seq_and_ts_in_range, the judges of a
+frame and of a log line alike), its flags, its JSON and its line. A
+record no frame could have carried is a corrupt line: a reading that is
+no number (a string, a bool) or is outside the wire's ranges, a seq or
+ts that is not an int in the wire's range (_MAX_SEQ, MAX_TS), or another
+station's station_id. NdjsonLog.read parses every line one way, so each
+line it refuses is refused in its one except.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -90,6 +93,8 @@ _raw_decode = json.JSONDecoder().raw_decode
 CHUNK_BYTES = 64 * 1024
 _PADDING = b" " * CHUNK_BYTES
 _station_id = attrgetter("station_id")
+# a record's values in Measurement's field order; KeyError names a missing key
+_record_values = itemgetter("station_id", "seq", "ts", "pm25", "pm10", "temp_c")
 # a station id, as the wire and the registry take it (whole string: fullmatch)
 STATION_ID_RE = re.compile(r"[a-z0-9_-]{1,64}")
 # What outside JSON (a wire frame, a log line, a config file, a reply) that is
@@ -98,8 +103,9 @@ STATION_ID_RE = re.compile(r"[a-z0-9_-]{1,64}")
 # reader of the package catches this one set.
 BAD_JSON = (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError)
 _FLOAT_MAX = sys.float_info.max
-# the wire's ranges of a frame's seq and ts (telemetry checks a frame against
-# them, recovery a stored record); a ts fits the index's 64-bit column
+_NUMBER = (int, float)  # the types of a JSON number; type() tells a bool from an int
+# the wire's ranges of a frame's seq and ts (seq_and_ts_in_range); a ts fits
+# the index's 64-bit column
 _MAX_SEQ = 2**64 - 1
 MAX_TS = 2**63 - 1  # a signed 64-bit epoch, like the station's time_t
 # the wire's ranges of a reading (readings_in_range). PM is accepted in
@@ -149,11 +155,20 @@ def _make_dirs(path: str, fsync: bool) -> None:
         _fsync_dir(os.path.dirname(path) or ".")
 
 
-def readings_in_range(pm25: float, pm10: float, temp_c: float) -> bool:
+def readings_in_range(pm25, pm10, temp_c) -> bool:
     """Whether a frame may carry these readings, and so a record hold them:
-    PM in [0, PM_MAX), temperature in [TEMP_MIN_C, TEMP_MAX_C]. NaN and
-    infinities are outside."""
-    return 0.0 <= pm25 < PM_MAX and 0.0 <= pm10 < PM_MAX and TEMP_MIN_C <= temp_c <= TEMP_MAX_C
+    each an int or a float (a bool, a string or any other JSON value is
+    not), PM in [0, PM_MAX), temperature in [TEMP_MIN_C, TEMP_MAX_C]. NaN
+    and infinities are outside."""
+    return (type(pm25) in _NUMBER and type(pm10) in _NUMBER and type(temp_c) in _NUMBER
+            and 0.0 <= pm25 < PM_MAX and 0.0 <= pm10 < PM_MAX
+            and TEMP_MIN_C <= temp_c <= TEMP_MAX_C)
+
+
+def seq_and_ts_in_range(seq, ts) -> bool:
+    """Whether a frame may carry this seq and ts, and so a record hold them:
+    each an int (a bool is not), seq in 0.._MAX_SEQ and ts in 0..MAX_TS."""
+    return type(seq) is int and type(ts) is int and 0 <= seq <= _MAX_SEQ and 0 <= ts <= MAX_TS
 
 
 def _beyond_sensor_range(pm25: float, pm10: float) -> bool:
@@ -300,11 +315,13 @@ class NdjsonLog:
         return raw[:end]
 
     def read(self, convert, what: str):
-        """Yield (convert(obj), line) for each non-blank line, in file order:
-        line without its newline if it is one JSON value with nothing around
-        it (so it can be joined into an array), else None. A torn last line
-        is blanked first (see _load); a line that does not parse or convert
-        is a StorageError naming path:lineno."""
+        """Yield (convert(obj), line) for each non-blank line, in file order.
+        Each line is parsed one way: stripped of blanks and a byte-order
+        mark, then one JSON value with nothing after it. line is the line
+        without its newline when nothing was stripped (so it can be joined
+        into an array), else None. A torn last line is blanked first (see
+        _load); a line that does not parse or convert is a StorageError
+        naming path:lineno."""
         try:
             lines = self._load().splitlines()
         except OSError as exc:
@@ -312,20 +329,17 @@ class NdjsonLog:
         for lineno, line in enumerate(lines, 1):
             try:
                 text = line.decode()
-                try:
-                    obj, end = _raw_decode(text)
-                except ValueError:
-                    end = -1
-                if end != len(text):
-                    # blanks and a byte-order mark (splitlines ends a line at a CR)
-                    text = text.strip(" \t\ufeff")
-                    if not text:
-                        continue
-                    obj, line = json.loads(text), None
+                # blanks and a byte-order mark (splitlines ends a line at a CR)
+                value = text.strip(" \t\ufeff")
+                if not value:
+                    continue
+                obj, end = _raw_decode(value)
+                if end != len(value):
+                    raise ValueError(f"extra data at column {end + 1}")
                 item = convert(obj)
             except BAD_JSON as exc:
                 raise StorageError(f"{self.path}:{lineno}: corrupt {what}: {exc}") from exc
-            yield item, line
+            yield item, line if len(value) == len(text) else None
 
 
 class Measurement(NamedTuple):
@@ -360,11 +374,6 @@ class Measurement(NamedTuple):
             "flags": _flags(self.pm25, self.pm10),
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Measurement":
-        return cls(obj["station_id"], obj["seq"], obj["ts"], float(obj["pm25"]),
-                   float(obj["pm10"]), float(obj["temp_c"]))
-
 
 @dataclass(frozen=True)
 class StationRecord:
@@ -393,10 +402,6 @@ class StationRecord:
 
     def to_json_obj(self) -> dict:
         return dict(vars(self))  # every field, in declaration order
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "StationRecord":
-        return cls(**obj)
 
 
 class _Station:
@@ -438,25 +443,23 @@ class _Station:
         line is what append writes for it): as written, a line has the seven
         keys of to_json_obj, float values and the flags it derives; one
         edited by hand, say, may not, and recover then encodes the line it
-        serves from the record. A line that is no record raises as
-        from_json_obj does, and one that no frame of the station could have
-        carried a ValueError: a reading outside the wire's ranges (NaN,
-        Infinity and 1e400 included), a seq or ts that is not an int in the
-        wire's range, or another station's station_id."""
-        m = Measurement.from_json_obj(obj)
-        if not readings_in_range(m.pm25, m.pm10, m.temp_c):
-            raise ValueError(f"a reading is out of the wire's range: {m}")
-        seq, ts = m.seq, m.ts
-        # type() tells a bool from an int
-        if not (type(seq) is int and type(ts) is int and 0 <= seq <= _MAX_SEQ
-                and 0 <= ts <= MAX_TS):
-            raise ValueError(f"seq or ts out of the wire's range: {m}")
-        if m.station_id != self.record.station_id:
-            raise ValueError(f"a record of another station: {m}")
-        # from_json_obj read the other six keys, so with flags (None when
-        # missing) these are all seven
-        return m, (len(obj) == 7 and obj.get("flags") == _flags(m.pm25, m.pm10)
-                   and type(obj["pm25"]) is type(obj["pm10"]) is type(obj["temp_c"]) is float)
+        serves from the record. The values are judged raw, by the wire's
+        judges (readings_in_range, seq_and_ts_in_range), before any is
+        converted. A line that is not an object with the six keys of a
+        Measurement raises KeyError or TypeError, and one that no frame of
+        the station could have carried a ValueError: a reading that is no
+        number or is outside the wire's ranges (NaN, Infinity, 1e400, "12.5"
+        and true included), a seq or ts that is not an int in the wire's
+        range, or another station's station_id."""
+        station_id, seq, ts, pm25, pm10, temp_c = values = _record_values(obj)
+        if not (readings_in_range(pm25, pm10, temp_c) and seq_and_ts_in_range(seq, ts)):
+            raise ValueError(f"a value no frame could carry: {values}")
+        if station_id != self.record.station_id:
+            raise ValueError(f"a record of another station: {values}")
+        # with flags (None when missing), the six keys read are all seven
+        return (Measurement(station_id, seq, ts, float(pm25), float(pm10), float(temp_c)),
+                len(obj) == 7 and obj.get("flags") == _flags(pm25, pm10)
+                and type(pm25) is type(pm10) is type(temp_c) is float)
 
     def accepts(self, seq: int) -> bool:
         return self.last_seq is None or seq > self.last_seq
@@ -556,7 +559,7 @@ class TimeSeriesStore:
             return
         try:
             records = load_config(path, "corrupt registry",
-                                  lambda objs: [StationRecord.from_json_obj(obj) for obj in objs])
+                                  lambda objs: [StationRecord(**obj) for obj in objs])
         except ValueError as exc:
             raise StorageError(str(exc)) from exc
         # _stations stays in station_id order, so listing the registry sorts nothing

@@ -8,16 +8,16 @@ this order:
 
 Unknown keys are rejected outright (they signal firmware/schema drift).
 store.check_keys types the keys, as it types every config entry, so the
-three readings are finite numbers, and store.readings_in_range, the judge
-of a stored record's readings too, says whether they are in the wire's
-ranges. A body that is not such an object, or
-that raises any of store.BAD_JSON in the parse (nesting too deep, say),
-is malformed, never an error of the server. The token must match the
-station's registered credential (compared in constant time), and the
-sequence number must exceed the last accepted one so retried sends are
-cheap to deduplicate. Validation is a pure function
-of its inputs; the caller supplies a lookup of each station's token and
-last accepted seq.
+three readings are finite numbers. The judges of a stored record's
+values are the wire's too: store.seq_and_ts_in_range says whether seq and
+ts are in the wire's ranges, and store.readings_in_range whether the
+readings are. A body that is not such an object, or that raises any of
+store.BAD_JSON in the parse (nesting too deep, say), is malformed, never
+an error of the server. The token must match the station's registered
+credential (compared in constant time), and the sequence number must
+exceed the last accepted one so retried sends are cheap to deduplicate.
+Validation is a pure function of its inputs; the caller supplies a lookup
+of each station's token and last accepted seq.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from enum import Enum
 from operator import itemgetter
 from typing import Callable
 
-from .store import (_MAX_SEQ, BAD_JSON, MAX_TS, STATION_ID_RE, Measurement, _encode_json,
-                    check_keys, readings_in_range)
+from .store import (BAD_JSON, MAX_TS, STATION_ID_RE, Measurement, _encode_json, check_keys,
+                    readings_in_range, seq_and_ts_in_range)
 
 FRAME_KEYS = ("station_id", "token", "seq", "ts", "pm25", "pm10", "temp_c")
 
@@ -107,10 +107,8 @@ def _parse_fields(text: str) -> tuple[str, str, int, int, float, float, float]:
         raise ValueError(f"bad station_id: {station_id!r}")
     if not token:
         raise ValueError("token must not be empty")
-    if not 0 <= seq <= _MAX_SEQ:
-        raise ValueError(f"seq must be an unsigned 64-bit integer, got {seq}")
-    if not 0 <= ts <= MAX_TS:
-        raise ValueError(f"ts must be in 0..{MAX_TS}, got {ts}")
+    if not seq_and_ts_in_range(seq, ts):
+        raise ValueError(f"seq must be in 0..2**64 - 1 and ts in 0..{MAX_TS}, got {seq}, {ts}")
     return station_id, token, seq, ts, float(pm25), float(pm10), float(temp_c)
 
 

@@ -1,9 +1,12 @@
 """Shared set-up for tests that open a store."""
 
 import json
+from operator import itemgetter
 from pathlib import Path
 
 from iccamon.store import Measurement, StationRecord, TimeSeriesStore
+
+_record_values = itemgetter(*Measurement._fields)
 
 
 def register(data_dir, *stations: StationRecord) -> Path:
@@ -26,5 +29,5 @@ def log_data(path) -> bytes:
 def stored(store, station_id, t0=0, t1=2**62) -> list[Measurement]:
     """The records TimeSeriesStore.query_range serves, parsed back from
     their stored lines."""
-    return [Measurement.from_json_obj(json.loads(line))
+    return [Measurement(*_record_values(json.loads(line)))
             for line in store.query_range(station_id, t0, t1)]

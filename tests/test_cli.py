@@ -118,11 +118,16 @@ class TestSimulateCommand:
         # two nodes of one id share an RNG stream and a seq space: every frame
         # of the copy would be a duplicate, and its 409 count as delivered
         lambda obj: obj["stations"].append({**obj["stations"][0], "display_name": "copy"}),
+        lambda obj: {"start_ts": obj["start_ts"]},
+        lambda obj: obj["stations"][0]["scenario"]["rain"][0].update(duration_s=0),
+        lambda obj: obj["stations"][0]["scenario"].update(base_pm10=-1.0),
+        lambda obj: obj["stations"][0]["scenario"].update(peak_width_h=0.0),
     ], ids=["null-lat", "unknown-scenario-key", "top-level-list", "unknown-top-level-key",
             "unknown-station-key", "unknown-rain-key", "numeric-token", "bool-lat",
             "fractional-period", "id-off-the-wire", "string-scenario-number",
             "nan-scenario-number", "infinite-scenario-number", "huge-scenario-number",
-            "repeated-station-id"])
+            "repeated-station-id", "no-stations", "rain-of-no-duration", "negative-baseline",
+            "peak-of-no-width"])
     def test_bad_scenario_entry_exits_2(self, tmp_path, capsys, mutate):
         obj = json.loads((CONFIGS / "fleet_demo.json").read_text())
         obj = mutate(obj) or obj
@@ -378,7 +383,7 @@ class TestShippedConfigs:
         assert [r.rule_id for r in engine.rules] == ["danina-a-la-salud", "grupos-sensibles-watch"]
         members, _ = load_fleet_config(CONFIGS / "fleet_demo.json")
         stations = json.loads((CONFIGS / "stations_demo.json").read_text())
-        records = [StationRecord.from_json_obj(obj) for obj in stations]
+        records = [StationRecord(**obj) for obj in stations]
         assert [r.station_id for r in records] == [m.station.station_id for m in members]
 
 

@@ -20,10 +20,15 @@ human-readable output.
 
 No function writes into a module-level dict, list or set: a cache is one
 of functools', and per-station state belongs to the object that owns it.
+
+The package's size is measured in code lines (code_lines): run this file
+as a script to print each module's count and the total.
 """
 
 import ast
+import io
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -355,3 +360,59 @@ def test_the_state_check_finds_a_filled_table():
     assert module_state_writers({"a.py": source}) == [
         "a.py:9 _TABLE", "a.py:12 _SEEN", "a.py:13 _LOG", "a.py:20 _TABLE", "a.py:21 _TABLE",
         "a.py:24 _TABLE", "a.py:25 _LOG"]
+
+
+# tokens that are not code: a line holding only these is blank or a comment
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """The number of lines of source that hold a code token: one that is
+    not a comment, a line break, an indent, a dedent or the end marker, nor
+    the docstring of the module, a class or a function. A token spanning
+    lines (a string) holds each of them."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.body and isinstance(node.body[0], ast.Expr)
+                and isinstance(node.body[0].value, ast.Constant)
+                and isinstance(node.body[0].value.value, str)):
+            docstrings.add((node.body[0].lineno, node.body[0].col_offset))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _NOT_CODE and token.start not in docstrings:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines)
+
+
+def test_code_lines_counts_code_only():
+    source = (
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "X = 1  # code with a comment\n"
+        "class A:\n"
+        "    'class docstring'\n"
+        "    def f(self):\n"
+        '        """function docstring"""\n'
+        '        return """a string\n'
+        'over two lines"""\n'
+        "    y = (1,\n"
+        "\n"
+        "         2)\n"
+        "    'not a docstring'\n"
+    )
+    # X, class, def, the returned string's two lines, y's first and last
+    # lines (the blank one between holds no token) and the last string
+    assert code_lines(source) == 8
+    assert code_lines("") == 0
+
+
+if __name__ == "__main__":
+    counts = {path.stem: code_lines(path.read_text(encoding="utf-8"))
+              for path in sorted(PACKAGE.glob("*.py"))}
+    for module, count in counts.items():
+        print(f"{module:>10} {count:5}")
+    print(f"{'total':>10} {sum(counts.values()):5}")

@@ -412,6 +412,7 @@ class TestRuleEngine:
         {"sinks": [{"sink_id": "w", "type": "webhook", "url": "file:///etc/passwd"}]},
         {"sinks": [{"sink_id": "w", "type": "webhook", "url": "ftp://x/hook"}]},
         {"sinks": [{"sink_id": "w", "type": "webhook", "url": "http://"}]},
+        {"sinks": [{"sink_id": "w", "url": "http://x"}]},  # no type
         pytest.param('{"rules": ' + "[" * 4000 + "]" * 4000 + "}", id="nested-too-deep"),
         pytest.param('{"sinks": [{"sink_id": "w", "type": "webhook", "url": "http://x", '
                      '"timeout": ' + "9" * 400 + "}]}", id="400-digit-timeout"),

@@ -142,6 +142,8 @@ class TestTemp:
             encode_temp(5000.0)
         with pytest.raises(ValueError):
             decode_temp(0x10000)
+        with pytest.raises(ValueError, match="must be an integer"):
+            decode_temp(25.0)
 
 
 class TestDump:

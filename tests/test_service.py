@@ -859,6 +859,12 @@ class TestHttpEndpoints:
             f"{server.url}/v1/stations/utec-01/icca?window_s=7200").json()
         assert body["window_s"] == 7200
         assert body["sufficient"] is True  # 6 of 6 expected in 2h window
+        # a window shorter than the 1,200 s report period expects no sample:
+        # the one it holds gives full coverage
+        body = requests.get(f"{server.url}/v1/stations/utec-01/icca?window_s=600").json()
+        assert (body["window_s"], body["sufficient"], body["coverage"]) == (600, True, 1.0)
+        assert body["pm25"] == {"mean": 10.0, "sample_count": 1, "expected_count": 0,
+                                "coverage": 1.0, "sufficient": True}
         for window in ("-5", "0"):
             resp = requests.get(f"{server.url}/v1/stations/utec-01/icca?window_s={window}")
             assert resp.status_code == 400

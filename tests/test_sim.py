@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from iccamon import cli
 from iccamon.sensor import decode_pm_frame, encode_pm_frame
+from iccamon.service import MonitorService
 from iccamon.sim import (
+    DAY_S,
     BlackoutTransport,
     CallableTransport,
     LOCAL_LOG_LEN,
@@ -21,7 +24,7 @@ from iccamon.sim import (
     sample,
     true_signal,
 )
-from iccamon.store import StationRecord
+from iccamon.store import StationRecord, TimeSeriesStore
 
 from .helpers import register, stored
 
@@ -67,6 +70,44 @@ class TestScenarioValidation:
             RainEvent(0, 3600, 0.0)
         with pytest.raises(ValueError):
             RainEvent(0, 3600, 1.2)
+
+    @pytest.mark.parametrize("key, value", [("base_pm25", 1500.0), ("temp_base_c", 5000.0)])
+    def test_scenario_whose_peak_the_wire_refuses_is_refused(self, tmp_path, capsys, key,
+                                                              value):
+        # such a node's frames would each be refused with 422 (and its buffer
+        # head retried forever), or its sensor codec would raise mid-run
+        obj = json.loads((CONFIGS / "fleet_demo.json").read_text())
+        obj["stations"][0]["scenario"][key] = value
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=r"fleet\.json"):
+            load_fleet_config(path)
+        assert cli.main(["simulate", "--scenario", str(path), "--duration", "6",
+                         "--offline", str(tmp_path / "o.ndjson")]) == 2
+        assert capsys.readouterr().err.startswith("scenario error:")
+
+    def test_scenario_just_inside_the_bound_sends_only_frames_the_wire_takes(self, tmp_path):
+        # peaks of 999.0 ug/m3 and 149.85 C at the widest noise
+        inside = dict(base_pm25=566.0, base_pm10=566.0, traffic_amplitude=100.0,
+                      temp_base_c=99.9, temp_amplitude_c=0.0, noise=0.5)
+        with pytest.raises(ValueError, match="peak PM"):
+            scenario(**{**inside, "base_pm10": 566.1})
+        with pytest.raises(ValueError, match="peak temperature"):
+            scenario(**{**inside, "temp_amplitude_c": -0.1})
+        store = TimeSeriesStore(register(tmp_path / "data", station()), fsync=False)
+        service = MonitorService(store)
+        statuses = []
+
+        def ingest(text):
+            statuses.append(service.ingest(text)[0])
+            return statuses[-1]
+
+        report = run_fleet([FleetMember(station(), scenario(**inside))], DAY_S,
+                           CallableTransport(ingest), seed=3, start_ts=START)
+        assert statuses == [202] * 72 and report.total_delivered == 72
+        # the readings came near both limits
+        records = stored(store, "utec-01")
+        assert max(r.pm10 for r in records) > 950 and max(r.temp_c for r in records) > 145
 
 
 class TestTrueSignal:
@@ -381,4 +422,4 @@ class TestFleetConfig:
         # station, token, place, period and created_at must be the fleet's
         members, _ = load_fleet_config(CONFIGS / "fleet_demo.json")
         registry = json.loads((CONFIGS / "stations_demo.json").read_text())
-        assert [StationRecord.from_json_obj(r) for r in registry] == [m.station for m in members]
+        assert [StationRecord(**r) for r in registry] == [m.station for m in members]

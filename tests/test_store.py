@@ -401,8 +401,12 @@ class TestRecovery:
         (b'"pm10":20.0', b'"pm10":1000.0'),  # PM_MAX is outside
         (b'"temp_c":25.0', b'"temp_c":150.5'),
         (b'"station_id":"utec-01"', b'"station_id":"other"'),
+        (b'"pm25":10.0', b'"pm25":"12.5"'),
+        (b'"pm10":20.0', b'"pm10":true'),
+        (b'"temp_c":25.0', b'"temp_c":"25"'),
     ], ids=["nan", "infinity", "overflowing-float", "400-digit-int", "nested-too-deep",
-            "pm25-negative", "pm10-at-pm-max", "temp-above-max", "station-id-of-another-station"])
+            "pm25-negative", "pm10-at-pm-max", "temp-above-max", "station-id-of-another-station",
+            "pm25-string", "pm10-true", "temp-string"])
     def test_record_no_window_can_sum_is_corrupt(self, tmp_path, old, new):
         # a reading no frame could carry would break later windows of the
         # station, and so /icca and /v1/overview (a negative one makes the
@@ -417,12 +421,25 @@ class TestRecovery:
         with pytest.raises(StorageError, match=r"utec-01\.ndjson:1: corrupt record"):
             TimeSeriesStore(data)
 
+    def test_int_reading_opens_and_is_served_as_a_float(self, tmp_path):
+        # a JSON int is a number the wire takes too: the line is re-encoded
+        data = register(tmp_path / "data", STATION)
+        TimeSeriesStore(data).append(m(1))
+        log = data / "series" / "utec-01.ndjson"
+        line = log_data(log).rstrip(b"\n")
+        log.write_bytes(line.replace(b'"pm25":10.0', b'"pm25":12') + b"\n")
+        reopened = TimeSeriesStore(data)
+        assert reopened.query_range("utec-01", 0, 10**9) == [
+            line.replace(b'"pm25":10.0', b'"pm25":12.0')]
+        assert reopened.latest("utec-01") == m(1, pm25=12.0)
+
     @pytest.mark.parametrize("key, value", [
         ("ts", b'"x"'), ("ts", b"null"), ("ts", b"1.5"), ("ts", b"true"), ("ts", b"-1"),
         ("ts", str(2**63).encode()),
         ("seq", b'"x"'), ("seq", b"null"), ("seq", b"true"), ("seq", str(2**64).encode()),
+        ("seq", b"-1"),
     ], ids=["ts-string", "ts-null", "ts-float", "ts-true", "ts-negative", "ts-past-int64",
-            "seq-string", "seq-null", "seq-true", "seq-past-uint64"])
+            "seq-string", "seq-null", "seq-true", "seq-past-uint64", "seq-negative"])
     def test_record_no_frame_could_carry_is_corrupt(self, tmp_path, key, value):
         # a seq or ts outside the wire's range: a seq of 2**64 would refuse
         # every later frame as stale, and no ts column holds 2**63

@@ -98,6 +98,13 @@ class TestParseAndValidate:
             '{"station_id":"utec-01","token":"tok-a","seq":1,"ts":1,"pm25":"x","pm10":1,"temp_c":1}',
             '{"station_id":"utec-01","token":"tok-a","seq":1,"ts":1,"pm25":NaN,"pm10":1,"temp_c":1}',
             '{"station_id":"utec-01","token":"tok-a","seq":-1,"ts":1,"pm25":1,"pm10":1,"temp_c":1}',
+            '{"station_id":"utec-01","token":"","seq":1,"ts":1,"pm25":1,"pm10":1,"temp_c":1}',
+            # values a stored record may not hold either (see test_store's
+            # TestRecovery)
+            pytest.param('{"station_id":"utec-01","token":"tok-a","seq":' + str(2**64)
+                         + ',"ts":1,"pm25":1,"pm10":1,"temp_c":1}', id="seq-2**64"),
+            '{"station_id":"utec-01","token":"tok-a","seq":1,"ts":1,"pm25":"12.5","pm10":1,"temp_c":1}',
+            '{"station_id":"utec-01","token":"tok-a","seq":1,"ts":1,"pm25":1,"pm10":true,"temp_c":1}',
             # the parser's own refusals: nesting too deep, an int no float holds
             pytest.param("[" * 4000 + "]" * 4000, id="nested-too-deep"),
             pytest.param('{"station_id":"utec-01","token":"tok-a","seq":1,"ts":1,"pm25":'
@@ -149,6 +156,7 @@ class TestParseAndValidate:
     def test_out_of_range_temperature(self):
         out = validate(serialize(frame(temp_c=151)))
         assert out.reason is RejectReason.OUT_OF_RANGE
+        assert validate(serialize(frame(temp_c=150.5))).reason is RejectReason.OUT_OF_RANGE
         assert validate(serialize(frame(temp_c=150))).accepted
         assert validate(serialize(frame(temp_c=0))).accepted
         assert validate(serialize(frame(temp_c=-0.5))).reason is RejectReason.OUT_OF_RANGE
