@@ -4,16 +4,21 @@ POST /v1/telemetry validates a frame against the station registry, appends
 it durably, refreshes the station's rolling 24-hour index, and runs the
 alert rules — all under the store's per-station lock, with the store as the
 authority on sequence numbers, so acceptance and window updates are
-race-free while distinct stations proceed in parallel. Alert sinks are
+race-free while distinct stations proceed in parallel. A frame validated
+before another request for its station was accepted is refused by the
+append; it is then validated again under the lock, so the one seq rule,
+telemetry.parse_and_validate's, names the refusal. Alert sinks are
 called after the lock is released, so no read waits on one. Reads are public.
 
-Every body is compact JSON from the store's encoder (store._encode). A
-record's log line has its own format (store.Measurement.stored_line),
-pinned to that encoder's bytes, so a record reads the same in its log line
-and in every body that holds it. A /history body is built from bytes
-encoded once: its records are the lines the store wrote to its log (see
+Every body the server encodes is compact JSON from the store's encoder
+(store._encode). A record's log line has its own format
+(store.Measurement.stored_line), pinned to that encoder's bytes, so a
+record the store wrote reads the same in its log line and in every body
+that holds it. A /history body is built from bytes encoded once: its
+records are the lines of the store's log (see
 store.TimeSeriesStore.query_range), joined into the response, so no record
-is encoded per read.
+is encoded per read; a line edited by hand into another key order or
+spacing is served as it stands (see store).
 
 Every index, for a frame's alert rules, an /icca read or an /overview
 entry, is the rolling index over window sums from the store. The 24-hour
@@ -36,9 +41,10 @@ of entries, whatever the size of the registry. The registry and its
 order (by station_id) are fixed at open.
 
 Status mapping: BadToken→401, UnknownStation→404, DuplicateSeq/StaleSeq→409,
-OutOfRange/Malformed→422; acceptance → 202 after the record is durable,
-also when the index or the alert rules then fail (logged with the
-traceback), so a station never resends a record the store holds.
+OutOfRange/Malformed→422, where a body that is not UTF-8 is malformed;
+acceptance → 202 after the record is durable, also when the index or the
+alert rules then fail (logged with the traceback), so a station never
+resends a record the store holds.
 /v1/stations is encoded once, at its first request: the registry is fixed
 at open.
 
@@ -107,6 +113,11 @@ _STATUS_FOR_REASON = {
     RejectReason.OUT_OF_RANGE: 422,
     RejectReason.MALFORMED: 422,
 }
+
+
+def _rejected(reason: RejectReason) -> tuple[int, dict]:
+    """The status and body that answer a frame refused for reason."""
+    return _STATUS_FOR_REASON[reason], {"error": reason.value}
 
 
 @dataclass
@@ -191,7 +202,7 @@ class MonitorService:
         """Process one telemetry submission; returns (status_code, body)."""
         outcome = parse_and_validate(text, self.store.lookup)
         if not outcome.accepted:
-            return _STATUS_FOR_REASON[outcome.reason], {"error": outcome.reason.value}
+            return _rejected(outcome.reason)
         m = outcome.measurement
         with self.store.station_lock(m.station_id):
             try:
@@ -200,10 +211,10 @@ class MonitorService:
                 logger.error("append failed for %s seq %d: %s", m.station_id, m.seq, exc)
                 return 500, {"error": "storage_failure"}
             if offset is None:
-                # another request for this station was accepted after validation
-                last = self.store.last_seq(m.station_id)
-                reason = RejectReason.DUPLICATE_SEQ if m.seq == last else RejectReason.STALE_SEQ
-                return 409, {"error": reason.value}
+                # another request for this station was accepted after validation:
+                # validated again under the lock, the frame meets the winner's seq,
+                # so telemetry alone tells a duplicate from a stale one
+                return _rejected(parse_and_validate(text, self.store.lookup).reason)
             events = self._post_accept(m)
         if events:  # logged under the lock; sent outside it, as a sink may take seconds
             self.rule_engine.notify(events)
@@ -402,14 +413,13 @@ class _Connection:
 
     def _read_head(self) -> str | None:
         """The request line and header lines, or None if the client closed."""
-        # the head counts up to and including the empty line that ends it
-        while (end := self.buf.find(b"\r\n\r\n")) < 0:
+        # the head counts up to and including the empty line that ends it,
+        # so that line is looked for only within the first MAX_HEAD_BYTES
+        while (end := self.buf.find(b"\r\n\r\n", 0, MAX_HEAD_BYTES)) < 0:
             if len(self.buf) >= MAX_HEAD_BYTES:
                 raise _Refusal(431, "header_too_large")
             if not self._read_more():
                 return None
-        if end + 4 > MAX_HEAD_BYTES:
-            raise _Refusal(431, "header_too_large")
         head, self.buf = self.buf[:end], self.buf[end + 4:]
         return head.decode("latin-1")
 
@@ -471,7 +481,11 @@ class _Connection:
         if method == "POST":
             if split.path != "/v1/telemetry":
                 return 404, {"error": "not_found"}
-            return service.ingest(body.decode("utf-8", errors="replace"))
+            try:
+                text = body.decode("utf-8")
+            except UnicodeDecodeError:  # JSON between systems is UTF-8 (RFC 8259 section 8.1)
+                return _rejected(RejectReason.MALFORMED)
+            return service.ingest(text)
         try:
             return _route_get(service, split.path, parse_qs(split.query))
         except UnknownStationError:

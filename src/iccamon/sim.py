@@ -357,10 +357,6 @@ class FleetReport:
     horizon_s: int
     nodes: list[Node] = field(default_factory=list)
 
-    @property
-    def total_delivered(self) -> int:
-        return sum(n.counters.delivered for n in self.nodes)
-
     def to_json_obj(self) -> dict:
         rows = [
             {

@@ -32,11 +32,14 @@ range reads, ts, pm25 and pm10, in array columns, and the newest record
 a record again. At open NdjsonLog.read parses each log line once, as it
 reaches it, into a Measurement built by the same constructor as on the
 wire path, which is dropped once the line and its three numbers are
-indexed: no log is ever held parsed in full. A line that is not as append
-writes it (edited by hand, say) is re-encoded from that record in
+indexed: no log is ever held parsed in full. A line that does not hold
+what append writes (the seven keys, float readings, the flags they give;
+a line edited by hand may not) is re-encoded from that record in
 _Station.recover: with append, the one caller of stored_line, so these
 two are the only places a stored line is made. So no key the store does
-not write is ever read back. The store is the one place that sums a
+not write is ever read back. A line that holds all that in another key
+order or spacing is served as it stands (re-encoding every line would
+make a reopen a third slower). The store is the one place that sums a
 window's values (see _Station.window). Beside the index each station
 keeps exact running sums of its 24-hour window, built on the window's
 first use and from then on kept by every record: a newest one slides the
@@ -440,17 +443,18 @@ class _Station:
 
     def _written_record(self, obj: dict) -> tuple[Measurement, bool]:
         """(the record of a parsed line of this station's log, whether the
-        line is what append writes for it): as written, a line has the seven
-        keys of to_json_obj, float values and the flags it derives; one
-        edited by hand, say, may not, and recover then encodes the line it
-        serves from the record. The values are judged raw, by the wire's
-        judges (readings_in_range, seq_and_ts_in_range), before any is
-        converted. A line that is not an object with the six keys of a
-        Measurement raises KeyError or TypeError, and one that no frame of
-        the station could have carried a ValueError: a reading that is no
-        number or is outside the wire's ranges (NaN, Infinity, 1e400, "12.5"
-        and true included), a seq or ts that is not an int in the wire's
-        range, or another station's station_id."""
+        line holds what append writes for it, in any key order or spacing):
+        as written, a line has the seven keys of to_json_obj, float values
+        and the flags it derives; one edited by hand, say, may not, and
+        recover then encodes the line it serves from the record. The values
+        are judged raw, by the wire's judges (readings_in_range,
+        seq_and_ts_in_range), before any is converted. A line that is not an
+        object with the six keys of a Measurement raises KeyError or
+        TypeError, and one that no frame of the station could have carried a
+        ValueError: a reading that is no number or is outside the wire's
+        ranges (NaN, Infinity, 1e400, "12.5" and true included), a seq or ts
+        that is not an int in the wire's range, or another station's
+        station_id."""
         station_id, seq, ts, pm25, pm10, temp_c = values = _record_values(obj)
         if not (readings_in_range(pm25, pm10, temp_c) and seq_and_ts_in_range(seq, ts)):
             raise ValueError(f"a value no frame could carry: {values}")
@@ -465,22 +469,21 @@ class _Station:
         return self.last_seq is None or seq > self.last_seq
 
     def _index(self, m: Measurement, line: bytes) -> None:
+        """Insert one record: its place is chosen first, then each of the
+        four containers takes it there once."""
         ts_index = self.ts_index
         newest = self.newest  # its ts is ts_index[-1], read without making an int
-        if newest is None or m.ts >= newest.ts:
-            # in ts order, as nearly every frame and log line is: no bisection,
-            # which on an array makes an int object of each element it reads
-            self.lines.append(line)
-            ts_index.append(m.ts)
-            self.pm25.append(m.pm25)
-            self.pm10.append(m.pm10)
+        # in ts order, as nearly every frame and log line is, the place is the
+        # end: no bisection, which on an array makes an int object of each
+        # element it reads
+        last = newest is None or m.ts >= newest.ts
+        pos = len(ts_index) if last else bisect_right(ts_index, m.ts)
+        self.lines.insert(pos, line)
+        ts_index.insert(pos, m.ts)
+        self.pm25.insert(pos, m.pm25)
+        self.pm10.insert(pos, m.pm10)
+        if last:
             self.newest = m
-        else:
-            pos = bisect_right(ts_index, m.ts)
-            self.lines.insert(pos, line)
-            ts_index.insert(pos, m.ts)
-            self.pm25.insert(pos, m.pm25)
-            self.pm10.insert(pos, m.pm10)
         self.last_seq = m.seq
         if self.win_start is None:
             return
@@ -661,9 +664,6 @@ class TimeSeriesStore:
 
     def count(self, station_id: str) -> int:
         return len(self._station(station_id).lines)
-
-    def last_seq(self, station_id: str) -> int | None:
-        return self._station(station_id).last_seq
 
     def close(self) -> None:
         """Nothing to release: a log holds no file between appends. Kept for

@@ -17,7 +17,11 @@ an error of the server. The token must match the station's registered
 credential (compared in constant time), and the sequence number must
 exceed the last accepted one so retried sends are cheap to deduplicate.
 Validation is a pure function of its inputs; the caller supplies a lookup
-of each station's token and last accepted seq.
+of each station's token and last accepted seq. parse_and_validate is the
+one place that tells a duplicate seq from a stale one: a frame whose
+append lost a race is validated again (service.MonitorService.ingest).
+Its outcome is a plain record (a NamedTuple) that holds a measurement or
+a reason, never both.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .store import (BAD_JSON, MAX_TS, STATION_ID_RE, Measurement, _encode_json, check_keys,
                     readings_in_range, seq_and_ts_in_range)
@@ -58,14 +62,12 @@ class RejectReason(Enum):
     MALFORMED = "malformed"
 
 
-@dataclass(frozen=True)
-class ValidationOutcome:
-    measurement: Measurement | None = None
-    reason: RejectReason | None = None
+class ValidationOutcome(NamedTuple):
+    """A plain record: parse_and_validate, its one builder, gives each
+    outcome either a measurement or a reason, never both."""
 
-    def __post_init__(self):
-        if (self.measurement is None) == (self.reason is None):
-            raise ValueError("outcome must carry exactly one of measurement/reason")
+    measurement: Measurement | None
+    reason: RejectReason | None
 
     @property
     def accepted(self) -> bool:
@@ -73,7 +75,7 @@ class ValidationOutcome:
 
 
 def _reject(reason: RejectReason) -> ValidationOutcome:
-    return ValidationOutcome(reason=reason)
+    return ValidationOutcome(None, reason)
 
 
 def serialize(frame: TelemetryFrame) -> str:
@@ -143,4 +145,4 @@ def parse_and_validate(
 
     if not readings_in_range(pm25, pm10, temp_c):
         return _reject(RejectReason.OUT_OF_RANGE)
-    return ValidationOutcome(Measurement(station_id, seq, ts, pm25, pm10, temp_c))
+    return ValidationOutcome(Measurement(station_id, seq, ts, pm25, pm10, temp_c), None)

@@ -194,7 +194,7 @@ def test_criterion_5_end_to_end_scenario(tmp_path):
     run = _FleetRun(tmp_path, "e2e", rules=rules)
     try:
         # 5 stations x 72 reports, sequence gap-free
-        assert run.report.total_delivered == 360
+        assert run.report.to_json_obj()["totals"]["delivered"] == 360
         total = 0
         for sid in run.station_ids():
             records = run.records(sid)
@@ -252,7 +252,7 @@ def test_criterion_6_outage_recovery(tmp_path):
     # transport dead for the middle third of the day
     blackout = _FleetRun(tmp_path, "blackout", outages=[(start + 8 * 3600, start + 16 * 3600)])
     try:
-        assert blackout.report.total_delivered == 360
+        assert blackout.report.to_json_obj()["totals"]["delivered"] == 360
         assert sum(n.counters.failed_attempts for n in blackout.report.nodes) > 0
         for sid in healthy.station_ids():
             assert blackout.records(sid) == healthy.records(sid), sid

@@ -3,7 +3,11 @@ at module level, and every private method, is referenced somewhere in it.
 
 A reference is a read of the name (a Name that is not assigned to) or an
 attribute of that name, in any module of the package; the definition
-itself does not count. Dunder names are the language's, not ours.
+itself does not count. Dunder names are the language's, not ours. Every
+public method and property of a package class is read as an attribute,
+or named in a string constant, in the package or in the benchmark
+harness's modules (perfbench/, its tests aside), unless it overrides a
+method of a base from outside the package, whose own code calls it.
 
 The package needs only Python: it imports nothing outside the standard
 library, and its syntax is that of the oldest Python pyproject.toml
@@ -27,6 +31,7 @@ as a script to print each module's count and the total.
 
 import ast
 import io
+import pydoc
 import sys
 import tokenize
 from pathlib import Path
@@ -87,6 +92,90 @@ def test_the_check_finds_a_name_with_no_caller():
         "b.py": "from a import _kept\nprint(_kept, A()._helper())\n",
     }
     assert unreferenced(sources) == ["a.py:1 _new_object", "a.py:5 _unused"]
+
+
+def _imported(tree: ast.Module) -> dict[str, str]:
+    """Each name a module binds by an absolute import, to the dotted path of
+    what it names."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((alias.asname or alias.name.partition(".")[0],
+                          alias.name if alias.asname else alias.name.partition(".")[0])
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.update((alias.asname or alias.name, f"{node.module}.{alias.name}")
+                         for alias in node.names)
+    return names
+
+
+def _inherited(cls: ast.ClassDef, imported: dict[str, str]) -> set[str]:
+    """The names that the bases of cls from outside the package define (a
+    builtin, or a class it imports from the standard library)."""
+    names = set()
+    for base in cls.bases:
+        head, dot, rest = ast.unparse(base).partition(".")
+        found = pydoc.locate(imported.get(head, head) + dot + rest)
+        if isinstance(found, type):
+            names.update(dir(found))
+    return names
+
+
+def uncalled_methods(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """"module:line Class.name" of each public method or property of a class
+    in sources (module name to source text) that no module of sources or
+    readers reads as an attribute or names in a string constant (a
+    getattr, or a table of names to patch). A method that overrides one of
+    a base from outside the package is called by that base's code, and is
+    not listed."""
+    used = set()
+    for text in [*sources.values(), *readers.values()]:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        imported = _imported(tree)
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            inherited = _inherited(cls, imported)
+            found += [f"{module}:{item.lineno} {cls.name}.{item.name}" for item in cls.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not item.name.startswith("_")
+                      and item.name not in used and item.name not in inherited]
+    return found
+
+
+def test_every_public_method_in_the_package_has_a_caller():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    # the benchmark harness calls the package too; its own tests do not count
+    readers = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))
+               if not path.name.startswith("test_")}
+    assert readers
+    assert uncalled_methods(sources, readers) == []
+
+
+def test_the_check_finds_a_method_with_no_caller():
+    sources = {
+        "a.py": "from urllib.request import HTTPRedirectHandler as H\nimport enum\n"
+                "class A:\n    def used(self): pass\n    @property\n    def unused(self): pass\n"
+                "    def named(self): pass\n    def _private(self): pass\n"
+                "    def __repr__(self): return ''\n"
+                "class R(H):\n    def redirect_request(self): pass\n    def extra(self): pass\n"
+                "class E(enum.Enum):\n    X = 1\n    def describe(self): pass\n"
+                "class B(A):\n    def used(self): pass\n    def redirect_request(self): pass\n",
+        "b.py": "A().used()\nf = getattr(A(), 'named')\nA().unused = 1\nA.extra = None\n",
+    }
+    readers = {"c.py": "from a import E\nprint(E.X.describe())\n"}
+    assert uncalled_methods(sources, readers) == [
+        "a.py:6 A.unused", "a.py:12 R.extra", "a.py:18 B.redirect_request"]
+    assert "a.py:15 E.describe" in uncalled_methods(sources, {})
 
 
 def third_party_imports(sources: dict[str, str]) -> list[str]:

@@ -340,6 +340,20 @@ class TestStationStateOwnership:
         first = next(t for i, t in enumerate(ts) if sum(t - 86400 < u for u in ts[:i + 1]) >= 54)
         assert [(e.kind.value, e.ts) for e in emitted] == [("raised", first)]
 
+    def test_append_that_lost_a_race_answers_the_validators_reason(self, store, monkeypatch):
+        # validation reads the station as it was before seq 5, as a request that
+        # raced the one that appended seq 5 does; the append then refuses the frame
+        service = MonitorService(store)
+        before = store.lookup("utec-01")
+        assert service.ingest(frame_text(seq=5, ts=START))[0] == 202
+        lookup = store.lookup
+        for seq, reason in [(5, "duplicate_seq"), (3, "stale_seq")]:
+            stale = [before]  # for one call only
+            monkeypatch.setattr(store, "lookup", lambda sid: stale.pop() if stale else lookup(sid))
+            assert service.ingest(frame_text(seq=seq, ts=START + 1200)) == (409, {"error": reason})
+            assert not stale
+        assert store.count("utec-01") == 1
+
     def test_seq_zero_first_frame_survives_restart(self, tmp_path):
         data = register(tmp_path / "d", StationRecord("utec-01", "x", 0.0, 0.0, "tok-a"))
         s = TimeSeriesStore(data)
@@ -1607,6 +1621,19 @@ class TestFrontEndFaults:
         assert reply.startswith(b"HTTP/1.1 422 "), reply[:200]
         assert reply.endswith(b'{"error":"malformed"}')
         assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+    @pytest.mark.parametrize("bad, good", [
+        (b'"tok-a\xff"', b'"tok-a"'),  # inside the token string
+        (b'\xff}', b'}'),  # after the object
+    ], ids=["in-token", "outside-a-string"])
+    def test_body_that_is_not_utf8_is_422(self, server, store, bad, good):
+        # JSON between systems is UTF-8: a byte that decodes to no character
+        # makes the body malformed, wherever it is, never a bad token
+        body = frame_text().encode().replace(good, bad)
+        reply = raw_request(server, f"Content-Length: {len(body)}\r\nConnection: close", body)
+        assert reply.startswith(b"HTTP/1.1 422 "), reply[:200]
+        assert reply.endswith(b'{"error":"malformed"}')
+        assert store.count("utec-01") == 0
 
     def test_shutdown_closes_idle_keep_alive_connections(self, service):
         srv = HttpServer(service, port=0)

@@ -104,7 +104,7 @@ class TestScenarioValidation:
 
         report = run_fleet([FleetMember(station(), scenario(**inside))], DAY_S,
                            CallableTransport(ingest), seed=3, start_ts=START)
-        assert statuses == [202] * 72 and report.total_delivered == 72
+        assert statuses == [202] * 72 and report.to_json_obj()["totals"]["delivered"] == 72
         # the readings came near both limits
         records = stored(store, "utec-01")
         assert max(r.pm10 for r in records) > 950 and max(r.temp_c for r in records) > 145
@@ -268,7 +268,7 @@ class TestRunFleet:
     def test_five_nodes_24h_deliver_360(self):
         transport = ListTransport()
         report = run_fleet(self.members(), 24 * 3600, transport, seed=7, start_ts=START)
-        assert report.total_delivered == 360
+        assert report.to_json_obj()["totals"]["delivered"] == 360
         assert all(n.counters.generated == 72 and not n.buffer for n in report.nodes)
         per_station = {}
         for f in transport.frames:
@@ -292,7 +292,7 @@ class TestRunFleet:
 
     def test_zero_duration_empty_report(self):
         report = run_fleet(self.members(), 0, ListTransport(), seed=1, start_ts=START)
-        assert report.total_delivered == 0
+        assert report.to_json_obj()["totals"]["delivered"] == 0
         assert all(n.counters.generated == 0 for n in report.nodes)
 
     def test_blackout_counts_failures_and_buffers(self):
@@ -315,7 +315,7 @@ class TestRunFleet:
 
         report = run_fleet(self.members(1), 3600, CallableTransport(ingest), seed=3,
                            start_ts=START)
-        assert report.total_delivered == 3 == len(accepted)
+        assert report.to_json_obj()["totals"]["delivered"] == 3 == len(accepted)
 
 
 class TestServiceIntegration:

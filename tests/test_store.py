@@ -163,7 +163,7 @@ class TestRecovery:
             s.append(m(seq))
         s = TimeSeriesStore(data)
         assert s.count("utec-01") == 10
-        assert s.last_seq("utec-01") == 10
+        assert s.lookup("utec-01")[1] == 10
         # duplicate suppression survives the restart
         assert s.append(m(7)) is None
         assert s.append(m(11)) == 10
@@ -188,12 +188,12 @@ class TestRecovery:
                 s.window("utec-01", 86400)
         log = log_data(data / "series" / "utec-01.ndjson").splitlines()
         assert len(log) == len(steps) + 1
-        live = (s.query_range("utec-01", 0, 10**9), s.last_seq("utec-01"),
+        live = (s.query_range("utec-01", 0, 10**9), s.lookup("utec-01")[1],
                 s.window("utec-01", 86400), s.window("utec-01", 3600))
         # the log without its second seq 7 is not in ts order: recovery reorders it
         assert live[0] != log[:6] + log[7:]
         reopened = TimeSeriesStore(data)
-        assert (reopened.query_range("utec-01", 0, 10**9), reopened.last_seq("utec-01"),
+        assert (reopened.query_range("utec-01", 0, 10**9), reopened.lookup("utec-01")[1],
                 reopened.window("utec-01", 86400), reopened.window("utec-01", 3600)) == live
 
     def test_torn_tail_discarded(self, tmp_path):
@@ -250,7 +250,7 @@ class TestRecovery:
         assert os.path.getsize(log) == first + CHUNK_BYTES
         s = TimeSeriesStore(data)
         assert [r.seq for r in stored(s, "utec-01", 0, 10**9)] == [1, 2, 3]
-        assert s.last_seq("utec-01") == 3
+        assert s.lookup("utec-01")[1] == 3
 
     def test_seq_zero_is_a_real_first_seq(self, tmp_path):
         data = register(tmp_path / "data", STATION)

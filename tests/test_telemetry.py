@@ -7,7 +7,6 @@ from iccamon.store import BEYOND_SENSOR_RANGE
 from iccamon.telemetry import (
     RejectReason,
     TelemetryFrame,
-    ValidationOutcome,
     parse_and_validate,
     parse_frame,
     serialize,
@@ -177,10 +176,6 @@ class TestParseAndValidate:
     def test_validation_is_pure_and_replayable(self):
         text = serialize(frame())
         assert validate(text) == validate(text)
-
-    def test_outcome_exactly_one_side(self):
-        with pytest.raises(ValueError):
-            ValidationOutcome()
 
 
 class TestAcceptedInvariants:
