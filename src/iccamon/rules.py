@@ -2,11 +2,14 @@
 
 A rule raises when a station's index reaches its trigger category and
 clears only after a configurable number of consecutive evaluations below
-it, so noisy readings near a boundary don't flap. Events are appended to
-the alert log, read back at start so rule states survive a restart, and
-sent to webhook sinks by notify, once the caller holds no lock. A failure
-of either is logged, never raised. The rules file is read with the store's
-load_config and check_keys, as every config file is.
+it, so noisy readings near a boundary don't flap. A (rule, station) pair's
+state is one value: None while idle, else the count of consecutive
+evaluations below the trigger since it raised. Events are appended to the
+alert log, read back at start so rule states survive a restart, and sent
+to webhook sinks by notify, once the caller holds no lock: each event is
+encoded once, and every sink and retry gets that alert-log line. A
+failure of either is logged, never raised. The rules file is read with the
+store's load_config and check_keys, as every config file is.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ class Rule:
             raise ValueError(f"trigger_category_min must be in 1..5, got {self.trigger_category_min}")
         if self.clear_consecutive < 1:
             raise ValueError("clear_consecutive must be >= 1")
+        if len(set(self.sink_ids)) < len(self.sink_ids):  # each event would go to it twice
+            raise ValueError(f"rule {self.rule_id!r} lists a sink id twice: {list(self.sink_ids)}")
 
 
 class AlertKind(Enum):
@@ -57,54 +62,31 @@ class AlertEvent:
     ts: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "rule_id": self.rule_id,
-            "station_id": self.station_id,
-            "kind": self.kind.value,
-            "icca_value": self.icca_value,
-            "category": self.category,
-            "ts": self.ts,
-        }
-
-
-@dataclass(frozen=True)
-class RuleState:
-    active: bool = False
-    below_count: int = 0
-
-
-_IDLE = RuleState()  # the state of a pair with no evaluation yet
+        return {**vars(self), "kind": self.kind.value}
 
 
 def evaluate(
-    rule: Rule, station_id: str, state: RuleState, icca: IccaResult, ts: int
-) -> tuple[list[AlertEvent], RuleState]:
-    """One pure state transition for a (rule, station) pair.
+    rule: Rule, station_id: str, below: int | None, icca: IccaResult, ts: int
+) -> tuple[AlertEvent | None, int | None]:
+    """One pure state transition for a (rule, station) pair; the event it
+    fires, if any, and the pair's new state.
 
-    Raised fires on the first evaluation at or above the trigger category
-    while inactive; Cleared fires after clear_consecutive consecutive
-    evaluations strictly below it while active.
+    below is None while the pair is idle, else the count of consecutive
+    evaluations strictly below the trigger category since it raised.
+    Raised fires on the first evaluation at or above the trigger while
+    idle; Cleared fires when the count reaches clear_consecutive.
     """
-    at_or_above = icca.category.ordinal >= rule.trigger_category_min
-    if not state.active:
-        if at_or_above:
-            event = AlertEvent(
-                rule.rule_id, station_id, AlertKind.RAISED, icca.value, icca.category.name, ts
-            )
-            return [event], RuleState(active=True, below_count=0)
-        return [], state
-
-    if at_or_above:
-        if state.below_count:
-            return [], RuleState(active=True, below_count=0)
-        return [], state
-    below = state.below_count + 1
-    if below >= rule.clear_consecutive:
-        event = AlertEvent(
-            rule.rule_id, station_id, AlertKind.CLEARED, icca.value, icca.category.name, ts
-        )
-        return [event], RuleState(active=False, below_count=0)
-    return [], RuleState(active=True, below_count=below)
+    if icca.category.ordinal >= rule.trigger_category_min:
+        if below is not None:
+            return None, 0
+        kind, below = AlertKind.RAISED, 0
+    elif below is None:
+        return None, None
+    elif below + 1 < rule.clear_consecutive:
+        return None, below + 1
+    else:
+        kind, below = AlertKind.CLEARED, None
+    return AlertEvent(rule.rule_id, station_id, kind, icca.value, icca.category.name, ts), below
 
 
 class _NoRedirect(HTTPRedirectHandler):
@@ -120,7 +102,7 @@ _open = build_opener(_NoRedirect).open
 
 
 class WebhookSink:
-    """POSTs the event's alert-log line, compact UTF-8 JSON, to a configured
+    """POSTs an event's alert-log line, compact UTF-8 JSON, to a configured
     URL. An error status, any redirect or a failed connection raises."""
 
     def __init__(self, sink_id: str, url: str, timeout: float = WEBHOOK_TIMEOUT_S):
@@ -128,9 +110,8 @@ class WebhookSink:
         self.url = url
         self.timeout = timeout
 
-    def deliver(self, event: AlertEvent) -> None:
-        request = Request(self.url, _encode(event.to_json_obj()),
-                          {"Content-Type": "application/json"})
+    def deliver(self, body: bytes) -> None:
+        request = Request(self.url, body, {"Content-Type": "application/json"})
         try:
             _open(request, timeout=self.timeout).close()
         except HTTPError as exc:
@@ -138,8 +119,9 @@ class WebhookSink:
                 raise
 
 
-def dispatch(event: AlertEvent, sinks) -> int:
-    """Deliver an event to each sink, retrying a failure once.
+def dispatch(body: bytes, sinks) -> int:
+    """Deliver an event's alert-log line to each sink, retrying a failure
+    once.
 
     Never raises; returns how many sinks still failed after their retry,
     each logged with its last error.
@@ -148,7 +130,7 @@ def dispatch(event: AlertEvent, sinks) -> int:
     for sink in sinks:
         for _attempt in range(2):
             try:
-                sink.deliver(event)
+                sink.deliver(body)
                 break
             except Exception as exc:
                 error = exc
@@ -167,13 +149,14 @@ def _event_state(obj: dict) -> tuple[tuple[str, str], bool]:
     return key, AlertKind(obj["kind"]) is AlertKind.RAISED
 
 
-def _recover_states(log: NdjsonLog, rule_ids) -> dict[tuple[str, str], RuleState]:
-    """Rule states from an alert log: per (rule, station), active when its
-    last event is raised. Events of rules not in rule_ids are ignored. A
-    restart loses only a pending clear countdown, which starts from zero.
+def _recover_states(log: NdjsonLog, rule_ids) -> dict[tuple[str, str], int | None]:
+    """Rule states from an alert log: per (rule, station), 0 when its last
+    event is raised, None (idle) when it is cleared. Events of rules not in
+    rule_ids are ignored. A restart loses only a pending clear countdown,
+    which starts from zero.
     """
-    return {key: RuleState(active=active)
-            for (key, active), _ in log.read(_event_state, "alert event") if key[0] in rule_ids}
+    return {key: 0 if raised else None
+            for (key, raised), _ in log.read(_event_state, "alert event") if key[0] in rule_ids}
 
 
 class RuleEngine:
@@ -195,7 +178,7 @@ class RuleEngine:
         if len(self._sinks_of) < len(self.rules):  # states are keyed by rule_id too
             raise ValueError("two rules share a rule_id")
         self.alert_log = alert_log
-        self._states: dict[tuple[str, str], RuleState] = _recover_states(
+        self._states: dict[tuple[str, str], int | None] = _recover_states(
             alert_log, {r.rule_id for r in self.rules})
         self._lock = threading.Lock()
         self.failed_deliveries = 0  # failed alert-log appends, and sinks after their retry
@@ -214,19 +197,19 @@ class RuleEngine:
         with self._lock:
             for rule in self.rules:
                 key = (rule.rule_id, station_id)
-                state = self._states.get(key, _IDLE)
-                events, new_state = evaluate(rule, station_id, state, icca, ts)
-                self._states[key] = new_state
-                for event in events:
+                event, self._states[key] = evaluate(rule, station_id, self._states.get(key),
+                                                    icca, ts)
+                if event:
                     self._log(event)
-                emitted += events
+                    emitted.append(event)
         return emitted
 
     def notify(self, events) -> None:
-        """Send each event to its rule's sinks (see dispatch). Holds no lock
-        while a sink runs, which may take twice its timeout."""
+        """Send each event's alert-log line, encoded once, to its rule's sinks
+        (see dispatch). Holds no lock while a sink runs, which may take twice
+        its timeout."""
         for event in events:
-            failed = dispatch(event, self._sinks_of[event.rule_id])
+            failed = dispatch(_encode(event.to_json_obj()), self._sinks_of[event.rule_id])
             if failed:
                 with self._lock:
                     self.failed_deliveries += failed

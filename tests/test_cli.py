@@ -15,7 +15,6 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 import pytest
-import requests
 
 from iccamon import cli
 from iccamon.rules import load_rules_config
@@ -23,7 +22,7 @@ from iccamon.service import HttpServer, MonitorService, load_server_config
 from iccamon.sim import CallableTransport, load_fleet_config, run_fleet
 from iccamon.store import Measurement, NdjsonLog, StationRecord, TimeSeriesStore
 
-from .helpers import log_data, register, stored
+from .helpers import fetch, log_data, register, stored
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -248,7 +247,7 @@ class TestReportCommand:
         for row in rows:
             assert row["station"] in out
             # golden: every number matches the API the table is built from
-            snap = requests.get(
+            snap = fetch(
                 f"{live_server.url}/v1/stations/{row['station']}/icca?window_s=86400").json()
             assert row["icca"] == (snap["icca"]["value"] if snap["icca"] else None)
             assert row["pm25_mean"] == snap["pm25"]["mean"]
@@ -647,9 +646,9 @@ class TestServeCommand:
             deadline = time.time() + 10
             while time.time() < deadline:
                 try:
-                    if requests.get(f"{url}/v1/stations", timeout=1).status_code == 200:
+                    if fetch(f"{url}/v1/stations", timeout=1).status == 200:
                         break
-                except requests.RequestException:
+                except (OSError, http.client.HTTPException):
                     time.sleep(0.05)
             else:
                 pytest.fail("server never answered")

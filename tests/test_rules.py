@@ -14,13 +14,12 @@ from iccamon.rules import (
     AlertKind,
     Rule,
     RuleEngine,
-    RuleState,
     WebhookSink,
     dispatch,
     evaluate,
     load_rules_config,
 )
-from iccamon.store import NdjsonLog, StorageError
+from iccamon.store import NdjsonLog, StorageError, _encode
 
 from .helpers import log_data
 
@@ -31,12 +30,14 @@ def icca(value):
 
 
 def run_sequence(rule, values, start_ts=0):
-    """Feed a value sequence through evaluate, collecting all events."""
-    state = RuleState()
+    """Feed a value sequence through evaluate, collecting all events; the
+    events and the final state (None while idle, else the count below)."""
+    state = None
     events = []
     for i, v in enumerate(values):
-        emitted, state = evaluate(rule, "st-1", state, icca(v), start_ts + i)
-        events.extend(emitted)
+        event, state = evaluate(rule, "st-1", state, icca(v), start_ts + i)
+        if event:
+            events.append(event)
     return events, state
 
 
@@ -48,25 +49,25 @@ class TestEvaluate:
         assert [e.kind for e in events] == [AlertKind.RAISED]
         assert events[0].category == "Dañina a la Salud"
         assert events[0].icca_value == 153
-        assert state.active
+        assert state == 0
 
     def test_no_flapping_while_active(self):
         rule = Rule("r1", trigger_category_min=3)
         events, state = run_sequence(rule, [153, 153, 160, 200, 154])
-        assert len(events) == 1 and state.active
+        assert len(events) == 1 and state == 0
 
     def test_hysteresis_requires_consecutive_below(self):
         rule = Rule("r1", trigger_category_min=3, clear_consecutive=3)
         # two below, then back above: still active, no Cleared
         events, state = run_sequence(rule, [153, 100, 100, 160])
         assert [e.kind for e in events] == [AlertKind.RAISED]
-        assert state.active and state.below_count == 0
+        assert state == 0
 
     def test_clears_after_consecutive_below(self):
         rule = Rule("r1", trigger_category_min=3, clear_consecutive=3)
         events, state = run_sequence(rule, [153, 100, 90, 80])
         assert [e.kind for e in events] == [AlertKind.RAISED, AlertKind.CLEARED]
-        assert not state.active
+        assert state is None
 
     def test_clear_consecutive_one(self):
         rule = Rule("r1", trigger_category_min=1, clear_consecutive=1)
@@ -110,7 +111,7 @@ class TestEvaluate:
 class _Receiver(BaseHTTPRequestHandler):
     bodies = []
     raw = []  # the same bodies, as the bytes received
-    posts = 0  # requests received, failed ones included
+    attempts = []  # the raw body of every POST, failed ones included
     gets = 0
     fail = False
     redirect = None  # a URL, when set by a test: every POST is answered 302 to it
@@ -119,7 +120,7 @@ class _Receiver(BaseHTTPRequestHandler):
 
     def do_POST(self):
         body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
-        type(self).posts += 1
+        type(self).attempts.append(body)
         if type(self).entered is not None:
             type(self).entered.set()
             type(self).release.wait(2.0)
@@ -154,7 +155,8 @@ def receivers():
         class Handler(_Receiver):
             bodies = []
             raw = []
-            posts = gets = 0
+            attempts = []
+            gets = 0
             fail = False
 
         server = HTTPServer(("127.0.0.1", 0), Handler)
@@ -179,14 +181,18 @@ def alert_log(tmp_path):
 
 
 EVENT = AlertEvent("r1", "utec-01", AlertKind.RAISED, 153, "Dañina a la Salud", 1700000000)
+LINE = _encode(EVENT.to_json_obj())  # EVENT's alert-log line
 
 
 class TestSinks:
     def test_webhook_body_equals_event_serialization(self, receiver):
         handler, url = receiver
-        assert dispatch(EVENT, [WebhookSink("w", url)]) == 0
-        assert handler.posts == 1
+        assert dispatch(LINE, [WebhookSink("w", url)]) == 0
         assert handler.bodies == [EVENT.to_json_obj()]
+        # the fields in declaration order, compact UTF-8
+        assert handler.attempts == ['{"rule_id":"r1","station_id":"utec-01","kind":"raised",'
+                                    '"icca_value":153,"category":"Dañina a la Salud",'
+                                    '"ts":1700000000}'.encode()]
 
     def test_webhook_body_is_the_alert_log_line(self, tmp_path, receiver, alert_log):
         # compact UTF-8, so "ñ" goes out as its two bytes, not as "\u00f1"
@@ -199,26 +205,35 @@ class TestSinks:
         assert handler.raw == log_data(tmp_path / "alerts.ndjson").splitlines()
 
     def test_unreachable_webhook_recorded_not_raised(self, caplog):
-        failed = dispatch(EVENT, [WebhookSink("w", "http://127.0.0.1:1/none", timeout=0.2)])
+        failed = dispatch(LINE, [WebhookSink("w", "http://127.0.0.1:1/none", timeout=0.2)])
         assert failed == 1
         [message] = [r.getMessage() for r in caplog.records if r.name == "iccamon.rules"]
         assert "sink w failed after 2 attempts" in message
         assert "127.0.0.1" in message  # the error text is kept
 
-    def test_failure_is_retried_once(self, receiver):
+    def test_failure_is_retried_once(self, tmp_path, receiver, alert_log):
         handler, url = receiver
         handler.fail = True
-        assert dispatch(EVENT, [WebhookSink("w", url)]) == 1
-        assert handler.posts == 2
+        engine = RuleEngine([Rule("r1", 3, sink_ids=("w",))], {"w": WebhookSink("w", url)},
+                            alert_log=alert_log)
+        engine.notify(engine.observe("utec-01", icca(153), ts=1))
+        assert engine.failed_deliveries == 1
+        # both attempts carry the event's alert-log line
+        [line] = log_data(tmp_path / "alerts.ndjson").splitlines()
+        assert handler.attempts == [line, line]
 
-    def test_one_failing_sink_does_not_block_others(self, receivers):
+    def test_one_failing_sink_does_not_block_others(self, tmp_path, receivers, alert_log):
         failing, failing_url = receivers()
         working, working_url = receivers()
         failing.fail = True
-        sinks = [WebhookSink("w1", failing_url), WebhookSink("w2", working_url)]
-        assert dispatch(EVENT, sinks) == 1
-        assert failing.posts == 2
-        assert working.bodies == [EVENT.to_json_obj()]
+        engine = RuleEngine([Rule("r1", 3, sink_ids=("w1", "w2"))],
+                            {"w1": WebhookSink("w1", failing_url),
+                             "w2": WebhookSink("w2", working_url)}, alert_log=alert_log)
+        engine.notify(engine.observe("utec-01", icca(153), ts=1))
+        assert engine.failed_deliveries == 1
+        [line] = log_data(tmp_path / "alerts.ndjson").splitlines()
+        assert failing.attempts == [line, line]
+        assert working.attempts == [line]
 
     def test_redirect_is_a_failure_not_followed(self, receivers):
         # urlopen would follow a 302 to a POST as a bodiless GET, and count
@@ -226,9 +241,9 @@ class TestSinks:
         moved, moved_url = receivers()
         target, target_url = receivers()
         moved.redirect = target_url
-        assert dispatch(EVENT, [WebhookSink("w", moved_url)]) == 1
-        assert moved.posts == 2
-        assert target.posts == target.gets == 0
+        assert dispatch(LINE, [WebhookSink("w", moved_url)]) == 1
+        assert moved.attempts == [LINE, LINE]
+        assert target.attempts == [] and target.gets == 0
 
 
 class TestRuleEngine:
@@ -323,6 +338,7 @@ class TestRuleEngine:
         third = RuleEngine([Rule("r1", 3, clear_consecutive=2)], alert_log=alert_log)
         assert set(third._states) == {("r1", "a"), ("r1", "b")}
         assert third.observe("a", icca(153), 5) == []
+        assert third.observe("b", icca(153), 5) == []  # second raised it again after its clear
         kinds = [json.loads(line)["kind"] for line in log_data(log).splitlines()]
         assert kinds == ["raised"] * 4 + ["cleared"] * 2 + ["raised"] * 2
 
@@ -423,6 +439,11 @@ class TestRuleEngine:
                       "sinks": [{"sink_id": "w", "type": "webhook", "url": "http://a/hook"},
                                 {"sink_id": "w", "type": "webhook", "url": "http://b/hook"}]},
                      id="repeated-sink-id"),
+        # each event would be POSTed to the sink twice
+        pytest.param({"rules": [{"rule_id": "r", "trigger_category_min": 3,
+                                 "sink_ids": ["w", "w"]}],
+                      "sinks": [{"sink_id": "w", "type": "webhook", "url": "http://a/hook"}]},
+                     id="sink-listed-twice-by-a-rule"),
     ])
     def test_config_bad_entry_names_the_file(self, tmp_path, alert_log, cfg):
         path = tmp_path / "rules.json"

@@ -15,7 +15,6 @@ import threading
 import time
 
 import pytest
-import requests
 
 from iccamon import icca
 from iccamon import service as service_mod
@@ -31,7 +30,7 @@ from iccamon.service import (
 from iccamon.store import Measurement, StationRecord, TimeSeriesStore, _encode
 from iccamon.telemetry import MAX_TS, TelemetryFrame, serialize
 
-from .helpers import log_data, register, stored
+from .helpers import fetch, log_data, register, stored
 from .oracles import ORACLE_PM10, ORACLE_PM25, exact_mean, history_oracle, icca_oracle
 
 START = 1700006400
@@ -780,12 +779,12 @@ class TestAlertWiring:
 
 class TestHttpEndpoints:
     def test_post_telemetry_roundtrip(self, server, store):
-        resp = requests.post(f"{server.url}/v1/telemetry", data=frame_text().encode())
-        assert resp.status_code == 202
+        resp = fetch(f"{server.url}/v1/telemetry", frame_text().encode())
+        assert resp.status == 202
         assert resp.json() == {"station_id": "utec-01", "seq": 1}
         assert store.count("utec-01") == 1
-        dup = requests.post(f"{server.url}/v1/telemetry", data=frame_text().encode())
-        assert dup.status_code == 409
+        dup = fetch(f"{server.url}/v1/telemetry", frame_text().encode())
+        assert dup.status == 409
 
     def test_status_code_mapping(self, server):
         cases = [
@@ -795,12 +794,12 @@ class TestHttpEndpoints:
             ("{]", 422),
         ]
         for text, code in cases:
-            resp = requests.post(f"{server.url}/v1/telemetry", data=text.encode())
-            assert resp.status_code == code, text
+            resp = fetch(f"{server.url}/v1/telemetry", text.encode())
+            assert resp.status == code, text
 
     def test_stations_listing_hides_tokens(self, server):
-        resp = requests.get(f"{server.url}/v1/stations")
-        assert resp.status_code == 200
+        resp = fetch(f"{server.url}/v1/stations")
+        assert resp.status == 200
         stations = resp.json()
         # stations.json lists utec-01 first; the listing is by station_id
         assert [s["station_id"] for s in stations] == ["santa-ana", "utec-01"]
@@ -811,48 +810,47 @@ class TestHttpEndpoints:
         registry = json.loads((store.data_dir / TimeSeriesStore.REGISTRY_FILE).read_text())
         want = sorted(({key: value for key, value in rec.items() if key != "token"}
                        for rec in registry), key=lambda rec: rec["station_id"])
-        assert requests.get(f"{server.url}/v1/stations").json() == want
+        assert fetch(f"{server.url}/v1/stations").json() == want
 
     def test_latest_endpoint(self, server):
-        assert requests.get(f"{server.url}/v1/stations/utec-01/latest").json() == {
+        assert fetch(f"{server.url}/v1/stations/utec-01/latest").json() == {
             "station_id": "utec-01", "measurement": None}
-        requests.post(f"{server.url}/v1/telemetry", data=frame_text(seq=2).encode())
-        body = requests.get(f"{server.url}/v1/stations/utec-01/latest").json()
+        fetch(f"{server.url}/v1/telemetry", frame_text(seq=2).encode())
+        body = fetch(f"{server.url}/v1/stations/utec-01/latest").json()
         assert body["measurement"]["seq"] == 2
 
     def test_history_endpoint(self, server):
         for k in range(5):
-            requests.post(f"{server.url}/v1/telemetry",
-                          data=frame_text(seq=k + 1, ts=START + k * 100).encode())
+            fetch(f"{server.url}/v1/telemetry", frame_text(seq=k + 1, ts=START + k * 100).encode())
         url = f"{server.url}/v1/stations/utec-01/history"
-        body = requests.get(f"{url}?from={START}&to={START + 250}").json()
+        body = fetch(f"{url}?from={START}&to={START + 250}").json()
         assert body["count"] == 3
         assert [m["seq"] for m in body["measurements"]] == [1, 2, 3]
         # bounds optional: full history without params
-        assert requests.get(url).json()["count"] == 5
+        assert fetch(url).json()["count"] == 5
 
     def test_history_default_range_reaches_max_ts(self, server):
         url = f"{server.url}/v1/telemetry"
-        assert requests.post(url, data=frame_text(seq=1).encode()).status_code == 202
-        assert requests.post(url, data=frame_text(seq=2, ts=MAX_TS).encode()).status_code == 202
-        assert requests.post(url, data=frame_text(seq=3, ts=MAX_TS + 1).encode()).status_code == 422
-        body = requests.get(f"{server.url}/v1/stations/utec-01/history").json()
+        assert fetch(url, frame_text(seq=1).encode()).status == 202
+        assert fetch(url, frame_text(seq=2, ts=MAX_TS).encode()).status == 202
+        assert fetch(url, frame_text(seq=3, ts=MAX_TS + 1).encode()).status == 422
+        body = fetch(f"{server.url}/v1/stations/utec-01/history").json()
         assert [(m["seq"], m["ts"]) for m in body["measurements"]] == [(1, START), (2, MAX_TS)]
 
     def test_history_invalid_ranges(self, server):
         url = f"{server.url}/v1/stations/utec-01/history"
-        assert requests.get(f"{url}?from=10&to=5").status_code == 400
-        assert requests.get(f"{url}?from=x&to=5").status_code == 400
+        assert fetch(f"{url}?from=10&to=5").status == 400
+        assert fetch(f"{url}?from=x&to=5").status == 400
 
     def test_unknown_station_404(self, server):
         for leaf in ("latest", "history", "icca"):
-            assert requests.get(f"{server.url}/v1/stations/ghost/{leaf}").status_code == 404
-        assert requests.get(f"{server.url}/v1/nope").status_code == 404
+            assert fetch(f"{server.url}/v1/stations/ghost/{leaf}").status == 404
+        assert fetch(f"{server.url}/v1/nope").status == 404
 
     def test_icca_endpoint(self, server, service):
         for k in range(72):
             service.ingest(frame_text(seq=k + 1, ts=START + k * 1200, pm25=100.0, pm10=30.0))
-        body = requests.get(f"{server.url}/v1/stations/utec-01/icca").json()
+        body = fetch(f"{server.url}/v1/stations/utec-01/icca").json()
         assert body["sufficient"] is True
         assert body["icca"]["value"] == 169
         assert body["icca"]["category"] == "Dañina a la Salud"
@@ -862,26 +860,26 @@ class TestHttpEndpoints:
         assert body["pm25"]["mean"] == pytest.approx(100.0)
 
     def test_icca_endpoint_insufficient(self, server):
-        requests.post(f"{server.url}/v1/telemetry", data=frame_text().encode())
-        body = requests.get(f"{server.url}/v1/stations/utec-01/icca").json()
+        fetch(f"{server.url}/v1/telemetry", frame_text().encode())
+        body = fetch(f"{server.url}/v1/stations/utec-01/icca").json()
         assert body["sufficient"] is False and body["icca"] is None
 
     def test_icca_window_param(self, server, service):
         for k in range(6):
             service.ingest(frame_text(seq=k + 1, ts=START + k * 1200, pm25=10.0))
-        body = requests.get(
+        body = fetch(
             f"{server.url}/v1/stations/utec-01/icca?window_s=7200").json()
         assert body["window_s"] == 7200
         assert body["sufficient"] is True  # 6 of 6 expected in 2h window
         # a window shorter than the 1,200 s report period expects no sample:
         # the one it holds gives full coverage
-        body = requests.get(f"{server.url}/v1/stations/utec-01/icca?window_s=600").json()
+        body = fetch(f"{server.url}/v1/stations/utec-01/icca?window_s=600").json()
         assert (body["window_s"], body["sufficient"], body["coverage"]) == (600, True, 1.0)
         assert body["pm25"] == {"mean": 10.0, "sample_count": 1, "expected_count": 0,
                                 "coverage": 1.0, "sufficient": True}
         for window in ("-5", "0"):
-            resp = requests.get(f"{server.url}/v1/stations/utec-01/icca?window_s={window}")
-            assert resp.status_code == 400
+            resp = fetch(f"{server.url}/v1/stations/utec-01/icca?window_s={window}")
+            assert resp.status == 400
             assert resp.json() == {"error": "window_s must be positive"}
 
     def test_icca_body_bytes(self, server, service):
@@ -890,7 +888,7 @@ class TestHttpEndpoints:
         # fill a 1-hour window
         for k, (pm25, pm10) in enumerate(((10.0, 50.0), (20.0, 60.0), (33.0, 70.5))):
             service.ingest(frame_text(seq=k + 1, ts=START + k * 1200, pm25=pm25, pm10=pm10))
-        assert requests.get(f"{server.url}/v1/stations/utec-01/icca?window_s=3600").content == (
+        assert fetch(f"{server.url}/v1/stations/utec-01/icca?window_s=3600").body == (
             b'{"station_id":"utec-01","window_end":1700008800,"window_s":3600,"sufficient":true,'
             b'"coverage":1.0,"pm25":{"mean":21.0,"sample_count":3,"expected_count":3,'
             b'"coverage":1.0,"sufficient":true},"pm10":{"mean":60.166666666666664,'
@@ -907,7 +905,7 @@ class TestHttpEndpoints:
     def test_overview(self, server, service):
         for k in range(72):
             service.ingest(frame_text(seq=k + 1, ts=START + k * 1200, pm25=20.0))
-        body = requests.get(f"{server.url}/v1/overview").json()
+        body = fetch(f"{server.url}/v1/overview").json()
         entries = {e["station_id"]: e for e in body["stations"]}
         assert list(entries) == ["santa-ana", "utec-01"]  # by station_id, not file order
         filled = entries["utec-01"]
@@ -921,18 +919,18 @@ class TestHttpEndpoints:
         # one encoder: the station's last stored line, byte for byte, inside
         # /latest, the last /history record and the station's overview entry
         for seq, pm25 in ((1, 12.3), (2, 612.0)):  # the last one flagged
-            resp = requests.post(f"{server.url}/v1/telemetry",
-                                 data=frame_text(seq=seq, ts=START + seq, pm25=pm25).encode())
-            assert resp.status_code == 202
+            resp = fetch(f"{server.url}/v1/telemetry",
+                         frame_text(seq=seq, ts=START + seq, pm25=pm25).encode())
+            assert resp.status == 202
         line = log_data(store.data_dir / "series" / "utec-01.ndjson").splitlines()[-1]
         assert b'"flags":["beyond_sensor_range"]' in line
         station = f"{server.url}/v1/stations/utec-01"
-        assert requests.get(f"{station}/latest").content \
+        assert fetch(f"{station}/latest").body \
             == b'{"station_id":"utec-01","measurement":%s}' % line
-        assert requests.get(f"{station}/history").content.endswith(b",%s]}" % line)
+        assert fetch(f"{station}/history").body.endswith(b",%s]}" % line)
         assert b'"station_id":"utec-01","display_name":"San Salvador","location":' \
                b'{"lat":13.7,"lon":-89.19},"latest":%s,' % line \
-            in requests.get(f"{server.url}/v1/overview").content
+            in fetch(f"{server.url}/v1/overview").body
 
     def test_non_ascii_tokens_over_http(self, tmp_path):
         data = register(tmp_path / "d", StationRecord("utec-01", "x", 0.0, 0.0, "clé-ñandú"))
@@ -940,8 +938,8 @@ class TestHttpEndpoints:
             for token, status in (("clave-ñandú", 401), ("\ud800", 401), ("clé-ñandú", 202)):
                 # ASCII JSON, which carries the lone surrogate as an escape
                 text = json.dumps(json.loads(frame_text(token=token)))
-                resp = requests.post(f"{srv.url}/v1/telemetry", data=text.encode())
-                assert resp.status_code == status, token
+                resp = fetch(f"{srv.url}/v1/telemetry", text.encode())
+                assert resp.status == status, token
 
 
 class TestHistoryOracle:
@@ -994,7 +992,7 @@ class TestHistoryOracle:
                 for t0, t1 in ranges:
                     expect = [(edited or {}).get((sid, r["seq"]), r)
                               for r in history_oracle(sent, t0, t1)]
-                    body = requests.get(
+                    body = fetch(
                         f"{srv.url}/v1/stations/{sid}/history?from={t0}&to={t1}").json()
                     assert self.canon(body) == self.canon({
                         "station_id": sid, "from": t0, "to": t1, "count": len(expect),
@@ -1316,8 +1314,8 @@ class TestHttpContentLength:
         assert reply.startswith(f"HTTP/1.1 {status} ".encode()), reply
         assert b"\r\nConnection: close\r\n" in reply
         # the server still answers the next connection
-        resp = requests.post(f"{server.url}/v1/telemetry", data=frame_text().encode())
-        assert resp.status_code == 202
+        resp = fetch(f"{server.url}/v1/telemetry", frame_text().encode())
+        assert resp.status == 202
 
     @pytest.mark.parametrize("value", ["1_0", "+5", "0x10", "\xb2", "1 0"])
     def test_length_not_ascii_digits_answered_and_closed(self, server, value):
@@ -1388,8 +1386,8 @@ class TestHttpContentLength:
 
     def test_limit_itself_is_accepted(self, server):
         body = frame_text().encode().ljust(MAX_BODY_BYTES)
-        resp = requests.post(f"{server.url}/v1/telemetry", data=body)
-        assert resp.status_code == 202
+        resp = fetch(f"{server.url}/v1/telemetry", body)
+        assert resp.status == 202
 
 
 class TestTransferEncoding:
@@ -1430,8 +1428,8 @@ class TestMisbehavingClients:
                 started = time.monotonic()
                 assert sock.recv(4096) == b""  # closed by the server, no reply
                 assert time.monotonic() - started < 1.0
-            resp = requests.post(f"{srv.url}/v1/telemetry", data=frame_text().encode())
-            assert resp.status_code == 202
+            resp = fetch(f"{srv.url}/v1/telemetry", frame_text().encode())
+            assert resp.status == 202
         finally:
             srv.shutdown()
 
@@ -1442,10 +1440,9 @@ class TestMisbehavingClients:
             stalled.sendall(head)  # and never the body
             time.sleep(0.05)  # its handler thread is now waiting for the body
             started = time.monotonic()
-            resp = requests.post(f"{server.url}/v1/telemetry", data=frame_text().encode(),
-                                 timeout=5)
+            resp = fetch(f"{server.url}/v1/telemetry", frame_text().encode(), timeout=5)
             elapsed = time.monotonic() - started
-        assert resp.status_code == 202
+        assert resp.status == 202
         assert elapsed < 1.0
 
     def test_client_hang_up_logged_without_traceback(self, capfd, caplog):
